@@ -4,8 +4,7 @@ The 2**(n-1) compositions of n are indexed by the (n-1)-bit integers: bit j
 of the index means "cut after position j+1" of the row 1..n, and the parts
 are the gaps between consecutive cuts.  Index 0 is the one-part composition
 (n,); the all-ones index is (1,)*n.  The order gives O(1) random access and
-lets any index range [lo, hi) be walked independently of the rest, which is
-what the parallel sum evaluators chunk on.
+lets any index range [lo, hi) be walked independently of the rest.
 """
 
 from __future__ import annotations

@@ -10,9 +10,19 @@ sum over the compositions (m_1, ..., m_r) of n of
 
 where N_s are the prefix sums and the weight C_theta(m) depends only on
 m mod 8 (and g).  This module evaluates the sum three independent ways:
-exact Q(sqrt 2) term-by-term (cr_theta), an integer-factored enumeration
-core that chunks the bitmask index space across processes (a_n_theta), and
+exact Q(sqrt 2) term-by-term (cr_theta), an integer core (a_n_theta), and
 a length-n linear recurrence with integer weights (a_n_theta_recurrence).
+
+The integer core is one depth-first walk over compositions by part.  A
+node is a composition of its prefix sum N and carries the integer
+N! * CR_theta, so appending a part multiplies it by one precomputed factor
+and every node is the term of its own n: one walk to max_n yields n! * a_n
+and the sign tallies (P+, P-) for every n <= max_n at once.  Each term's
+sign is checked against the parity-class rule as it is tallied.  Large
+walks split at a fixed prefix sum: the parent walks the short prefixes and
+one process pool, at most one worker per available CPU, walks the
+size-balanced groups of subtrees below them.
+
 On top of it sit the sign bookkeeping (classify, count_signs), the
 pi/4 <-> 3pi/4 symmetry check, the sign/growth verdicts, and a combined
 report generator that cross-checks everything against the generic
@@ -22,12 +32,13 @@ L-polynomial routes.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .arith import QuadExt, pow2_half
 from .compositions import Composition, count, parts_in_range
@@ -36,7 +47,17 @@ from .lpoly import TraceData, coeffs_from_traces
 
 ENUMERATION_CAP = 24
 
-_PARALLEL_MIN_INDICES = 1 << 17
+# walks with fewer nodes (compositions of every n <= max_n) stay in-process
+_PARALLEL_MIN_NODES = 1 << 17
+# the parent walks the prefixes summing below this; the pool walks the rest
+_SPLIT_PREFIX = 8
+# pool tasks per branch, each a size-balanced group of subtrees
+_CHUNKS_PER_WALK = 8
+
+# a walk node or a child step: (prefix sum, value, sqrt(2) parity, rule flag)
+_Node = tuple[int, int, bool, bool]
+# per n: rational and sqrt(2) parts of n! * a_n, then P+ and P-
+_Sums = tuple[list[int], list[int], list[int], list[int]]
 
 
 class Theta(enum.Enum):
@@ -133,99 +154,154 @@ def _cnum_table(n: int, g: int, theta: Theta) -> list[int]:
     return table
 
 
-def _scan_terms(n: int, g: int, theta_value: str, lo: int, hi: int) -> tuple[int, int]:
-    # sum of n! * CR_theta(m) over bitmask indices [lo, hi), split into the
-    # rational part and the sqrt(2) part; every factor stays an integer
-    # because the prefix-sum product divides n!
-    cnum = _cnum_table(n, g, Theta(theta_value))
-    fact = math.factorial(n)
-    rat = 0
-    irr = 0
-    for index in range(lo, hi):
-        bits = index
-        previous = 0
-        numerator = 1
-        denominator = 1
-        odd_parts = 0
-        part_count = 0
-        while bits:
-            low = bits & -bits
-            position = low.bit_length()
-            numerator *= cnum[position - previous]
-            denominator *= position
-            odd_parts += (position - previous) & 1
-            part_count += 1
-            previous = position
-            bits ^= low
-        numerator *= cnum[n - previous]
-        denominator *= n
-        odd_parts += (n - previous) & 1
-        part_count += 1
-        # (-1)^r 2^r sqrt(2)^n prod C = sign * 2^(two_exp/2) * numerator / denominator
-        two_exp = n - odd_parts + 2 * part_count
-        term = numerator * (fact // denominator)
-        if part_count & 1:
-            term = -term
-        if two_exp & 1:
-            irr += term << ((two_exp - 1) >> 1)
-        else:
-            rat += term << (two_exp >> 1)
-    return rat, irr
+def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Node]]:
+    # children[N] lists, for every part m that can follow a prefix summing
+    # to N, the tuple (N + m, factor, sqrt(2) parity, parity-rule flag).  A
+    # node's value is n! * CR_theta of its composition of n = N, so a child's
+    # value is its parent's times factor = F(m) (N+1)(N+2)...(N+m-1), where
+    # F(m) = -2 * 2^(m/2) * C_theta(m) = -cnum[m] * sqrt(2)^(2+m-(m&1)).
+    # Parts of weight zero (only for g <= 2) are left out: their subtrees
+    # add nothing.  For g <= 2 no parity rule is claimed, so the flag is the
+    # factor's own sign and the walk's sign check holds trivially.
+    cnum = _cnum_table(max_n, g, theta)
+    classes = _PARITY_CLASSES[theta]
+    parts = []
+    for m in range(1, max_n + 1):
+        if cnum[m] == 0:
+            continue
+        root2 = 2 + m - (m & 1)
+        factor = -cnum[m] << (root2 >> 1)
+        flag = residue_class(m) in classes if g > 2 else factor < 0
+        parts.append((m, factor, bool(root2 & 1), flag))
+    fact = [math.factorial(k) for k in range(max_n + 1)]
+    return [
+        [
+            (prefix + m, factor * (fact[prefix + m - 1] // fact[prefix]), odd, flag)
+            for m, factor, odd, flag in parts
+            if prefix + m <= max_n
+        ]
+        for prefix in range(max_n)
+    ]
 
 
-def _scan_signs(n: int, theta_value: str, lo: int, hi: int) -> tuple[int, int]:
-    # term-sign tally over bitmask indices [lo, hi) by the parity rule
-    classes = _PARITY_CLASSES[Theta(theta_value)]
-    flag = [0] + [1 if (m - 1) % 8 + 1 in classes else 0 for m in range(1, n + 1)]
-    plus = 0
-    minus = 0
-    for index in range(lo, hi):
-        bits = index
-        previous = 0
-        parity = 0
-        while bits:
-            low = bits & -bits
-            position = low.bit_length()
-            parity ^= flag[position - previous]
-            previous = position
-            bits ^= low
-        parity ^= flag[n - previous]
-        if parity:
-            minus += 1
-        else:
-            plus += 1
-    return plus, minus
+def _empty_sums(max_n: int) -> _Sums:
+    return ([0] * (max_n + 1), [0] * (max_n + 1), [0] * (max_n + 1), [0] * (max_n + 1))
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        return max(1, os.cpu_count() or 1)
-    if threads < 1:
+def _walk(
+    max_n: int,
+    stop: int,
+    children: list[list[_Node]],
+    roots: list[_Node],
+    sums: _Sums,
+) -> list[_Node]:
+    # depth-first walk below the given nodes (prefix, value, sqrt(2) parity,
+    # parity-rule flag); every node below a root is the term of its own n
+    # and is added to sums.  Nodes with prefix >= stop are not expanded but
+    # returned, so a caller can hand their subtrees to other processes.
+    rat, irr, plus, minus = sums
+    frontier = []
+    stack = list(roots)
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        prefix, value, odd, rule = pop()
+        for child, factor, odd_step, rule_step in children[prefix]:
+            term = value * factor
+            child_odd = odd ^ odd_step
+            child_rule = rule ^ rule_step
+            if child_odd:
+                irr[child] += term
+            else:
+                rat[child] += term
+            if term < 0:
+                if not child_rule:
+                    raise _sign_error(child)
+                minus[child] += 1
+            else:
+                if child_rule:
+                    raise _sign_error(child)
+                plus[child] += 1
+            if child < stop:
+                push((child, term, child_odd, child_rule))
+            elif child < max_n:
+                frontier.append((child, term, child_odd, child_rule))
+    return frontier
+
+
+def _sign_error(n: int) -> ConsistencyError:
+    return ConsistencyError(
+        f"a term of a_{n} has the sign opposite to the parity-class rule"
+    )
+
+
+def _walk_subtrees(max_n: int, children: list[list[_Node]], roots: list[_Node]) -> _Sums:
+    # worker entry point: the sums over the subtrees below the roots
+    sums = _empty_sums(max_n)
+    _walk(max_n, max_n, children, roots, sums)
+    return sums
+
+
+def _balance(frontier: list[_Node], max_n: int, chunks: int) -> list[list[_Node]]:
+    # greedy split into chunks of equal work: a root at prefix N has
+    # 2^(max_n - N) - 1 nodes below it; largest first, each to the lightest
+    groups: list[list[_Node]] = [[] for _ in range(chunks)]
+    loads = [(0, index) for index in range(chunks)]
+    for node in sorted(frontier, key=lambda node: node[0]):
+        load, index = heapq.heappop(loads)
+        groups[index].append(node)
+        heapq.heappush(loads, (load + (1 << (max_n - node[0])), index))
+    return [group for group in groups if group]
+
+
+def _clamp_workers(requested: int, chunks: int, cpus: int) -> int:
+    return min(requested, chunks, cpus)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _resolve_threads(threads: Optional[int], chunks: int) -> int:
+    # worker processes for `chunks` units of work: never more than asked
+    # for, than there are chunks, or than this process may run on
+    if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    return threads
+    cpus = _available_cpus()
+    return _clamp_workers(cpus if threads is None else threads, chunks, cpus)
 
 
-def _run_scan(
-    worker: Callable[..., tuple[int, int]],
-    static_args: tuple,
-    n: int,
-    threads: Optional[int],
-) -> tuple[int, int]:
-    total = count(n)
-    workers = _resolve_threads(threads)
-    if workers == 1 or total < _PARALLEL_MIN_INDICES:
-        return worker(*static_args, 0, total)
-    chunk = -(-total // workers)
-    bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    first = 0
-    second = 0
+def _walk_sums(
+    max_n: int, g: int, thetas: Sequence[Theta], threads: Optional[int]
+) -> dict[Theta, _Sums]:
+    # one walk per branch over every composition of every n <= max_n; large
+    # walks share one process pool: the parent walks the prefixes below
+    # _SPLIT_PREFIX and the pool walks the subtrees hanging off them
+    parallel = (1 << max_n) - 1 >= _PARALLEL_MIN_NODES
+    workers = _resolve_threads(threads, len(thetas) * _CHUNKS_PER_WALK if parallel else 1)
+    children = {theta: _walk_children(max_n, g, theta) for theta in thetas}
+    sums = {theta: _empty_sums(max_n) for theta in thetas}
+    root = [(0, 1, False, False)]
+    if workers == 1:
+        for theta in thetas:
+            _walk(max_n, max_n, children[theta], root, sums[theta])
+        return sums
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, *static_args, lo, hi) for lo, hi in bounds]
-        for future in futures:
-            a, b = future.result()
-            first += a
-            second += b
-    return first, second
+        futures = []
+        for theta in thetas:
+            frontier = _walk(max_n, _SPLIT_PREFIX, children[theta], root, sums[theta])
+            for group in _balance(frontier, max_n, _CHUNKS_PER_WALK):
+                futures.append(
+                    (theta, pool.submit(_walk_subtrees, max_n, children[theta], group))
+                )
+        for theta, future in futures:
+            for total, part in zip(sums[theta], future.result()):
+                for n, value in enumerate(part):
+                    total[n] += value
+    return sums
 
 
 def _check_enumerable(n: int) -> None:
@@ -240,14 +316,17 @@ def a_n_theta_exact(n: int, g: int, theta: Theta, threads: Optional[int] = None)
     if not 1 <= n <= g:
         raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
     _check_enumerable(n)
-    rat, irr = _run_scan(_scan_terms, (n, g, theta.value), n, threads)
+    rat, irr, _, _ = _walk_sums(n, g, (theta,), threads)[theta]
+    return _exact_coefficient(n, rat, irr)
+
+
+def _exact_coefficient(n: int, rat: list[int], irr: list[int]) -> QuadExt:
+    # a_n from the walk's sums of n! * a_n
     fact = math.factorial(n)
-    return QuadExt(Fraction(rat, fact), Fraction(irr, fact))
+    return QuadExt(Fraction(rat[n], fact), Fraction(irr[n], fact))
 
 
-def a_n_theta(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> int:
-    """a_n as an integer via the composition sum; the sqrt(2) part must cancel."""
-    value = a_n_theta_exact(n, g, theta, threads)
+def _integer_coefficient(n: int, g: int, theta: Theta, value: QuadExt) -> int:
     if value.irr != 0:
         raise ConsistencyError(
             f"sqrt(2) component of a_{n} did not cancel for g={g}, "
@@ -258,6 +337,11 @@ def a_n_theta(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> in
             f"a_{n} is not an integer for g={g}, theta={theta.value}: {value}"
         )
     return int(value.rat)
+
+
+def a_n_theta(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> int:
+    """a_n as an integer via the composition sum; the sqrt(2) part must cancel."""
+    return _integer_coefficient(n, g, theta, a_n_theta_exact(n, g, theta, threads))
 
 
 def _recurrence_weight(i: int, g: int, theta: Theta) -> Fraction:
@@ -314,7 +398,8 @@ def count_signs(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_enumerable(n)
-    return _run_scan(_scan_signs, (n, theta.value), n, threads)
+    _, _, plus, minus = _walk_sums(n, g, (theta,), threads)[theta]
+    return plus[n], minus[n]
 
 
 def verify_symmetry(n: int, g: int) -> bool:
@@ -535,8 +620,13 @@ def analyze(
     tallies: dict[Theta, list[tuple[int, int]]] = {}
     oracle_match: dict[Theta, bool] = {}
     recurrence_match: dict[Theta, bool] = {}
+    sums = _walk_sums(max_n, g, selected, threads)
     for theta in selected:
-        values = [a_n_theta(n, g, theta, threads) for n in range(1, max_n + 1)]
+        rat, irr, plus, minus = sums[theta]
+        values = [
+            _integer_coefficient(n, g, theta, _exact_coefficient(n, rat, irr))
+            for n in range(1, max_n + 1)
+        ]
         coefficients[theta] = values
         oracle = coeffs_from_traces(_branch_traces(g, theta))
         for n in range(1, max_n + 1):
@@ -557,9 +647,7 @@ def analyze(
                 )
         recurrence_match[theta] = True
         if g > 2:
-            tallies[theta] = [
-                count_signs(n, g, theta, threads) for n in range(1, max_n + 1)
-            ]
+            tallies[theta] = list(zip(plus[1:], minus[1:]))
 
     if g == 1:
         theorem_mode = "vacuous"

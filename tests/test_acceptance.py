@@ -364,13 +364,16 @@ def test_criterion_12_performance_envelope():
     value = defect2.a_n_theta_exact(24, 24, Theta.THREE_PI_4, threads=8)
     scan_elapsed = time.perf_counter() - scan_started
     grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before_kb
+    # the largest worker process the scan (or anything before it) reaped
+    children_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     expected = defect2.a_list_theta_recurrence(24, 24, Theta.THREE_PI_4)[24]
     scan_ok = value == expected and scan_elapsed < 300.0
-    memory_ok = grown_kb < 256 * 1024
+    memory_ok = grown_kb < 256 * 1024 and children_kb < 256 * 1024
     _emit(
         12,
         recurrence_ok and scan_ok and memory_ok,
         f"a_0..a_100 recurrence in {recurrence_elapsed * 1000:.0f}ms (< 1s); "
         f"streamed n=24 composition sum on 8 threads in {scan_elapsed:.1f}s "
-        f"(< 300s) with peak-memory growth {grown_kb} KB (< 262144 KB)",
+        f"(< 300s) with peak-memory growth {grown_kb} KB and worker peak "
+        f"{children_kb} KB (each < 262144 KB)",
     )

@@ -1,8 +1,13 @@
+import math
+import multiprocessing
+import os
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zetapoly import defect2
 from zetapoly.arith import QuadExt, quad_sign
 from zetapoly.compositions import Composition, count, enumerate_compositions
 from zetapoly.defect2 import (
@@ -338,3 +343,85 @@ class TestConsistencyGuards:
             for n in range(1, 9):
                 exact = a_n_theta_exact(n, 9, theta)
                 assert exact == QuadExt(a_n_theta(n, 9, theta))
+
+
+class TestPrefixWalk:
+    @pytest.mark.parametrize("g", [1, 2, 3, 5, 9])
+    def test_sums_equal_term_sums(self, g):
+        # g = 1 and 2 have zero-weight parts, whose subtrees the walk skips
+        for theta in BOTH:
+            rat, irr, _, _ = defect2._walk_sums(10, g, (theta,), 1)[theta]
+            for n in range(1, 11):
+                total = QuadExt.zero()
+                for composition in enumerate_compositions(n):
+                    total = total + cr_theta(composition, g, theta)
+                fact = math.factorial(n)
+                assert QuadExt(Fraction(rat[n], fact), Fraction(irr[n], fact)) == total
+
+    @pytest.mark.parametrize("g", [3, 7])
+    def test_tallies_equal_classification(self, g):
+        for theta in BOTH:
+            _, _, plus, minus = defect2._walk_sums(10, g, (theta,), 1)[theta]
+            for n in range(1, 11):
+                signs = [classify(c, g, theta) for c in enumerate_compositions(n)]
+                assert (plus[n], minus[n]) == (signs.count(1), signs.count(-1))
+
+    def test_analyze_independent_of_workers(self):
+        sequential = analyze(18, threads=1).to_json_dict()
+        assert analyze(18, threads=2).to_json_dict() == sequential
+
+    def test_wrong_parity_rule_raises(self, monkeypatch):
+        wrong = {Theta.PI_4: (3, 5, 8), Theta.THREE_PI_4: (1, 7, 8)}
+        monkeypatch.setattr(defect2, "_PARITY_CLASSES", wrong)
+        with pytest.raises(ConsistencyError):
+            count_signs(5, 5, Theta.PI_4)
+        with pytest.raises(ConsistencyError):
+            analyze(5)
+
+    def test_no_process_outlives_a_call(self):
+        analyze(18, threads=2)
+        assert multiprocessing.active_children() == []
+        a_n_theta(18, 18, Theta.PI_4, threads=2)
+        assert multiprocessing.active_children() == []
+        count_signs(18, 5, Theta.THREE_PI_4, threads=2)
+        assert multiprocessing.active_children() == []
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestWorkerCount:
+    def test_clamp(self):
+        assert defect2._clamp_workers(10**9, 16, 2) == 2
+        assert defect2._clamp_workers(10**9, 3, 64) == 3
+        assert defect2._clamp_workers(5, 16, 64) == 5
+        assert defect2._clamp_workers(1, 1, 1) == 1
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            defect2._resolve_threads(0, 16)
+
+    def test_pool_never_larger_than_cpus(self, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "requested", [])
+        monkeypatch.setattr(defect2, "ProcessPoolExecutor", _RecordingPool)
+        value = a_n_theta(18, 18, Theta.THREE_PI_4, threads=8)
+        assert _RecordingPool.requested
+        assert all(1 <= k <= os.cpu_count() for k in _RecordingPool.requested)
+        assert value == a_list_theta_recurrence(18, 18, Theta.THREE_PI_4)[18]
