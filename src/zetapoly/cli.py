@@ -21,8 +21,7 @@ from typing import Callable, Optional, Sequence, TextIO, Union
 
 from . import defect2, lpoly
 from .arith import format_rational, parse_rational
-from .compositions import count as composition_count
-from .compositions import parts_in_range
+from .compositions import iter_parts
 from .errors import ConsistencyError, ValidationError
 from .parapermanent import matrix_from_entries, pper_by_compositions, pper_by_last_row
 
@@ -417,8 +416,7 @@ def _cmd_compositions(args: list[str], out: TextIO, err: TextIO) -> int:
         )
     if ns.format == "csv":
         out.write("index,parts\n")
-    total = composition_count(n)
-    for index, parts in enumerate(parts_in_range(n, 0, total)):
+    for index, parts in enumerate(iter_parts(n)):
         if ns.format == "json":
             out.write(json.dumps({"index": index, "parts": list(parts)}))
             out.write("\n")

@@ -3,14 +3,14 @@
 The 2**(n-1) compositions of n are indexed by the (n-1)-bit integers: bit j
 of the index means "cut after position j+1" of the row 1..n, and the parts
 are the gaps between consecutive cuts.  Index 0 is the one-part composition
-(n,); the all-ones index is (1,)*n.  The order gives O(1) random access and
-lets any index range [lo, hi) be walked independently of the rest.
+(n,); the all-ones index is (1,)*n.  The order gives O(1) random access
+(decode, encode) and one streaming loop over every index (iter_parts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -43,20 +43,6 @@ class Composition:
             total += part
             sums.append(total)
         return tuple(sums)
-
-    def to_key_tuple(self) -> tuple[tuple[int, int], ...]:
-        """Index pairs (N_s, N_{s-1}+1) addressing one entry per part.
-
-        These are the positions whose factorial products a triangular-table
-        composition sum multiplies together, one per part.
-        """
-        pairs = []
-        previous = 0
-        for part in self.parts:
-            current = previous + part
-            pairs.append((current, previous + 1))
-            previous = current
-        return tuple(pairs)
 
 
 def count(n: int) -> int:
@@ -102,40 +88,19 @@ def encode(composition: Composition) -> int:
     return index
 
 
+def iter_parts(n: int) -> Iterator[tuple[int, ...]]:
+    """Raw part tuples of every composition of n, in bitmask index order.
+
+    No object wrapping or per-item validation, for loops that only need
+    the parts.
+    """
+    if n == 0:
+        yield ()
+        return
+    for index in range(count(n)):
+        yield _parts_at(n, index)
+
+
 def enumerate_compositions(n: int) -> Iterator[Composition]:
     """All compositions of n in bitmask index order, streamed one at a time."""
-    total = count(n)
-    if n == 0:
-        yield Composition(())
-        return
-    for index in range(total):
-        yield Composition(_parts_at(n, index))
-
-
-def iter_index_range(n: int, lo: int, hi: int) -> Iterator[Composition]:
-    """Compositions of n with bitmask indices in [lo, hi), streamed."""
-    total = count(n)
-    if not 0 <= lo <= hi <= total:
-        raise ValueError(f"range [{lo}, {hi}) not within [0, {total})")
-    if n == 0:
-        if lo == 0 and hi == 1:
-            yield Composition(())
-        return
-    for index in range(lo, hi):
-        yield Composition(_parts_at(n, index))
-
-
-def parts_in_range(n: int, lo: int, hi: int) -> Iterator[Sequence[int]]:
-    """Raw part tuples for indices in [lo, hi); no object wrapping.
-
-    Hot loops that only need the parts use this to skip per-item validation.
-    """
-    total = count(n)
-    if not 0 <= lo <= hi <= total:
-        raise ValueError(f"range [{lo}, {hi}) not within [0, {total})")
-    if n == 0:
-        if lo == 0 and hi == 1:
-            yield ()
-        return
-    for index in range(lo, hi):
-        yield _parts_at(n, index)
+    return map(Composition, iter_parts(n))

@@ -9,9 +9,11 @@ sum over the compositions (m_1, ..., m_r) of n of
     CR_theta(m) = (-1)^r * 2^r * 2^(n/2) * prod_s C_theta(m_s) / N_s
 
 where N_s are the prefix sums and the weight C_theta(m) depends only on
-m mod 8 (and g).  This module evaluates the sum three independent ways:
+m mod 8 (and g).  This module evaluates the sum three ways:
 exact Q(sqrt 2) term-by-term (cr_theta), an integer core (a_n_theta), and
 a length-n linear recurrence with integer weights (a_n_theta_recurrence).
+All three read the weights from c_theta; the trace-data L-polynomial
+route that analyze cross-checks against does not.
 
 The integer core is one depth-first walk over compositions by part.  A
 node is a composition of its prefix sum N and carries the integer
@@ -41,7 +43,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .arith import QuadExt, pow2_half
-from .compositions import Composition, count, parts_in_range
+from .compositions import Composition, enumerate_compositions
 from .errors import ConsistencyError
 from .lpoly import TraceData, coeffs_from_traces
 
@@ -139,18 +141,10 @@ def classify(composition: Composition, g: int, theta: Theta) -> int:
 def _cnum_table(n: int, g: int, theta: Theta) -> list[int]:
     # integer content of C_theta: for odd m the weight is table[m]*sqrt(2)/2,
     # for even m it is table[m] itself
-    plus_odd = _ODD_PLUS[theta]
-    table = [0] * (n + 1)
+    table = [0]
     for m in range(1, n + 1):
-        res = (m - 1) % 8 + 1
-        if res % 2:
-            table[m] = g - 1 if res in plus_odd else -(g - 1)
-        elif res in (2, 6):
-            table[m] = -1
-        elif res == 4:
-            table[m] = -(g - 2)
-        else:
-            table[m] = g
+        weight = c_theta(m, g, theta)
+        table.append(int(2 * weight.irr if m % 2 else weight.rat))
     return table
 
 
@@ -414,8 +408,7 @@ def verify_symmetry(n: int, g: int) -> bool:
     flip = n % 2 == 1
     total_pi4 = QuadExt.zero()
     total_3pi4 = QuadExt.zero()
-    for parts in parts_in_range(n, 0, count(n)):
-        composition = Composition(parts)
+    for composition in enumerate_compositions(n):
         left = cr_theta(composition, g, Theta.PI_4)
         right = cr_theta(composition, g, Theta.THREE_PI_4)
         if left != (-right if flip else right):
@@ -453,6 +446,14 @@ def _sign_claim_ok(n: int, value: int, theta: Theta) -> bool:
     return value > 0 if n % 2 == 0 else value < 0
 
 
+def _theorem_mode(g: int) -> str:
+    # g = 1 is vacuous (all coefficients after a_0 vanish); the claims are
+    # proven for 2 <= g <= 6 and conjectured beyond
+    if g == 1:
+        return "vacuous"
+    return "proven" if g <= 6 else "conjecture"
+
+
 def verify_theorem_signs(g: int) -> SignReport:
     """Check the claimed signs and |a_n| growth on a_0..a_g for both thetas.
 
@@ -462,9 +463,9 @@ def verify_theorem_signs(g: int) -> SignReport:
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     a = {theta: tuple(a_list_theta_recurrence(g, g, theta)) for theta in _THETAS}
-    if g == 1:
-        return SignReport(g, "vacuous", a, {}, {}, {})
-    mode = "proven" if g <= 6 else "conjecture"
+    mode = _theorem_mode(g)
+    if mode == "vacuous":
+        return SignReport(g, mode, a, {}, {}, {})
     sign_ok = {}
     growth_weak = {}
     growth_strict = {}
@@ -649,12 +650,7 @@ def analyze(
         if g > 2:
             tallies[theta] = list(zip(plus[1:], minus[1:]))
 
-    if g == 1:
-        theorem_mode = "vacuous"
-    elif g <= 6:
-        theorem_mode = "proven"
-    else:
-        theorem_mode = "conjecture"
+    theorem_mode = _theorem_mode(g)
 
     rows = []
     for n in range(1, max_n + 1):

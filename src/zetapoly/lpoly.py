@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import ConsistencyError
-from .parapermanent import TriangularMatrix, pper_composition_sum, pper_prefixes
+from .parapermanent import TriangularMatrix, pper_composition_sums, pper_prefixes
 
 COMPOSITION_CAP = 30
 
@@ -202,8 +202,7 @@ def coeffs_by_compositions_exact(s: SSequence) -> list[Fraction]:
         raise ValueError(
             f"composition enumeration capped at g <= {COMPOSITION_CAP}, got g={s.g}"
         )
-    fp = _telescoped_fp(s)
-    return [pper_composition_sum(n, fp, Fraction(1)) for n in range(s.g + 1)]
+    return pper_composition_sums(s.g, _telescoped_fp(s), Fraction(1))
 
 
 def _as_integers(values: Sequence[Fraction], s: SSequence, method: str) -> list[int]:

@@ -5,9 +5,13 @@ the product of the entries from (i, j) rightwards through the diagonal,
 prod_{k=j..i} b[i][k].  The parapermanent of an order-n table is the sum
 over all compositions (m_1, ..., m_r) of n of the products of the factorial
 products at the key entries (N_s, N_{s-1}+1), where N_s are the prefix sums.
-Unrolling the sum along the last row turns the 2**(n-1)-term definition into
-an O(n^2)-multiplication recurrence over prefix parapermanents; both
-evaluators are kept and must agree.
+
+Two evaluators are kept and must agree.  The composition sum follows the
+definition: one depth-first walk over the compositions of every order <= n,
+where a node is a composition of its prefix sum N carrying the product at
+its keys, so each term costs one multiplication and is added on its own.
+Unrolling the sum along the last row instead gives an O(n^2)-multiplication
+recurrence over prefix parapermanents.
 
 Entries may be any exact scalar supporting + and * (Fraction, QuadExt, or
 similar); evaluators take the multiplicative identity of that scalar type.
@@ -18,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
-
-from .compositions import count, parts_in_range
 
 FactorialProduct = Callable[[int, int], Any]
 
@@ -88,22 +90,34 @@ def pper_prefixes(n: int, fp: FactorialProduct, one: Any = Fraction(1)) -> list[
     return prefixes
 
 
-def pper_composition_sum(n: int, fp: FactorialProduct, one: Any = Fraction(1)) -> Any:
-    """Parapermanent straight from the definition: one term per composition."""
+def pper_composition_sums(
+    n: int, fp: FactorialProduct, one: Any = Fraction(1)
+) -> list[Any]:
+    """Parapermanents of orders 0..n straight from the definition.
+
+    One walk over every composition of every order <= n: a node is a
+    composition of its prefix sum N and carries the product of the factorial
+    products at its keys; appending a part m multiplies it by fp(N+m, N+1).
+    Each node is one term of order N, so the 2**n - 1 terms cost one
+    multiplication each, plus O(n^2) calls to fp.
+    """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
-    if n == 0:
-        return one
-    total = None
-    for parts in parts_in_range(n, 0, count(n)):
-        previous = 0
-        term = one
-        for part in parts:
-            current = previous + part
-            term = term * fp(current, previous + 1)
-            previous = current
-        total = term if total is None else total + term
-    return total
+    # keys[N][m-1] = fp(N+m, N+1): the factor for appending part m at prefix N
+    keys = [
+        [fp(i, prefix + 1) for i in range(prefix + 1, n + 1)] for prefix in range(n + 1)
+    ]
+    sums: list[Any] = [one] + [None] * n
+    stack = [(0, one)]
+    while stack:
+        prefix, product = stack.pop()
+        for order, key in enumerate(keys[prefix], start=prefix + 1):
+            term = product * key
+            total = sums[order]
+            sums[order] = term if total is None else total + term
+            if order < n:
+                stack.append((order, term))
+    return sums
 
 
 def pper_by_last_row(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:
@@ -115,7 +129,7 @@ def pper_by_last_row(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:
 def pper_by_compositions(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:
     """Parapermanent of the table by direct composition enumeration."""
     table = _factorial_product_table(matrix)
-    return pper_composition_sum(matrix.order, lambda i, j: table[i][j], one)
+    return pper_composition_sums(matrix.order, lambda i, j: table[i][j], one)[matrix.order]
 
 
 def matrix_from_entries(rows: Sequence[Sequence[Any]]) -> TriangularMatrix:

@@ -186,7 +186,7 @@ def test_criterion_05_composition_counts_and_roundtrip():
         if compositions.count(n) != expected:
             counts_ok = False
             continue
-        enumerated = sum(1 for _ in compositions.parts_in_range(n, 0, expected))
+        enumerated = sum(1 for _ in compositions.iter_parts(n))
         if enumerated != expected:
             counts_ok = False
     roundtrip_ok = all(

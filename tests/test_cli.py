@@ -70,6 +70,36 @@ class TestLPolyCommand:
         payload = json.loads(out)
         assert payload["methods_run"] == ["pper"]
 
+    def test_compositions_golden(self):
+        code, out, _ = run_cli(
+            "lpoly", "from-counts", "--q", "2", "--counts", "5,9", "--method", "compositions"
+        )
+        assert code == cli.EXIT_OK
+        assert out == (
+            '{\n'
+            '  "q": 2,\n'
+            '  "g": 2,\n'
+            '  "method": "compositions",\n'
+            '  "methods_run": [\n'
+            '    "compositions"\n'
+            '  ],\n'
+            '  "s": [\n'
+            '    "2",\n'
+            '    "4"\n'
+            '  ],\n'
+            '  "coeffs": [\n'
+            '    "1",\n'
+            '    "2",\n'
+            '    "4",\n'
+            '    "4",\n'
+            '    "4"\n'
+            '  ],\n'
+            '  "h": "15",\n'
+            '  "methods_agree": true,\n'
+            '  "oracle_agrees": null\n'
+            '}\n'
+        )
+
     def test_weil_warning_on_stderr(self):
         code, out, err = run_cli("lpoly", "from-counts", "--q", "2", "--counts", "99")
         assert code == cli.EXIT_OK
@@ -225,6 +255,16 @@ class TestCompositionsCommand:
         code, out, _ = run_cli("compositions", "--n", "2", "--format", "csv")
         assert code == cli.EXIT_OK
         assert out.splitlines() == ["index,parts", "0,2", "1,1 1"]
+
+    def test_table_golden(self):
+        code, out, _ = run_cli("compositions", "--n", "3", "--format", "table")
+        assert code == cli.EXIT_OK
+        assert out == (
+            "         0  (3)\n"
+            "         1  (1, 2)\n"
+            "         2  (2, 1)\n"
+            "         3  (1, 1, 1)\n"
+        )
 
     def test_bounds(self):
         code, _, err = run_cli("compositions", "--n", "-1")

@@ -7,8 +7,7 @@ from zetapoly.compositions import (
     decode,
     encode,
     enumerate_compositions,
-    iter_index_range,
-    parts_in_range,
+    iter_parts,
 )
 
 part_lists = st.lists(st.integers(1, 9), min_size=1, max_size=8)
@@ -63,24 +62,11 @@ class TestEnumeration:
             seen.add(composition.parts)
         assert len(seen) == count(10)
 
-    def test_index_ranges_concatenate(self):
-        full = [c.parts for c in enumerate_compositions(9)]
-        total = count(9)
-        chunks = []
-        for lo, hi in [(0, 100), (100, 200), (200, total)]:
-            chunks.extend(c.parts for c in iter_index_range(9, lo, hi))
-        assert chunks == full
-
-    def test_parts_in_range_matches(self):
-        full = [c.parts for c in enumerate_compositions(8)]
-        raw = [tuple(parts) for parts in parts_in_range(8, 0, count(8))]
-        assert raw == full
-
-    def test_bad_range(self):
+    def test_iter_parts_matches_decode(self):
+        assert list(iter_parts(9)) == [decode(9, k).parts for k in range(count(9))]
+        assert list(iter_parts(0)) == [()]
         with pytest.raises(ValueError):
-            list(iter_index_range(5, 3, 1))
-        with pytest.raises(ValueError):
-            list(iter_index_range(5, 0, count(5) + 1))
+            list(iter_parts(-1))
 
 
 class TestCompositionType:
@@ -91,18 +77,6 @@ class TestCompositionType:
 
     def test_prefix_sums(self):
         assert Composition((1, 2, 1)).prefix_sums() == (1, 3, 4)
-
-    def test_key_tuple(self):
-        assert Composition((1, 2, 1)).to_key_tuple() == ((1, 1), (3, 2), (4, 4))
-        assert Composition((4,)).to_key_tuple() == ((4, 1),)
-
-    @given(part_lists)
-    def test_key_tuple_partitions_columns(self, parts):
-        composition = Composition(tuple(parts))
-        covered = []
-        for i, j in composition.to_key_tuple():
-            covered.extend(range(j, i + 1))
-        assert covered == list(range(1, composition.n + 1))
 
     @given(part_lists)
     def test_r_and_n(self, parts):

@@ -378,6 +378,21 @@ class TestPrefixWalk:
         with pytest.raises(ConsistencyError):
             analyze(5)
 
+    def test_wrong_weight_caught_by_trace_route(self, monkeypatch):
+        # the walk and the recurrence both read c_theta, so a wrong weight
+        # (same sign, so the parity check passes) moves them together; the
+        # trace-data route does not use it and must disagree
+        real = defect2.c_theta
+
+        def wrong(m, g, theta):
+            if residue_class(m) == 4:
+                return QuadExt(-(g - 1))
+            return real(m, g, theta)
+
+        monkeypatch.setattr(defect2, "c_theta", wrong)
+        with pytest.raises(ConsistencyError, match="trace route at n=4, g=6"):
+            analyze(6)
+
     def test_no_process_outlives_a_call(self):
         analyze(18, threads=2)
         assert multiprocessing.active_children() == []

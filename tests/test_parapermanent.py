@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetapoly.compositions import count
+from zetapoly.arith import QuadExt
+from zetapoly.compositions import count, enumerate_compositions
 from zetapoly.parapermanent import (
     TriangularMatrix,
+    _factorial_product_table,
     factorial_product,
     pper_by_compositions,
     pper_by_last_row,
-    pper_composition_sum,
+    pper_composition_sums,
     pper_prefixes,
 )
 
@@ -157,7 +159,49 @@ class TestGenericEvaluators:
         with pytest.raises(ValueError):
             pper_prefixes(-1, lambda i, j: Fraction(1))
         with pytest.raises(ValueError):
-            pper_composition_sum(-1, lambda i, j: Fraction(1))
+            pper_composition_sums(-1, lambda i, j: Fraction(1))
+
+    @pytest.mark.parametrize("kind", ["fraction-0", "fraction-1", "fraction-2", "quadext"])
+    def test_composition_sums_match_definition(self, kind):
+        # seeded order-8 tables; the Fraction entries come from a small range
+        # so that some of them are zero
+        rng = random.Random(kind)
+        order = 8
+        if kind == "quadext":
+            one = QuadExt.one()
+
+            def entry():
+                return QuadExt(
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                )
+        else:
+            one = Fraction(1)
+
+            def entry():
+                return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+
+        matrix = TriangularMatrix(
+            tuple(tuple(entry() for _ in range(i)) for i in range(1, order + 1))
+        )
+        if kind != "quadext":
+            assert any(value == 0 for row in matrix.rows for value in row)
+
+        def fp(i, j):
+            return factorial_product(matrix, i, j)
+
+        sums = pper_composition_sums(order, fp, one)
+        for k in range(order + 1):
+            expected = None
+            for composition in enumerate_compositions(k):
+                term = one
+                previous = 0
+                for current in composition.prefix_sums():
+                    term = term * factorial_product(matrix, current, previous + 1)
+                    previous = current
+                expected = term if expected is None else expected + term
+            assert sums[k] == expected
+            assert sums[: k + 1] == pper_composition_sums(k, fp, one)
 
 
 class CountingScalar:
@@ -202,11 +246,24 @@ class TestOperationScaling:
         for order in (10, 20):
             assert self._mults(pper_by_last_row, order) <= 2 * order * order
 
+    def _walk_mults(self, order):
+        # the walk alone, over a factorial-product table built beforehand
+        table = _factorial_product_table(_counting_matrix(order, order))
+        CountingScalar.mults = 0
+        pper_composition_sums(order, lambda i, j: table[i][j], CountingScalar(1))
+        return CountingScalar.mults
+
     def test_composition_sum_is_exponential(self):
-        small = self._mults(pper_by_compositions, 10)
-        large = self._mults(pper_by_compositions, 13)
+        small = self._walk_mults(10)
+        large = self._walk_mults(13)
         assert small >= count(10)
         assert large >= 8 * small
+        for order, mults in ((10, small), (13, large)):
+            assert mults == (1 << order) - 1
+            table_mults = self._mults(
+                lambda matrix, _: _factorial_product_table(matrix), order
+            )
+            assert self._mults(pper_by_compositions, order) == mults + table_mults
 
     def test_both_agree_while_counting(self):
         matrix = _counting_matrix(9, 3)
