@@ -62,11 +62,25 @@ class TestEnumeration:
             seen.add(composition.parts)
         assert len(seen) == count(10)
 
-    def test_iter_parts_matches_decode(self):
-        assert list(iter_parts(9)) == [decode(9, k).parts for k in range(count(9))]
+    def test_index_ranges_concatenate(self):
+        full = list(iter_parts(9))
+        total = count(9)
+        chunks = []
+        for lo, hi in [(0, 100), (100, 200), (200, total)]:
+            chunks.extend(decode(9, k).parts for k in range(lo, hi))
+        assert chunks == full
+
+    def test_parts_in_range_matches(self):
+        raw = list(iter_parts(8))
+        assert raw == [c.parts for c in enumerate_compositions(8)]
+        assert raw == [decode(8, k).parts for k in range(count(8))]
         assert list(iter_parts(0)) == [()]
+
+    def test_bad_range(self):
         with pytest.raises(ValueError):
             list(iter_parts(-1))
+        with pytest.raises(ValueError):
+            list(enumerate_compositions(-1))
 
 
 class TestCompositionType:
