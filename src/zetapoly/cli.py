@@ -47,12 +47,28 @@ run 'zetapoly <command> --help' for options
 _MAX_COMPOSITION_N = 62
 
 
+# a comma-separated list of integers that starts with "-", e.g. -2,-2
+_NEGATIVE_LIST = re.compile(r"-\d+(?:,-?\d+)*")
+
+
+def _attach_negative_values(args: Sequence[str]) -> list[str]:
+    # argparse takes a separate value like "-2,-2" for an option name, so
+    # "--traces -2,-2" becomes "--traces=-2,-2" before parsing
+    attached: list[str] = []
+    for arg in args:
+        previous = attached[-1] if attached else ""
+        if previous.startswith("--") and "=" not in previous and _NEGATIVE_LIST.fullmatch(arg):
+            attached[-1] = f"{previous}={arg}"
+        else:
+            attached.append(arg)
+    return attached
+
+
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # accept comma-separated negative integers (e.g. --traces -2,-2) as
-        # option values rather than mistaking them for option names
-        self._negative_number_matcher = re.compile(r"^-\d+(?:,-?\d+)*$")
+    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
+        if args is not None:
+            args = _attach_negative_values(args)
+        return super().parse_args(args, namespace)
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         raise ValidationError(message)
@@ -282,10 +298,12 @@ def _cmd_classnumber(args: list[str], out: TextIO, err: TextIO) -> int:
     _validate_q(q, ns.no_validate)
     if (ns.counts is None) == (ns.traces is None):
         raise ValidationError("exactly one of --counts or --traces is required")
+    data = None
     if ns.counts is not None:
         s = _s_from_counts_checked(q, _int_list_option("--counts", ns.counts), err)
     else:
-        s = lpoly.s_from_traces(_traces_checked(q, _int_list_option("--traces", ns.traces)))
+        data = _traces_checked(q, _int_list_option("--traces", ns.traces))
+        s = lpoly.s_from_traces(data)
     full = lpoly.complete(lpoly.coeffs_by_recurrence(s), s.q)
     h = lpoly.class_number(full)
     h_formula = lpoly.class_number_formula(s)
@@ -294,6 +312,13 @@ def _cmd_classnumber(args: list[str], out: TextIO, err: TextIO) -> int:
             f"L(1) and the direct formula disagree for q={s.q}, S={list(s.s)}: "
             f"{h} vs {h_formula}"
         )
+    if data is not None:
+        h_product = lpoly.class_number_from_traces(data)
+        if h != h_product:
+            raise ConsistencyError(
+                f"L(1) disagrees with the trace product prod(q + 1 - t_i) for "
+                f"q={s.q}, traces={list(data.traces)}: {h} vs {h_product}"
+            )
     payload = {
         "q": s.q,
         "g": s.g,

@@ -12,23 +12,32 @@ where N_s are the prefix sums and the weight C_theta(m) depends only on
 m mod 8 (and g).  This module evaluates the sum three ways:
 exact Q(sqrt 2) term-by-term (cr_theta), an integer core (a_n_theta), and
 a length-n linear recurrence with integer weights (a_n_theta_recurrence).
-All three read the weights from c_theta; the trace-data L-polynomial
-route that analyze cross-checks against does not.
+All three read the weights from c_theta.  A fourth route reads neither
+c_theta nor the walk: the branch's trace product in closed form,
+[t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), a binomial sum of O(n^2) steps
+that stands in for the trace-data L-polynomial in verify_symmetry and
+analyze.
 
-The integer core is one depth-first walk over compositions by part.  A
-node is a composition of its prefix sum N and carries the integer
-N! * CR_theta, so appending a part multiplies it by one precomputed factor
-and every node is the term of its own n: one walk to max_n yields n! * a_n
-and the sign tallies (P+, P-) for every n <= max_n at once.  Each term's
-sign is checked against the parity-class rule as it is tallied.  Large
-walks split at a fixed prefix sum: the parent walks the short prefixes and
-one process pool, at most one worker per available CPU, walks the
-size-balanced groups of subtrees below them.
+The integer core is one depth-first walk over compositions by part that
+carries both branches at once.  A node is a composition of its prefix
+sum N and carries the integers N! * CR_pi/4 and N! * CR_3pi/4, so
+appending a part multiplies each by one precomputed factor, and every
+node is the term of its own n: one walk to max_n yields n! * a_n and the
+sign tallies (P+, P-) of both branches for every n <= max_n at once (a
+call that asks for one branch walks both).  The
+two branches' child tables must list the same parts with the same sqrt(2)
+parity; at every node each term's sign is checked against its branch's
+parity-class rule, and the pair is compared termwise,
+v_pi/4 == (-1)^N v_3pi/4, a verdict recorded per n.  cr_theta stays the
+paper's term formula and the tests' check on the walk; it never feeds it.
+Large walks split at a fixed prefix sum: the parent walks the short
+prefixes and one process pool, at most one worker per available CPU,
+walks the size-balanced groups of subtrees below them.
 
-On top of it sit the sign bookkeeping (classify, count_signs), the
-pi/4 <-> 3pi/4 symmetry check, the sign/growth verdicts, and a combined
-report generator that cross-checks everything against the generic
-L-polynomial routes.
+On top of it sit the sign bookkeeping (classify, count_signs,
+sign_tallies), the pi/4 <-> 3pi/4 symmetry check, the sign/growth
+verdicts, and a combined report generator that cross-checks everything
+against the closed form and the recurrence.
 """
 
 from __future__ import annotations
@@ -40,12 +49,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .arith import QuadExt, pow2_half
-from .compositions import Composition, enumerate_compositions
+from .compositions import Composition
 from .errors import ConsistencyError
-from .lpoly import TraceData, coeffs_from_traces
 
 ENUMERATION_CAP = 24
 
@@ -53,13 +61,25 @@ ENUMERATION_CAP = 24
 _PARALLEL_MIN_NODES = 1 << 17
 # the parent walks the prefixes summing below this; the pool walks the rest
 _SPLIT_PREFIX = 8
-# pool tasks per branch, each a size-balanced group of subtrees
+# pool tasks per walk, each a size-balanced group of subtrees
 _CHUNKS_PER_WALK = 8
 
-# a walk node or a child step: (prefix sum, value, sqrt(2) parity, rule flag)
-_Node = tuple[int, int, bool, bool]
+# a walk node and a paired child step share one layout: (prefix sum, value
+# or factor at pi/4, value or factor at 3pi/4, sqrt(2) parity, parity-rule
+# flag at pi/4, parity-rule flag at 3pi/4)
+_Node = tuple[int, int, int, bool, bool, bool]
+# one branch's child step: (prefix sum, factor, sqrt(2) parity, rule flag)
+_Step = tuple[int, int, bool, bool]
 # per n: rational and sqrt(2) parts of n! * a_n, then P+ and P-
 _Sums = tuple[list[int], list[int], list[int], list[int]]
+
+
+class _Walk(NamedTuple):
+    """What one paired walk to max_n found, per n <= max_n."""
+
+    sums: dict[Theta, _Sums]
+    # every term of a_n has v_pi4 == (-1)^n * v_3pi4
+    symmetric: list[bool]
 
 
 class Theta(enum.Enum):
@@ -148,7 +168,7 @@ def _cnum_table(n: int, g: int, theta: Theta) -> list[int]:
     return table
 
 
-def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Node]]:
+def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Step]]:
     # children[N] lists, for every part m that can follow a prefix summing
     # to N, the tuple (N + m, factor, sqrt(2) parity, parity-rule flag).  A
     # node's value is n! * CR_theta of its composition of n = N, so a child's
@@ -178,8 +198,31 @@ def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Node]]:
     ]
 
 
-def _empty_sums(max_n: int) -> _Sums:
-    return ([0] * (max_n + 1), [0] * (max_n + 1), [0] * (max_n + 1), [0] * (max_n + 1))
+def _paired_children(max_n: int, g: int) -> list[list[_Node]]:
+    # the two branches' child tables zipped into one: they must list the
+    # same (child, sqrt(2) parity) steps, so the same zero weights pruned,
+    # and differ only in their factors and rule flags
+    paired = []
+    tables = zip(_walk_children(max_n, g, Theta.PI_4), _walk_children(max_n, g, Theta.THREE_PI_4))
+    for prefix, (steps, steps3) in enumerate(tables):
+        if [step[::2] for step in steps] != [step[::2] for step in steps3]:
+            raise ConsistencyError(
+                f"the two branches' walk steps after prefix sum {prefix} differ for g={g}"
+            )
+        paired.append(
+            [
+                (child, factor, factor3, odd, rule, rule3)
+                for (child, factor, odd, rule), (_, factor3, _, rule3) in zip(steps, steps3)
+            ]
+        )
+    return paired
+
+
+def _empty_walk(max_n: int) -> _Walk:
+    return _Walk(
+        {theta: tuple([0] * (max_n + 1) for _ in range(4)) for theta in _THETAS},
+        [True] * (max_n + 1),
+    )
 
 
 def _walk(
@@ -187,39 +230,51 @@ def _walk(
     stop: int,
     children: list[list[_Node]],
     roots: list[_Node],
-    sums: _Sums,
+    walk: _Walk,
 ) -> list[_Node]:
-    # depth-first walk below the given nodes (prefix, value, sqrt(2) parity,
-    # parity-rule flag); every node below a root is the term of its own n
-    # and is added to sums.  Nodes with prefix >= stop are not expanded but
-    # returned, so a caller can hand their subtrees to other processes.
-    rat, irr, plus, minus = sums
+    # depth-first walk below the given nodes; every node below a root is the
+    # term of its own n in both branches: both values are added to their
+    # branch sums, each sign is checked against its branch's parity rule and
+    # tallied, and the pair is compared termwise.  Nodes with prefix >= stop
+    # are not expanded but returned, so a caller can hand their subtrees to
+    # other processes.
+    rat, irr, plus, minus = walk.sums[Theta.PI_4]
+    rat3, irr3, plus3, minus3 = walk.sums[Theta.THREE_PI_4]
+    symmetric = walk.symmetric
     frontier = []
     stack = list(roots)
     pop = stack.pop
     push = stack.append
     while stack:
-        prefix, value, odd, rule = pop()
-        for child, factor, odd_step, rule_step in children[prefix]:
+        prefix, value, value3, odd, rule, rule3 = pop()
+        for child, factor, factor3, odd_step, rule_step, rule3_step in children[prefix]:
             term = value * factor
+            term3 = value3 * factor3
             child_odd = odd ^ odd_step
             child_rule = rule ^ rule_step
+            child_rule3 = rule3 ^ rule3_step
             if child_odd:
                 irr[child] += term
+                irr3[child] += term3
             else:
                 rat[child] += term
-            if term < 0:
-                if not child_rule:
-                    raise _sign_error(child)
+                rat3[child] += term3
+            if (term < 0) is not child_rule or (term3 < 0) is not child_rule3:
+                raise _sign_error(child)
+            if child_rule:
                 minus[child] += 1
             else:
-                if child_rule:
-                    raise _sign_error(child)
                 plus[child] += 1
+            if child_rule3:
+                minus3[child] += 1
+            else:
+                plus3[child] += 1
+            if term != (-term3 if child & 1 else term3):
+                symmetric[child] = False
             if child < stop:
-                push((child, term, child_odd, child_rule))
+                push((child, term, term3, child_odd, child_rule, child_rule3))
             elif child < max_n:
-                frontier.append((child, term, child_odd, child_rule))
+                frontier.append((child, term, term3, child_odd, child_rule, child_rule3))
     return frontier
 
 
@@ -229,11 +284,20 @@ def _sign_error(n: int) -> ConsistencyError:
     )
 
 
-def _walk_subtrees(max_n: int, children: list[list[_Node]], roots: list[_Node]) -> _Sums:
-    # worker entry point: the sums over the subtrees below the roots
-    sums = _empty_sums(max_n)
-    _walk(max_n, max_n, children, roots, sums)
-    return sums
+def _walk_subtrees(max_n: int, children: list[list[_Node]], roots: list[_Node]) -> _Walk:
+    # worker entry point: what the walk finds in the subtrees below the roots
+    walk = _empty_walk(max_n)
+    _walk(max_n, max_n, children, roots, walk)
+    return walk
+
+
+def _merge(total: _Walk, part: _Walk) -> None:
+    for theta in _THETAS:
+        for into, values in zip(total.sums[theta], part.sums[theta]):
+            for n, value in enumerate(values):
+                into[n] += value
+    for n, ok in enumerate(part.symmetric):
+        total.symmetric[n] = total.symmetric[n] and ok
 
 
 def _balance(frontier: list[_Node], max_n: int, chunks: int) -> list[list[_Node]]:
@@ -268,34 +332,28 @@ def _resolve_threads(threads: Optional[int], chunks: int) -> int:
     return _clamp_workers(cpus if threads is None else threads, chunks, cpus)
 
 
-def _walk_sums(
-    max_n: int, g: int, thetas: Sequence[Theta], threads: Optional[int]
-) -> dict[Theta, _Sums]:
-    # one walk per branch over every composition of every n <= max_n; large
-    # walks share one process pool: the parent walks the prefixes below
-    # _SPLIT_PREFIX and the pool walks the subtrees hanging off them
+def _walk_sums(max_n: int, g: int, threads: Optional[int]) -> _Walk:
+    # one paired walk over every composition of every n <= max_n, both
+    # branches at once; large walks use one process pool: the parent walks
+    # the prefixes below _SPLIT_PREFIX and the pool walks the subtrees
+    # hanging off them
     parallel = (1 << max_n) - 1 >= _PARALLEL_MIN_NODES
-    workers = _resolve_threads(threads, len(thetas) * _CHUNKS_PER_WALK if parallel else 1)
-    children = {theta: _walk_children(max_n, g, theta) for theta in thetas}
-    sums = {theta: _empty_sums(max_n) for theta in thetas}
-    root = [(0, 1, False, False)]
+    workers = _resolve_threads(threads, _CHUNKS_PER_WALK if parallel else 1)
+    children = _paired_children(max_n, g)
+    walk = _empty_walk(max_n)
+    root = [(0, 1, 1, False, False, False)]
     if workers == 1:
-        for theta in thetas:
-            _walk(max_n, max_n, children[theta], root, sums[theta])
-        return sums
+        _walk(max_n, max_n, children, root, walk)
+        return walk
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = []
-        for theta in thetas:
-            frontier = _walk(max_n, _SPLIT_PREFIX, children[theta], root, sums[theta])
-            for group in _balance(frontier, max_n, _CHUNKS_PER_WALK):
-                futures.append(
-                    (theta, pool.submit(_walk_subtrees, max_n, children[theta], group))
-                )
-        for theta, future in futures:
-            for total, part in zip(sums[theta], future.result()):
-                for n, value in enumerate(part):
-                    total[n] += value
-    return sums
+        frontier = _walk(max_n, _SPLIT_PREFIX, children, root, walk)
+        futures = [
+            pool.submit(_walk_subtrees, max_n, children, group)
+            for group in _balance(frontier, max_n, _CHUNKS_PER_WALK)
+        ]
+        for future in futures:
+            _merge(walk, future.result())
+    return walk
 
 
 def _check_enumerable(n: int) -> None:
@@ -310,7 +368,7 @@ def a_n_theta_exact(n: int, g: int, theta: Theta, threads: Optional[int] = None)
     if not 1 <= n <= g:
         raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
     _check_enumerable(n)
-    rat, irr, _, _ = _walk_sums(n, g, (theta,), threads)[theta]
+    rat, irr, _, _ = _walk_sums(n, g, threads).sums[theta]
     return _exact_coefficient(n, rat, irr)
 
 
@@ -333,9 +391,31 @@ def _integer_coefficient(n: int, g: int, theta: Theta, value: QuadExt) -> int:
     return int(value.rat)
 
 
+def _integer_coefficients(max_n: int, g: int, theta: Theta, sums: _Sums) -> list[int]:
+    # a_0..a_max_n from one branch's walk sums; every sqrt(2) part must
+    # cancel and every a_n must be an integer
+    rat, irr, _, _ = sums
+    return [1] + [
+        _integer_coefficient(n, g, theta, _exact_coefficient(n, rat, irr))
+        for n in range(1, max_n + 1)
+    ]
+
+
+def a_list_theta(
+    max_n: int, g: int, theta: Theta, threads: Optional[int] = None
+) -> list[int]:
+    """a_0..a_max_n as integers from one walk of every composition; max_n <= cap."""
+    if not 1 <= max_n <= g:
+        raise ValueError(f"need 1 <= max_n <= g, got max_n={max_n}, g={g}")
+    _check_enumerable(max_n)
+    return _integer_coefficients(max_n, g, theta, _walk_sums(max_n, g, threads).sums[theta])
+
+
 def a_n_theta(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> int:
     """a_n as an integer via the composition sum; the sqrt(2) part must cancel."""
-    return _integer_coefficient(n, g, theta, a_n_theta_exact(n, g, theta, threads))
+    if not 1 <= n <= g:
+        raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
+    return a_list_theta(n, g, theta, threads)[n]
 
 
 def _recurrence_weight(i: int, g: int, theta: Theta) -> Fraction:
@@ -380,6 +460,25 @@ def a_n_theta_recurrence(n: int, g: int, theta: Theta) -> int:
     return a_list_theta_recurrence(n, g, theta)[n]
 
 
+def sign_tallies(
+    max_n: int, g: int, theta: Theta, threads: Optional[int] = None
+) -> list[tuple[int, int]]:
+    """(P+, P-) for every n <= max_n from one walk; max_n <= cap.
+
+    Entry n counts the compositions of n whose terms are positive and
+    negative; entry 0 is the empty composition, whose term a_0 = 1 is
+    positive.  The split depends only on theta once g > 2; g is required
+    to guard that.
+    """
+    if g <= 2:
+        raise ValueError(f"sign counting needs g > 2, got g={g}")
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    _check_enumerable(max_n)
+    _, _, plus, minus = _walk_sums(max_n, g, threads).sums[theta]
+    return [(1, 0)] + list(zip(plus[1:], minus[1:]))
+
+
 def count_signs(
     n: int, g: int, theta: Theta, threads: Optional[int] = None
 ) -> tuple[int, int]:
@@ -387,38 +486,53 @@ def count_signs(
 
     The split depends only on theta once g > 2; g is required to guard that.
     """
-    if g <= 2:
-        raise ValueError(f"sign counting needs g > 2, got g={g}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_enumerable(n)
-    _, _, plus, minus = _walk_sums(n, g, (theta,), threads)[theta]
-    return plus[n], minus[n]
+    return sign_tallies(n, g, theta, threads)[n]
+
+
+def _branch_coeffs(max_n: int, g: int, theta: Theta) -> list[int]:
+    # a_0..a_max_n in closed form: the branch's L-polynomial is the trace
+    # product (1 - 2st + 2t^2)^(g-1) (1 + 2t^2) with s = +-1 the sign of
+    # its trace.  With u = 2t(t - s), (1 + u)^k = sum_j C(k, j) u^j and
+    # [t^n] u^j = 2^j C(j, n-j) (-s)^n.  O(max_n^2) big-integer steps; it
+    # reads neither c_theta nor the walk.
+    k = g - 1
+    flip = theta.trace_value > 0
+    power = []
+    for n in range(max_n + 1):
+        total = sum(
+            math.comb(k, j) * math.comb(j, n - j) << j
+            for j in range((n + 1) // 2, min(n, k) + 1)
+        )
+        power.append(-total if flip and n % 2 else total)
+    return [power[n] + 2 * power[n - 2] if n >= 2 else power[n] for n in range(max_n + 1)]
 
 
 def verify_symmetry(n: int, g: int) -> bool:
     """Termwise and aggregate check of a_{n,pi/4} = (-1)^n a_{n,3pi/4}.
 
-    Walks every composition once, compares the paired terms, then compares
-    the accumulated sums against the enumeration core.
+    One paired walk compares the two branches' terms of every composition
+    of n; a pair that differs is the verdict False.  When every pair
+    agrees, each branch's sum must have no sqrt(2) part and must equal the
+    closed form [t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), which reads neither
+    c_theta nor the walk; a disagreement there raises ConsistencyError.
     """
     if not 1 <= n <= g:
         raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
     _check_enumerable(n)
-    flip = n % 2 == 1
-    total_pi4 = QuadExt.zero()
-    total_3pi4 = QuadExt.zero()
-    for composition in enumerate_compositions(n):
-        left = cr_theta(composition, g, Theta.PI_4)
-        right = cr_theta(composition, g, Theta.THREE_PI_4)
-        if left != (-right if flip else right):
-            return False
-        total_pi4 = total_pi4 + left
-        total_3pi4 = total_3pi4 + right
-    if total_pi4 != a_n_theta_exact(n, g, Theta.PI_4):
+    walk = _walk_sums(n, g, 1)
+    if not walk.symmetric[n]:
         return False
-    if total_3pi4 != a_n_theta_exact(n, g, Theta.THREE_PI_4):
-        return False
+    for theta in _THETAS:
+        rat, irr, _, _ = walk.sums[theta]
+        value = _integer_coefficient(n, g, theta, _exact_coefficient(n, rat, irr))
+        expected = _branch_coeffs(n, g, theta)[n]
+        if value != expected:
+            raise ConsistencyError(
+                f"enumeration disagrees with the closed form at n={n}, g={g}, "
+                f"theta={theta.value}: {value} vs {expected}"
+            )
     return True
 
 
@@ -564,10 +678,6 @@ class Defect2Report:
         }
 
 
-def _branch_traces(g: int, theta: Theta) -> TraceData:
-    return TraceData(2, (theta.trace_value,) * (g - 1) + (0,))
-
-
 def _tally_checks(
     n: int, theta: Theta, delta: int, signed: int, prev_delta: Optional[int]
 ) -> bool:
@@ -596,12 +706,14 @@ def analyze(
 ) -> Defect2Report:
     """Full defect-2 coefficient report for one genus.
 
-    Computes a_1..a_max_n for the selected branches by composition
-    enumeration, tallies term signs (g > 2), checks the termwise symmetry,
-    the sign-tally claims and the sign/growth claims row by row, and
-    cross-checks the coefficients against both the trace-data L-polynomial
-    route and the linear recurrence.  Any cross-check mismatch raises
-    ConsistencyError; claim verdicts land in the report.
+    One paired walk of every composition gives a_1..a_max_n and the term
+    sign tallies (g > 2) for both branches; the report shows the selected
+    ones.  Row by row it checks the symmetry (termwise in the walk, and
+    between the two coefficients), the sign-tally claims and the
+    sign/growth claims, and it cross-checks the coefficients against both
+    the branch's trace product in closed form and the linear recurrence.
+    Any cross-check mismatch raises ConsistencyError; claim verdicts land
+    in the report.
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
@@ -621,34 +733,31 @@ def analyze(
     tallies: dict[Theta, list[tuple[int, int]]] = {}
     oracle_match: dict[Theta, bool] = {}
     recurrence_match: dict[Theta, bool] = {}
-    sums = _walk_sums(max_n, g, selected, threads)
+    walk = _walk_sums(max_n, g, threads)
     for theta in selected:
-        rat, irr, plus, minus = sums[theta]
-        values = [
-            _integer_coefficient(n, g, theta, _exact_coefficient(n, rat, irr))
-            for n in range(1, max_n + 1)
-        ]
+        values = _integer_coefficients(max_n, g, theta, walk.sums[theta])
         coefficients[theta] = values
-        oracle = coeffs_from_traces(_branch_traces(g, theta))
+        oracle = _branch_coeffs(max_n, g, theta)
         for n in range(1, max_n + 1):
-            if oracle.coeffs[n] != values[n - 1]:
+            if oracle[n] != values[n]:
                 raise ConsistencyError(
                     f"enumeration disagrees with the trace route at n={n}, "
                     f"g={g}, theta={theta.value}: "
-                    f"{values[n - 1]} vs {oracle.coeffs[n]}"
+                    f"{values[n]} vs {oracle[n]}"
                 )
         oracle_match[theta] = True
         recurrence = a_list_theta_recurrence(max_n, g, theta)
         for n in range(1, max_n + 1):
-            if recurrence[n] != values[n - 1]:
+            if recurrence[n] != values[n]:
                 raise ConsistencyError(
                     f"enumeration disagrees with the recurrence at n={n}, "
                     f"g={g}, theta={theta.value}: "
-                    f"{values[n - 1]} vs {recurrence[n]}"
+                    f"{values[n]} vs {recurrence[n]}"
                 )
         recurrence_match[theta] = True
         if g > 2:
-            tallies[theta] = list(zip(plus[1:], minus[1:]))
+            _, _, plus, minus = walk.sums[theta]
+            tallies[theta] = list(zip(plus, minus))
 
     theorem_mode = _theorem_mode(g)
 
@@ -656,16 +765,16 @@ def analyze(
     for n in range(1, max_n + 1):
         cells: dict[Theta, ThetaCell] = {}
         for theta in selected:
-            a_value = coefficients[theta][n - 1]
+            a_value = coefficients[theta][n]
             if theta in tallies:
-                p_plus, p_minus = tallies[theta][n - 1]
+                p_plus, p_minus = tallies[theta][n]
             else:
                 p_plus = p_minus = None
             cells[theta] = ThetaCell(a_value, p_plus, p_minus)
 
         if len(selected) == 2:
             flip = -1 if n % 2 else 1
-            symmetry_ok: Optional[bool] = (
+            symmetry_ok: Optional[bool] = walk.symmetric[n] and (
                 cells[Theta.PI_4].a == flip * cells[Theta.THREE_PI_4].a
             )
         else:
@@ -689,8 +798,7 @@ def analyze(
         else:
             claims = all(
                 _sign_claim_ok(n, cells[theta].a, theta)
-                and abs(cells[theta].a)
-                >= abs(coefficients[theta][n - 2] if n >= 2 else 1)
+                and abs(cells[theta].a) >= abs(coefficients[theta][n - 1])
                 for theta in selected
             )
             if theorem_mode == "proven":

@@ -288,6 +288,17 @@ def class_number_formula(data: Union[SSequence, TraceData]) -> int:
     return 1 + q**g + sum((1 + q ** (g - i)) * a[i] for i in range(1, g)) + a[g]
 
 
+def class_number_from_traces(data: TraceData) -> int:
+    """h = L(1) = prod (q + 1 - t_i), read straight off the trace data.
+
+    Shares no code with the S-value routes; used to arbitrate them.
+    """
+    h = 1
+    for t in data.traces:
+        h *= data.q + 1 - t
+    return h
+
+
 def coeffs_from_traces(data: TraceData) -> LPolynomial:
     """The full L-polynomial from trace data via S-values and the recurrence."""
     return complete(coeffs_by_recurrence(s_from_traces(data)), data.q)

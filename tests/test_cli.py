@@ -62,6 +62,20 @@ class TestLPolyCommand:
         assert payload["coeffs"] == ["1", "4", "8", "8", "4"]
         assert payload["oracle_agrees"] is True
 
+    def test_negative_trace_values(self):
+        # a single negative value, a negative list, and the = form
+        code, out, _ = run_cli("lpoly", "from-traces", "--q", "2", "--traces", "-2")
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["coeffs"] == ["1", "2", "2"]
+        code, joined, _ = run_cli("lpoly", "from-traces", "--q", "2", "--traces=-2,-2")
+        assert code == cli.EXIT_OK
+        code, spaced, _ = run_cli("lpoly", "from-traces", "--traces", "-2,-2", "--q", "2")
+        assert code == cli.EXIT_OK
+        assert joined == spaced
+        code, _, err = run_cli("lpoly", "from-traces", "--q", "-2", "--traces", "-2")
+        assert code == cli.EXIT_VALIDATION
+        assert "--q must be >= 2" in err
+
     def test_single_method(self):
         code, out, _ = run_cli(
             "lpoly", "from-counts", "--q", "3", "--counts", "6,12", "--method", "pper"
@@ -174,6 +188,27 @@ class TestClassNumberCommand:
             "classnumber", "--q", "2", "--counts", "3", "--traces", "0"
         )
         assert code == cli.EXIT_VALIDATION
+
+    def test_single_negative_trace(self):
+        code, out, _ = run_cli("classnumber", "--q", "2", "--traces", "-2")
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["h"] == "5"
+
+    def test_wrong_recurrence_caught_by_trace_product(self, monkeypatch):
+        # h and h_formula both read coeffs_by_recurrence, so a wrong one
+        # moves them together; prod(q + 1 - t_i) does not read it
+        real = cli.lpoly.coeffs_by_recurrence
+
+        def wrong(s):
+            values = real(s)
+            values[1] += 1
+            return values
+
+        monkeypatch.setattr(cli.lpoly, "coeffs_by_recurrence", wrong)
+        code, out, err = run_cli("classnumber", "--q", "2", "--traces", "-2,-2")
+        assert code == cli.EXIT_CONSISTENCY
+        assert out == ""
+        assert "trace product" in err
 
     def test_consistency_failure_exit_code(self, monkeypatch):
         monkeypatch.setattr(cli.lpoly, "class_number_formula", lambda data: -1)

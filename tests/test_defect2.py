@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import time
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from zetapoly.compositions import Composition, count, enumerate_compositions
 from zetapoly.defect2 import (
     ENUMERATION_CAP,
     Theta,
+    a_list_theta,
     a_list_theta_recurrence,
     a_n_theta,
     a_n_theta_exact,
@@ -23,6 +25,7 @@ from zetapoly.defect2 import (
     count_signs,
     cr_theta,
     residue_class,
+    sign_tallies,
     verify_symmetry,
     verify_theorem_signs,
 )
@@ -350,7 +353,7 @@ class TestPrefixWalk:
     def test_sums_equal_term_sums(self, g):
         # g = 1 and 2 have zero-weight parts, whose subtrees the walk skips
         for theta in BOTH:
-            rat, irr, _, _ = defect2._walk_sums(10, g, (theta,), 1)[theta]
+            rat, irr, _, _ = defect2._walk_sums(10, g, 1).sums[theta]
             for n in range(1, 11):
                 total = QuadExt.zero()
                 for composition in enumerate_compositions(n):
@@ -361,7 +364,7 @@ class TestPrefixWalk:
     @pytest.mark.parametrize("g", [3, 7])
     def test_tallies_equal_classification(self, g):
         for theta in BOTH:
-            _, _, plus, minus = defect2._walk_sums(10, g, (theta,), 1)[theta]
+            _, _, plus, minus = defect2._walk_sums(10, g, 1).sums[theta]
             for n in range(1, 11):
                 signs = [classify(c, g, theta) for c in enumerate_compositions(n)]
                 assert (plus[n], minus[n]) == (signs.count(1), signs.count(-1))
@@ -400,6 +403,156 @@ class TestPrefixWalk:
         assert multiprocessing.active_children() == []
         count_signs(18, 5, Theta.THREE_PI_4, threads=2)
         assert multiprocessing.active_children() == []
+
+
+def _with_weight(real, classes, thetas, weight):
+    # c_theta with the weight of the given residue classes replaced on the
+    # given branches
+    def patched(m, g, theta):
+        if theta in thetas and residue_class(m) in classes:
+            return weight(g)
+        return real(m, g, theta)
+
+    return patched
+
+
+class TestPairedWalk:
+    @pytest.mark.parametrize("g", [1, 2, 3, 5, 9, 14])
+    def test_step_products_equal_terms(self, g):
+        # the product of the child-table factors along a composition's parts
+        # is n! * cr_theta, in the part its sqrt(2) parity names
+        for theta in BOTH:
+            steps = [
+                {child: (factor, odd) for child, factor, odd, _ in row}
+                for row in defect2._walk_children(10, g, theta)
+            ]
+            for n in range(1, 11):
+                for composition in enumerate_compositions(n):
+                    value, odd, prefix = 1, False, 0
+                    for part in composition.parts:
+                        step = steps[prefix].get(prefix + part)
+                        if step is None:  # a zero-weight part, pruned
+                            value = 0
+                            break
+                        value *= step[0]
+                        odd ^= step[1]
+                        prefix += part
+                    scaled = cr_theta(composition, g, theta) * math.factorial(n)
+                    assert value == (scaled.irr if odd else scaled.rat)
+                    assert (scaled.rat if odd else scaled.irr) == 0
+
+    def test_per_part_identity(self):
+        # f_pi4(m) = (-1)^m f_3pi4(m) for every part after every prefix, with
+        # the same parts (and the same pruning) on both branches
+        for g in range(1, 31):
+            tables = zip(
+                defect2._walk_children(24, g, Theta.PI_4),
+                defect2._walk_children(24, g, Theta.THREE_PI_4),
+            )
+            for prefix, (row_pi4, row_3pi4) in enumerate(tables):
+                assert [step[::2] for step in row_pi4] == [step[::2] for step in row_3pi4]
+                if g > 2:
+                    assert len(row_pi4) == 24 - prefix
+                for (child, factor, _, _), (_, factor3, _, _) in zip(row_pi4, row_3pi4):
+                    assert factor == (-1) ** (child - prefix) * factor3
+
+    def test_walk_verdicts_all_hold(self):
+        for g in (1, 2, 3, 9, 14):
+            walk = defect2._walk_sums(14, g, 1)
+            assert all(walk.symmetric)
+
+    def test_one_branch_weight_changed_is_asymmetric(self, monkeypatch):
+        # a class-2 weight of the same sign, on pi/4 only: every sign check
+        # passes, every n >= 2 has a part 2, and n = 1 has none
+        patched = _with_weight(defect2.c_theta, (2,), (Theta.PI_4,), lambda g: QuadExt(-2))
+        monkeypatch.setattr(defect2, "c_theta", patched)
+        assert verify_symmetry(1, 6)
+        for n in range(2, 7):
+            assert not verify_symmetry(n, 6)
+        assert defect2._walk_sums(6, 6, 1).symmetric[1:] == [True] + [False] * 5
+
+    def test_wrong_weight_in_both_branches_raises(self, monkeypatch):
+        # the same wrong class-4 weight on both branches keeps every pair of
+        # terms equal; only the closed form can tell
+        patched = _with_weight(defect2.c_theta, (4,), BOTH, lambda g: QuadExt(-(g - 1)))
+        monkeypatch.setattr(defect2, "c_theta", patched)
+        assert verify_symmetry(3, 6)
+        with pytest.raises(ConsistencyError, match="closed form at n=4, g=6"):
+            verify_symmetry(4, 6)
+
+    def test_analyze_reads_the_termwise_verdict(self, monkeypatch):
+        real = defect2._walk_sums
+
+        def broken_at_three(max_n, g, threads):
+            walk = real(max_n, g, threads)
+            walk.symmetric[3] = False
+            return walk
+
+        monkeypatch.setattr(defect2, "_walk_sums", broken_at_three)
+        verdicts = [row.symmetry_ok for row in analyze(5).rows]
+        assert verdicts == [True, True, False, True, True]
+
+    def test_unequal_branch_tables_raise(self, monkeypatch):
+        real = defect2._walk_children
+
+        def pruned_on_one_branch(max_n, g, theta):
+            rows = real(max_n, g, theta)
+            if theta is Theta.PI_4:
+                rows[0] = rows[0][1:]
+            return rows
+
+        monkeypatch.setattr(defect2, "_walk_children", pruned_on_one_branch)
+        with pytest.raises(ConsistencyError, match="prefix sum 0"):
+            verify_symmetry(3, 5)
+
+    def test_symmetry_at_large_genus_is_instant(self):
+        started = time.perf_counter()
+        assert verify_symmetry(3, 10**6)
+        assert time.perf_counter() - started < 1.0
+
+
+class TestClosedForm:
+    def test_equals_trace_route(self):
+        for g in range(1, 41):
+            for theta in BOTH:
+                traces = TraceData(2, (theta.trace_value,) * (g - 1) + (0,))
+                expected = list(coeffs_from_traces(traces).coeffs)
+                assert defect2._branch_coeffs(2 * g, g, theta) == expected
+
+    def test_analyze_is_bounded_in_genus(self):
+        started = time.perf_counter()
+        report = analyze(2000, max_n=3)
+        elapsed = time.perf_counter() - started
+        assert report.oracle_match == {Theta.PI_4: True, Theta.THREE_PI_4: True}
+        assert elapsed < 1.0
+
+
+class TestListApis:
+    def test_coefficients_equal_per_n_calls(self):
+        for theta in BOTH:
+            values = a_list_theta(16, 16, theta)
+            assert values == [1] + [a_n_theta(n, 16, theta) for n in range(1, 17)]
+            assert values == a_list_theta_recurrence(16, 16, theta)
+
+    def test_tallies_equal_per_n_calls(self):
+        for theta in BOTH:
+            tallies = sign_tallies(16, 5, theta)
+            assert tallies[0] == (1, 0)
+            assert tallies[1:] == [count_signs(n, 5, theta) for n in range(1, 17)]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            a_list_theta(0, 5, Theta.PI_4)
+        with pytest.raises(ValueError):
+            a_list_theta(6, 5, Theta.PI_4)
+        with pytest.raises(ValueError):
+            a_list_theta(ENUMERATION_CAP + 1, 30, Theta.PI_4)
+        with pytest.raises(ValueError):
+            sign_tallies(4, 2, Theta.PI_4)
+        with pytest.raises(ValueError):
+            sign_tallies(0, 5, Theta.PI_4)
+        with pytest.raises(ValueError):
+            sign_tallies(ENUMERATION_CAP + 1, 5, Theta.PI_4)
 
 
 class _RecordingPool:

@@ -12,6 +12,7 @@ from zetapoly.lpoly import (
     TraceData,
     class_number,
     class_number_formula,
+    class_number_from_traces,
     coeffs_by_compositions,
     coeffs_by_compositions_exact,
     coeffs_by_parapermanent,
@@ -209,3 +210,4 @@ class TestClassNumber:
             return
         full = oracle_expand(data)
         assert class_number_formula(data) == class_number(full)
+        assert class_number_from_traces(data) == class_number(full)
