@@ -46,6 +46,17 @@ run 'zetapoly <command> --help' for options
 
 _MAX_COMPOSITION_N = 62
 
+# --method all runs the composition route (2^g - 1 terms, 1.3-1.6 s at
+# g=18 and doubling per g) only up to this genus; --method compositions
+# still reaches lpoly.COMPOSITION_CAP
+_ALL_COMPOSITION_MAX_G = 18
+
+# the prime-power check is trial division up to sqrt(q): 0.17 s for the
+# largest prime below this bound, 1.6 s near 10^14 (Python 3.11, one core)
+_MAX_VALIDATED_Q = 10**12
+
+_Handler = Callable[[list[str], TextIO, TextIO], int]
+
 
 # a comma-separated list of integers that starts with "-", e.g. -2,-2
 _NEGATIVE_LIST = re.compile(r"-\d+(?:,-?\d+)*")
@@ -105,7 +116,14 @@ def _is_prime_power(q: int) -> bool:
 def _validate_q(q: int, skip_prime_power: bool) -> None:
     if q < 2:
         raise ValidationError(f"--q must be >= 2, got {q}")
-    if not skip_prime_power and not _is_prime_power(q):
+    if skip_prime_power:
+        return
+    if q > _MAX_VALIDATED_Q:
+        raise ValidationError(
+            f"--q above 10^12 is too large to check for a prime power, got {q} "
+            f"(pass --no-validate to allow)"
+        )
+    if not _is_prime_power(q):
         raise ValidationError(
             f"--q must be a prime power, got {q} (pass --no-validate to allow)"
         )
@@ -177,7 +195,7 @@ def _half_coefficients(s: lpoly.SSequence, method: str) -> tuple[list[int], list
             f"recurrence and parapermanent disagree for q={s.q}, S={list(s.s)}: "
             f"{by_recurrence} vs {by_pper}"
         )
-    if s.g <= lpoly.COMPOSITION_CAP:
+    if s.g <= _ALL_COMPOSITION_MAX_G:
         by_compositions = lpoly.coeffs_by_compositions(s)
         methods.append("compositions")
         if by_compositions != by_recurrence:
@@ -266,24 +284,23 @@ def _cmd_lpoly_from_traces(args: list[str], out: TextIO, err: TextIO) -> int:
     return EXIT_OK
 
 
-def _cmd_lpoly(args: list[str], out: TextIO, err: TextIO) -> int:
-    subcommands: dict[str, Callable[[list[str], TextIO, TextIO], int]] = {
-        "from-counts": _cmd_lpoly_from_counts,
-        "from-traces": _cmd_lpoly_from_traces,
-    }
-    usage = "usage: zetapoly lpoly {from-counts,from-traces} ...\n"
-    if args and args[0] in ("-h", "--help"):
-        out.write(usage)
-        return EXIT_OK
-    if not args:
-        err.write(usage)
-        return EXIT_USAGE
-    handler = subcommands.get(args[0])
-    if handler is None:
-        print(f"unknown lpoly subcommand: {args[0]}", file=err)
-        err.write(usage)
-        return EXIT_USAGE
-    return handler(args[1:], out, err)
+def _subcommands(command: str, usage: str, handlers: dict[str, _Handler]) -> _Handler:
+    # a command whose first argument names one of its handlers
+    def dispatch(args: list[str], out: TextIO, err: TextIO) -> int:
+        if args and args[0] in ("-h", "--help"):
+            out.write(usage)
+            return EXIT_OK
+        if not args:
+            err.write(usage)
+            return EXIT_USAGE
+        handler = handlers.get(args[0])
+        if handler is None:
+            print(f"unknown {command} subcommand: {args[0]}", file=err)
+            err.write(usage)
+            return EXIT_USAGE
+        return handler(args[1:], out, err)
+
+    return dispatch
 
 
 def _cmd_classnumber(args: list[str], out: TextIO, err: TextIO) -> int:
@@ -414,21 +431,6 @@ def _cmd_defect2_analyze(args: list[str], out: TextIO, err: TextIO) -> int:
     return EXIT_OK
 
 
-def _cmd_defect2(args: list[str], out: TextIO, err: TextIO) -> int:
-    usage = "usage: zetapoly defect2 analyze ...\n"
-    if args and args[0] in ("-h", "--help"):
-        out.write(usage)
-        return EXIT_OK
-    if not args:
-        err.write(usage)
-        return EXIT_USAGE
-    if args[0] != "analyze":
-        print(f"unknown defect2 subcommand: {args[0]}", file=err)
-        err.write(usage)
-        return EXIT_USAGE
-    return _cmd_defect2_analyze(args[1:], out, err)
-
-
 def _cmd_compositions(args: list[str], out: TextIO, err: TextIO) -> int:
     parser = _Parser(prog="zetapoly compositions", add_help=True)
     parser.add_argument("--n", required=True)
@@ -526,10 +528,16 @@ def _cmd_pper(args: list[str], out: TextIO, err: TextIO) -> int:
     return EXIT_OK
 
 
-_COMMANDS: dict[str, Callable[[list[str], TextIO, TextIO], int]] = {
-    "lpoly": _cmd_lpoly,
+_COMMANDS: dict[str, _Handler] = {
+    "lpoly": _subcommands(
+        "lpoly",
+        "usage: zetapoly lpoly {from-counts,from-traces} ...\n",
+        {"from-counts": _cmd_lpoly_from_counts, "from-traces": _cmd_lpoly_from_traces},
+    ),
     "classnumber": _cmd_classnumber,
-    "defect2": _cmd_defect2,
+    "defect2": _subcommands(
+        "defect2", "usage: zetapoly defect2 analyze ...\n", {"analyze": _cmd_defect2_analyze}
+    ),
     "compositions": _cmd_compositions,
     "pper": _cmd_pper,
 }

@@ -9,11 +9,14 @@ sum over the compositions (m_1, ..., m_r) of n of
     CR_theta(m) = (-1)^r * 2^r * 2^(n/2) * prod_s C_theta(m_s) / N_s
 
 where N_s are the prefix sums and the weight C_theta(m) depends only on
-m mod 8 (and g).  This module evaluates the sum three ways:
-exact Q(sqrt 2) term-by-term (cr_theta), an integer core (a_n_theta), and
-a length-n linear recurrence with integer weights (a_n_theta_recurrence).
-All three read the weights from c_theta.  A fourth route reads neither
-c_theta nor the walk: the branch's trace product in closed form,
+m mod 8 (and g).  For odd m the weight is a rational multiple of sqrt(2),
+for even m it is an integer, and a composition of n has as many odd parts
+as n has parity, so every term is rational.  This module evaluates the sum
+three ways: exact Q(sqrt 2) term-by-term (cr_theta), an integer core
+(a_n_theta), and a length-n linear recurrence with integer weights
+(a_n_theta_recurrence).  All three read the weights from c_theta; the
+integer core checks the weight shape in _cnum_table.  A fourth route reads
+neither c_theta nor the walk: the branch's trace product in closed form,
 [t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), a binomial sum of O(n^2) steps
 that stands in for the trace-data L-polynomial in verify_symmetry and
 analyze.
@@ -24,15 +27,14 @@ sum N and carries the integers N! * CR_pi/4 and N! * CR_3pi/4, so
 appending a part multiplies each by one precomputed factor, and every
 node is the term of its own n: one walk to max_n yields n! * a_n and the
 sign tallies (P+, P-) of both branches for every n <= max_n at once (a
-call that asks for one branch walks both).  The
-two branches' child tables must list the same parts with the same sqrt(2)
-parity; at every node each term's sign is checked against its branch's
-parity-class rule, and the pair is compared termwise,
-v_pi/4 == (-1)^N v_3pi/4, a verdict recorded per n.  cr_theta stays the
-paper's term formula and the tests' check on the walk; it never feeds it.
-Large walks split at a fixed prefix sum: the parent walks the short
-prefixes and one process pool, at most one worker per available CPU,
-walks the size-balanced groups of subtrees below them.
+call that asks for one branch walks both).  The two branches' child
+tables must list the same parts; at every node each term's sign is
+checked against its branch's parity-class rule, and the pair is compared
+termwise, v_pi/4 == (-1)^N v_3pi/4, a verdict recorded per n.  cr_theta
+stays the paper's term formula and the tests' check on the walk; it never
+feeds it.  Large walks split at a fixed prefix sum: the parent walks the
+short prefixes and one process pool, at most one worker per available
+CPU, walks the size-balanced groups of subtrees below them.
 
 On top of it sit the sign bookkeeping (classify, count_signs,
 sign_tallies), the pi/4 <-> 3pi/4 symmetry check, the sign/growth
@@ -65,13 +67,13 @@ _SPLIT_PREFIX = 8
 _CHUNKS_PER_WALK = 8
 
 # a walk node and a paired child step share one layout: (prefix sum, value
-# or factor at pi/4, value or factor at 3pi/4, sqrt(2) parity, parity-rule
-# flag at pi/4, parity-rule flag at 3pi/4)
-_Node = tuple[int, int, int, bool, bool, bool]
-# one branch's child step: (prefix sum, factor, sqrt(2) parity, rule flag)
-_Step = tuple[int, int, bool, bool]
-# per n: rational and sqrt(2) parts of n! * a_n, then P+ and P-
-_Sums = tuple[list[int], list[int], list[int], list[int]]
+# or factor at pi/4, value or factor at 3pi/4, parity-rule flag at pi/4,
+# parity-rule flag at 3pi/4)
+_Node = tuple[int, int, int, bool, bool]
+# one branch's child step: (prefix sum, factor, rule flag)
+_Step = tuple[int, int, bool]
+# per n: n! * a_n, then P+ and P-
+_Sums = tuple[list[int], list[int], list[int]]
 
 
 class _Walk(NamedTuple):
@@ -160,20 +162,29 @@ def classify(composition: Composition, g: int, theta: Theta) -> int:
 
 def _cnum_table(n: int, g: int, theta: Theta) -> list[int]:
     # integer content of C_theta: for odd m the weight is table[m]*sqrt(2)/2,
-    # for even m it is table[m] itself
+    # for even m it is table[m] itself.  Any other shape would leave a sqrt(2)
+    # or a fraction that the walk's integers cannot hold, so it raises.
     table = [0]
     for m in range(1, n + 1):
         weight = c_theta(m, g, theta)
-        table.append(int(2 * weight.irr if m % 2 else weight.rat))
+        if m % 2:
+            content, stray, shape = 2 * weight.irr, weight.rat, "an integer times sqrt(2)/2"
+        else:
+            content, stray, shape = weight.rat, weight.irr, "an integer"
+        if stray != 0 or content.denominator != 1:
+            raise ConsistencyError(
+                f"C_theta({m}) = {weight} for g={g}, theta={theta.value} is not {shape}"
+            )
+        table.append(content.numerator)
     return table
 
 
 def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Step]]:
     # children[N] lists, for every part m that can follow a prefix summing
-    # to N, the tuple (N + m, factor, sqrt(2) parity, parity-rule flag).  A
-    # node's value is n! * CR_theta of its composition of n = N, so a child's
-    # value is its parent's times factor = F(m) (N+1)(N+2)...(N+m-1), where
-    # F(m) = -2 * 2^(m/2) * C_theta(m) = -cnum[m] * sqrt(2)^(2+m-(m&1)).
+    # to N, the tuple (N + m, factor, parity-rule flag).  A node's value is
+    # n! * CR_theta of its composition of n = N, so a child's value is its
+    # parent's times factor = F(m) (N+1)(N+2)...(N+m-1), where
+    # F(m) = -2 * 2^(m/2) * C_theta(m) = -cnum[m] * 2^(m//2 + 1).
     # Parts of weight zero (only for g <= 2) are left out: their subtrees
     # add nothing.  For g <= 2 no parity rule is claimed, so the flag is the
     # factor's own sign and the walk's sign check holds trivially.
@@ -183,15 +194,14 @@ def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Step]]:
     for m in range(1, max_n + 1):
         if cnum[m] == 0:
             continue
-        root2 = 2 + m - (m & 1)
-        factor = -cnum[m] << (root2 >> 1)
+        factor = -cnum[m] << (m // 2 + 1)
         flag = residue_class(m) in classes if g > 2 else factor < 0
-        parts.append((m, factor, bool(root2 & 1), flag))
+        parts.append((m, factor, flag))
     fact = [math.factorial(k) for k in range(max_n + 1)]
     return [
         [
-            (prefix + m, factor * (fact[prefix + m - 1] // fact[prefix]), odd, flag)
-            for m, factor, odd, flag in parts
+            (prefix + m, factor * (fact[prefix + m - 1] // fact[prefix]), flag)
+            for m, factor, flag in parts
             if prefix + m <= max_n
         ]
         for prefix in range(max_n)
@@ -200,19 +210,19 @@ def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Step]]:
 
 def _paired_children(max_n: int, g: int) -> list[list[_Node]]:
     # the two branches' child tables zipped into one: they must list the
-    # same (child, sqrt(2) parity) steps, so the same zero weights pruned,
-    # and differ only in their factors and rule flags
+    # same children, so the same zero weights pruned, and differ only in
+    # their factors and rule flags
     paired = []
     tables = zip(_walk_children(max_n, g, Theta.PI_4), _walk_children(max_n, g, Theta.THREE_PI_4))
     for prefix, (steps, steps3) in enumerate(tables):
-        if [step[::2] for step in steps] != [step[::2] for step in steps3]:
+        if [step[0] for step in steps] != [step[0] for step in steps3]:
             raise ConsistencyError(
                 f"the two branches' walk steps after prefix sum {prefix} differ for g={g}"
             )
         paired.append(
             [
-                (child, factor, factor3, odd, rule, rule3)
-                for (child, factor, odd, rule), (_, factor3, _, rule3) in zip(steps, steps3)
+                (child, factor, factor3, rule, rule3)
+                for (child, factor, rule), (_, factor3, rule3) in zip(steps, steps3)
             ]
         )
     return paired
@@ -220,7 +230,7 @@ def _paired_children(max_n: int, g: int) -> list[list[_Node]]:
 
 def _empty_walk(max_n: int) -> _Walk:
     return _Walk(
-        {theta: tuple([0] * (max_n + 1) for _ in range(4)) for theta in _THETAS},
+        {theta: tuple([0] * (max_n + 1) for _ in range(3)) for theta in _THETAS},
         [True] * (max_n + 1),
     )
 
@@ -238,27 +248,22 @@ def _walk(
     # tallied, and the pair is compared termwise.  Nodes with prefix >= stop
     # are not expanded but returned, so a caller can hand their subtrees to
     # other processes.
-    rat, irr, plus, minus = walk.sums[Theta.PI_4]
-    rat3, irr3, plus3, minus3 = walk.sums[Theta.THREE_PI_4]
+    sums, plus, minus = walk.sums[Theta.PI_4]
+    sums3, plus3, minus3 = walk.sums[Theta.THREE_PI_4]
     symmetric = walk.symmetric
     frontier = []
     stack = list(roots)
     pop = stack.pop
     push = stack.append
     while stack:
-        prefix, value, value3, odd, rule, rule3 = pop()
-        for child, factor, factor3, odd_step, rule_step, rule3_step in children[prefix]:
+        prefix, value, value3, rule, rule3 = pop()
+        for child, factor, factor3, rule_step, rule3_step in children[prefix]:
             term = value * factor
             term3 = value3 * factor3
-            child_odd = odd ^ odd_step
             child_rule = rule ^ rule_step
             child_rule3 = rule3 ^ rule3_step
-            if child_odd:
-                irr[child] += term
-                irr3[child] += term3
-            else:
-                rat[child] += term
-                rat3[child] += term3
+            sums[child] += term
+            sums3[child] += term3
             if (term < 0) is not child_rule or (term3 < 0) is not child_rule3:
                 raise _sign_error(child)
             if child_rule:
@@ -272,9 +277,9 @@ def _walk(
             if term != (-term3 if child & 1 else term3):
                 symmetric[child] = False
             if child < stop:
-                push((child, term, term3, child_odd, child_rule, child_rule3))
+                push((child, term, term3, child_rule, child_rule3))
             elif child < max_n:
-                frontier.append((child, term, term3, child_odd, child_rule, child_rule3))
+                frontier.append((child, term, term3, child_rule, child_rule3))
     return frontier
 
 
@@ -337,11 +342,15 @@ def _walk_sums(max_n: int, g: int, threads: Optional[int]) -> _Walk:
     # branches at once; large walks use one process pool: the parent walks
     # the prefixes below _SPLIT_PREFIX and the pool walks the subtrees
     # hanging off them
+    if max_n > ENUMERATION_CAP:
+        raise ValueError(
+            f"composition enumeration capped at n <= {ENUMERATION_CAP}, got n={max_n}"
+        )
     parallel = (1 << max_n) - 1 >= _PARALLEL_MIN_NODES
     workers = _resolve_threads(threads, _CHUNKS_PER_WALK if parallel else 1)
     children = _paired_children(max_n, g)
     walk = _empty_walk(max_n)
-    root = [(0, 1, 1, False, False, False)]
+    root = [(0, 1, 1, False, False)]
     if workers == 1:
         _walk(max_n, max_n, children, root, walk)
         return walk
@@ -356,65 +365,43 @@ def _walk_sums(max_n: int, g: int, threads: Optional[int]) -> _Walk:
     return walk
 
 
-def _check_enumerable(n: int) -> None:
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"composition enumeration capped at n <= {ENUMERATION_CAP}, got n={n}"
-        )
+def _coefficients(sums: _Sums, g: int, theta: Theta) -> list[int]:
+    # a_0..a_max_n from one branch's walk sums of n! * a_n, each of which
+    # n! must divide exactly
+    scaled = sums[0]
+    values = [1]
+    for n in range(1, len(scaled)):
+        value, remainder = divmod(scaled[n], math.factorial(n))
+        if remainder:
+            raise ConsistencyError(
+                f"a_{n} is not an integer for g={g}, theta={theta.value}: "
+                f"{Fraction(scaled[n], math.factorial(n))}"
+            )
+        values.append(value)
+    return values
+
+
+def _walk_to(n: int, g: int, threads: Optional[int]) -> _Walk:
+    # the walk for the entry points that read a_1..a_n, 1 <= n <= g
+    if not 1 <= n <= g:
+        raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
+    return _walk_sums(n, g, threads)
 
 
 def a_n_theta_exact(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> QuadExt:
     """a_n as an exact Q(sqrt 2) number via the composition sum; n <= cap."""
-    if not 1 <= n <= g:
-        raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
-    _check_enumerable(n)
-    rat, irr, _, _ = _walk_sums(n, g, threads).sums[theta]
-    return _exact_coefficient(n, rat, irr)
-
-
-def _exact_coefficient(n: int, rat: list[int], irr: list[int]) -> QuadExt:
-    # a_n from the walk's sums of n! * a_n
-    fact = math.factorial(n)
-    return QuadExt(Fraction(rat[n], fact), Fraction(irr[n], fact))
-
-
-def _integer_coefficient(n: int, g: int, theta: Theta, value: QuadExt) -> int:
-    if value.irr != 0:
-        raise ConsistencyError(
-            f"sqrt(2) component of a_{n} did not cancel for g={g}, "
-            f"theta={theta.value}: {value}"
-        )
-    if value.rat.denominator != 1:
-        raise ConsistencyError(
-            f"a_{n} is not an integer for g={g}, theta={theta.value}: {value}"
-        )
-    return int(value.rat)
-
-
-def _integer_coefficients(max_n: int, g: int, theta: Theta, sums: _Sums) -> list[int]:
-    # a_0..a_max_n from one branch's walk sums; every sqrt(2) part must
-    # cancel and every a_n must be an integer
-    rat, irr, _, _ = sums
-    return [1] + [
-        _integer_coefficient(n, g, theta, _exact_coefficient(n, rat, irr))
-        for n in range(1, max_n + 1)
-    ]
+    return QuadExt(_coefficients(_walk_to(n, g, threads).sums[theta], g, theta)[n])
 
 
 def a_list_theta(
     max_n: int, g: int, theta: Theta, threads: Optional[int] = None
 ) -> list[int]:
     """a_0..a_max_n as integers from one walk of every composition; max_n <= cap."""
-    if not 1 <= max_n <= g:
-        raise ValueError(f"need 1 <= max_n <= g, got max_n={max_n}, g={g}")
-    _check_enumerable(max_n)
-    return _integer_coefficients(max_n, g, theta, _walk_sums(max_n, g, threads).sums[theta])
+    return _coefficients(_walk_to(max_n, g, threads).sums[theta], g, theta)
 
 
 def a_n_theta(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> int:
-    """a_n as an integer via the composition sum; the sqrt(2) part must cancel."""
-    if not 1 <= n <= g:
-        raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
+    """a_n as an integer via the composition sum."""
     return a_list_theta(n, g, theta, threads)[n]
 
 
@@ -474,8 +461,7 @@ def sign_tallies(
         raise ValueError(f"sign counting needs g > 2, got g={g}")
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    _check_enumerable(max_n)
-    _, _, plus, minus = _walk_sums(max_n, g, threads).sums[theta]
+    _, plus, minus = _walk_sums(max_n, g, threads).sums[theta]
     return [(1, 0)] + list(zip(plus[1:], minus[1:]))
 
 
@@ -509,30 +495,33 @@ def _branch_coeffs(max_n: int, g: int, theta: Theta) -> list[int]:
     return [power[n] + 2 * power[n - 2] if n >= 2 else power[n] for n in range(max_n + 1)]
 
 
+def _check_agreement(
+    route: str, values: list[int], expected: list[int], g: int, theta: Theta
+) -> None:
+    # the walk's a_0..a_max_n against another route's; a mismatch raises
+    for n, (value, other) in enumerate(zip(values, expected)):
+        if value != other:
+            raise ConsistencyError(
+                f"enumeration disagrees with the {route} at n={n}, g={g}, "
+                f"theta={theta.value}: {value} vs {other}"
+            )
+
+
 def verify_symmetry(n: int, g: int) -> bool:
     """Termwise and aggregate check of a_{n,pi/4} = (-1)^n a_{n,3pi/4}.
 
     One paired walk compares the two branches' terms of every composition
     of n; a pair that differs is the verdict False.  When every pair
-    agrees, each branch's sum must have no sqrt(2) part and must equal the
-    closed form [t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), which reads neither
+    agrees, each branch's a_1..a_n must be integers equal to the closed
+    form [t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), which reads neither
     c_theta nor the walk; a disagreement there raises ConsistencyError.
     """
-    if not 1 <= n <= g:
-        raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
-    _check_enumerable(n)
-    walk = _walk_sums(n, g, 1)
+    walk = _walk_to(n, g, 1)
     if not walk.symmetric[n]:
         return False
     for theta in _THETAS:
-        rat, irr, _, _ = walk.sums[theta]
-        value = _integer_coefficient(n, g, theta, _exact_coefficient(n, rat, irr))
-        expected = _branch_coeffs(n, g, theta)[n]
-        if value != expected:
-            raise ConsistencyError(
-                f"enumeration disagrees with the closed form at n={n}, g={g}, "
-                f"theta={theta.value}: {value} vs {expected}"
-            )
+        values = _coefficients(walk.sums[theta], g, theta)
+        _check_agreement("closed form", values, _branch_coeffs(n, g, theta), g, theta)
     return True
 
 
@@ -560,6 +549,12 @@ def _sign_claim_ok(n: int, value: int, theta: Theta) -> bool:
     return value > 0 if n % 2 == 0 else value < 0
 
 
+def _claims(values: Sequence[int], n: int, theta: Theta) -> tuple[bool, bool, bool]:
+    # the claims on a_n: its sign, |a_n| >= |a_(n-1)| and |a_n| > |a_(n-1)|
+    size, before = abs(values[n]), abs(values[n - 1])
+    return _sign_claim_ok(n, values[n], theta), size >= before, size > before
+
+
 def _theorem_mode(g: int) -> str:
     # g = 1 is vacuous (all coefficients after a_0 vanish); the claims are
     # proven for 2 <= g <= 6 and conjectured beyond
@@ -584,16 +579,9 @@ def verify_theorem_signs(g: int) -> SignReport:
     growth_weak = {}
     growth_strict = {}
     for theta in _THETAS:
-        values = a[theta]
-        sign_ok[theta] = all(
-            _sign_claim_ok(n, values[n], theta) for n in range(1, g + 1)
-        )
-        magnitudes = [abs(v) for v in values]
-        growth_weak[theta] = all(
-            magnitudes[n] >= magnitudes[n - 1] for n in range(1, g + 1)
-        )
-        growth_strict[theta] = all(
-            magnitudes[n] > magnitudes[n - 1] for n in range(1, g + 1)
+        claims = [_claims(a[theta], n, theta) for n in range(1, g + 1)]
+        sign_ok[theta], growth_weak[theta], growth_strict[theta] = (
+            all(column) for column in zip(*claims)
         )
     return SignReport(g, mode, a, sign_ok, growth_weak, growth_strict)
 
@@ -639,24 +627,12 @@ class Defect2Report:
         for row in self.rows:
             entry: dict[str, object] = {"n": row.n}
             for theta in _THETAS:
-                label = theta.value
                 cell = row.cells.get(theta)
-                if cell is None:
-                    entry[f"a_{label}"] = None
-                    entry[f"p_plus_{label}"] = None
-                    entry[f"p_minus_{label}"] = None
-                    entry[f"delta_{label}"] = None
-                    continue
-                entry[f"a_{label}"] = str(cell.a)
-                entry[f"p_plus_{label}"] = (
-                    None if cell.p_plus is None else str(cell.p_plus)
+                values = (None,) * 4 if cell is None else (
+                    cell.a, cell.p_plus, cell.p_minus, cell.delta
                 )
-                entry[f"p_minus_{label}"] = (
-                    None if cell.p_minus is None else str(cell.p_minus)
-                )
-                entry[f"delta_{label}"] = (
-                    None if cell.delta is None else str(cell.delta)
-                )
+                for key, value in zip(("a", "p_plus", "p_minus", "delta"), values):
+                    entry[f"{key}_{theta.value}"] = None if value is None else str(value)
             entry["checks"] = {
                 "symmetry": row.symmetry_ok,
                 "tallies": row.tally_ok,
@@ -681,12 +657,9 @@ class Defect2Report:
 def _tally_checks(
     n: int, theta: Theta, delta: int, signed: int, prev_delta: Optional[int]
 ) -> bool:
-    # signed = P+ - P-; pinned small-n values, then the > n growth regime
-    if theta is Theta.PI_4:
-        expected_sign = 1 if n % 2 == 0 else -1
-    else:
-        expected_sign = 1
-    if signed * expected_sign <= 0:
+    # signed = P+ - P- has the sign claimed for a_n; pinned small-n values,
+    # then the > n growth regime
+    if not _sign_claim_ok(n, signed, theta):
         return False
     if n in (2, 3):
         return delta == 2
@@ -729,35 +702,13 @@ def analyze(
         if not selected:
             raise ValueError("no branch selected")
 
-    coefficients: dict[Theta, list[int]] = {}
-    tallies: dict[Theta, list[tuple[int, int]]] = {}
-    oracle_match: dict[Theta, bool] = {}
-    recurrence_match: dict[Theta, bool] = {}
     walk = _walk_sums(max_n, g, threads)
+    coefficients: dict[Theta, list[int]] = {}
     for theta in selected:
-        values = _integer_coefficients(max_n, g, theta, walk.sums[theta])
+        values = _coefficients(walk.sums[theta], g, theta)
+        _check_agreement("trace route", values, _branch_coeffs(max_n, g, theta), g, theta)
+        _check_agreement("recurrence", values, a_list_theta_recurrence(max_n, g, theta), g, theta)
         coefficients[theta] = values
-        oracle = _branch_coeffs(max_n, g, theta)
-        for n in range(1, max_n + 1):
-            if oracle[n] != values[n]:
-                raise ConsistencyError(
-                    f"enumeration disagrees with the trace route at n={n}, "
-                    f"g={g}, theta={theta.value}: "
-                    f"{values[n]} vs {oracle[n]}"
-                )
-        oracle_match[theta] = True
-        recurrence = a_list_theta_recurrence(max_n, g, theta)
-        for n in range(1, max_n + 1):
-            if recurrence[n] != values[n]:
-                raise ConsistencyError(
-                    f"enumeration disagrees with the recurrence at n={n}, "
-                    f"g={g}, theta={theta.value}: "
-                    f"{values[n]} vs {recurrence[n]}"
-                )
-        recurrence_match[theta] = True
-        if g > 2:
-            _, _, plus, minus = walk.sums[theta]
-            tallies[theta] = list(zip(plus, minus))
 
     theorem_mode = _theorem_mode(g)
 
@@ -765,12 +716,9 @@ def analyze(
     for n in range(1, max_n + 1):
         cells: dict[Theta, ThetaCell] = {}
         for theta in selected:
-            a_value = coefficients[theta][n]
-            if theta in tallies:
-                p_plus, p_minus = tallies[theta][n]
-            else:
-                p_plus = p_minus = None
-            cells[theta] = ThetaCell(a_value, p_plus, p_minus)
+            _, plus, minus = walk.sums[theta]
+            tally = (plus[n], minus[n]) if g > 2 else (None, None)
+            cells[theta] = ThetaCell(coefficients[theta][n], *tally)
 
         if len(selected) == 2:
             flip = -1 if n % 2 else 1
@@ -797,9 +745,7 @@ def analyze(
             theorem_ok: Union[bool, str, None] = "vacuous"
         else:
             claims = all(
-                _sign_claim_ok(n, cells[theta].a, theta)
-                and abs(cells[theta].a) >= abs(coefficients[theta][n - 1])
-                for theta in selected
+                all(_claims(coefficients[theta], n, theta)[:2]) for theta in selected
             )
             if theorem_mode == "proven":
                 theorem_ok = claims
@@ -814,6 +760,6 @@ def analyze(
         thetas=selected,
         theorem_mode=theorem_mode,
         rows=tuple(rows),
-        oracle_match=oracle_match,
-        recurrence_match=recurrence_match,
+        oracle_match={theta: True for theta in selected},
+        recurrence_match={theta: True for theta in selected},
     )

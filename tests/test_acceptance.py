@@ -236,8 +236,9 @@ def test_criterion_07_sign_tally_values_and_growth():
     deltas: dict[tuple[Theta, int], int] = {}
     majority: dict[tuple[Theta, int], bool] = {}
     for theta in (Theta.PI_4, Theta.THREE_PI_4):
+        tallies = defect2.sign_tallies(20, g, theta, threads=8)
         for n in range(2, 21):
-            plus, minus = defect2.count_signs(n, g, theta, threads=8)
+            plus, minus = tallies[n]
             deltas[theta, n] = abs(plus - minus)
             majority[theta, n] = plus > minus
     pinned_ok = (

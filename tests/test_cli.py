@@ -1,9 +1,11 @@
 import io
 import json
+import time
 
 import pytest
 
 from zetapoly import cli
+from zetapoly.lpoly import TraceData, coeffs_from_traces, n_from_traces
 
 
 def run_cli(*args):
@@ -83,6 +85,32 @@ class TestLPolyCommand:
         assert code == cli.EXIT_OK
         payload = json.loads(out)
         assert payload["methods_run"] == ["pper"]
+
+    def test_default_method_bounds_the_composition_route(self):
+        # past g = 18 the default leaves the 2^g - 1 composition terms out
+        data = TraceData(2, tuple((-2, -1, 0, 1, 2)[i % 5] for i in range(19)))
+        counts = ",".join(str(n_from_traces(data, r)) for r in range(1, 20))
+        started = time.perf_counter()
+        code, out, _ = run_cli("lpoly", "from-counts", "--q", "2", "--counts", counts)
+        elapsed = time.perf_counter() - started
+        assert code == cli.EXIT_OK
+        payload = json.loads(out)
+        assert payload["methods_run"] == ["recurrence", "pper"]
+        assert payload["coeffs"] == [str(c) for c in coeffs_from_traces(data).coeffs]
+        assert elapsed < 2.0
+
+    def test_large_q_needs_no_validate(self):
+        # the prime-power check is trial division, refused above 10^12
+        args = ("lpoly", "from-counts", "--q", "100000000000031", "--counts", "100000000000032")
+        started = time.perf_counter()
+        code, out, err = run_cli(*args)
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert "--no-validate" in err
+        code, out, _ = run_cli(*args, "--no-validate")
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["q"] == 100000000000031
 
     def test_compositions_golden(self):
         code, out, _ = run_cli(

@@ -206,10 +206,11 @@ class TestSignClassification:
         assert abs(plus - minus) == delta
 
     def test_direction_of_majorities(self):
+        tallies = {theta: sign_tallies(11, 6, theta) for theta in BOTH}
         for n in range(2, 12):
-            plus, minus = count_signs(n, 6, Theta.THREE_PI_4)
+            plus, minus = tallies[Theta.THREE_PI_4][n]
             assert plus > minus
-            plus, minus = count_signs(n, 6, Theta.PI_4)
+            plus, minus = tallies[Theta.PI_4][n]
             if n % 2 == 0:
                 assert plus > minus
             else:
@@ -353,18 +354,17 @@ class TestPrefixWalk:
     def test_sums_equal_term_sums(self, g):
         # g = 1 and 2 have zero-weight parts, whose subtrees the walk skips
         for theta in BOTH:
-            rat, irr, _, _ = defect2._walk_sums(10, g, 1).sums[theta]
+            sums, _, _ = defect2._walk_sums(10, g, 1).sums[theta]
             for n in range(1, 11):
                 total = QuadExt.zero()
                 for composition in enumerate_compositions(n):
                     total = total + cr_theta(composition, g, theta)
-                fact = math.factorial(n)
-                assert QuadExt(Fraction(rat[n], fact), Fraction(irr[n], fact)) == total
+                assert QuadExt(Fraction(sums[n], math.factorial(n))) == total
 
     @pytest.mark.parametrize("g", [3, 7])
     def test_tallies_equal_classification(self, g):
         for theta in BOTH:
-            _, _, plus, minus = defect2._walk_sums(10, g, 1).sums[theta]
+            _, plus, minus = defect2._walk_sums(10, g, 1).sums[theta]
             for n in range(1, 11):
                 signs = [classify(c, g, theta) for c in enumerate_compositions(n)]
                 assert (plus[n], minus[n]) == (signs.count(1), signs.count(-1))
@@ -420,26 +420,25 @@ class TestPairedWalk:
     @pytest.mark.parametrize("g", [1, 2, 3, 5, 9, 14])
     def test_step_products_equal_terms(self, g):
         # the product of the child-table factors along a composition's parts
-        # is n! * cr_theta, in the part its sqrt(2) parity names
+        # is n! * cr_theta, and every term is rational
         for theta in BOTH:
             steps = [
-                {child: (factor, odd) for child, factor, odd, _ in row}
+                {child: factor for child, factor, _ in row}
                 for row in defect2._walk_children(10, g, theta)
             ]
             for n in range(1, 11):
                 for composition in enumerate_compositions(n):
-                    value, odd, prefix = 1, False, 0
+                    value, prefix = 1, 0
                     for part in composition.parts:
-                        step = steps[prefix].get(prefix + part)
-                        if step is None:  # a zero-weight part, pruned
+                        factor = steps[prefix].get(prefix + part)
+                        if factor is None:  # a zero-weight part, pruned
                             value = 0
                             break
-                        value *= step[0]
-                        odd ^= step[1]
+                        value *= factor
                         prefix += part
-                    scaled = cr_theta(composition, g, theta) * math.factorial(n)
-                    assert value == (scaled.irr if odd else scaled.rat)
-                    assert (scaled.rat if odd else scaled.irr) == 0
+                    term = cr_theta(composition, g, theta)
+                    assert term.irr == 0
+                    assert value == term.rat * math.factorial(n)
 
     def test_per_part_identity(self):
         # f_pi4(m) = (-1)^m f_3pi4(m) for every part after every prefix, with
@@ -450,10 +449,10 @@ class TestPairedWalk:
                 defect2._walk_children(24, g, Theta.THREE_PI_4),
             )
             for prefix, (row_pi4, row_3pi4) in enumerate(tables):
-                assert [step[::2] for step in row_pi4] == [step[::2] for step in row_3pi4]
+                assert [step[0] for step in row_pi4] == [step[0] for step in row_3pi4]
                 if g > 2:
                     assert len(row_pi4) == 24 - prefix
-                for (child, factor, _, _), (_, factor3, _, _) in zip(row_pi4, row_3pi4):
+                for (child, factor, _), (_, factor3, _) in zip(row_pi4, row_3pi4):
                     assert factor == (-1) ** (child - prefix) * factor3
 
     def test_walk_verdicts_all_hold(self):
@@ -470,6 +469,31 @@ class TestPairedWalk:
         for n in range(2, 7):
             assert not verify_symmetry(n, 6)
         assert defect2._walk_sums(6, 6, 1).symmetric[1:] == [True] + [False] * 5
+
+    @pytest.mark.parametrize(
+        "classes,distort",
+        [
+            ((1,), lambda w: QuadExt(2 * w.irr)),  # odd part, rational weight
+            ((3,), lambda w: w / 12),  # odd part, 2*irr = +-1/2
+            ((1,), lambda w: w + 1),  # odd part with a rational part
+            ((2,), lambda w: w + QuadExt.sqrt2()),  # even part with a sqrt(2) part
+            ((4,), lambda w: w / 2),  # even part, -5/2
+        ],
+    )
+    def test_malformed_weight_raises(self, monkeypatch, classes, distort):
+        # the walk holds integers only, so a weight of the wrong shape (same
+        # sign on both branches, so no sign check fires) must be refused,
+        # not truncated or dropped
+        real = defect2.c_theta
+
+        def malformed(m, g, theta):
+            weight = real(m, g, theta)
+            return distort(weight) if residue_class(m) in classes else weight
+
+        monkeypatch.setattr(defect2, "c_theta", malformed)
+        for theta in BOTH:
+            with pytest.raises(ConsistencyError, match="is not an integer"):
+                a_list_theta(4, 7, theta)
 
     def test_wrong_weight_in_both_branches_raises(self, monkeypatch):
         # the same wrong class-4 weight on both branches keeps every pair of
