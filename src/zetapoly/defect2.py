@@ -14,7 +14,8 @@ for even m it is an integer, and a composition of n has as many odd parts
 as n has parity, so every term is rational.  This module evaluates the sum
 three ways: exact Q(sqrt 2) term-by-term (cr_theta), an integer core
 (a_n_theta), and a length-n linear recurrence with integer weights
-(a_n_theta_recurrence).  All three read the weights from c_theta; the
+(a_n_theta_recurrence, the lpoly S-value recurrence over q = 2 with the
+weights as S-values).  All three read the weights from c_theta; the
 integer core checks the weight shape in _cnum_table.  A fourth route reads
 neither c_theta nor the walk: the branch's trace product in closed form,
 [t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), a binomial sum of O(n^2) steps
@@ -56,6 +57,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .arith import QuadExt, pow2_half
 from .compositions import Composition
 from .errors import ConsistencyError
+from .lpoly import SSequence, coeffs_by_recurrence_exact
 
 ENUMERATION_CAP = 24
 
@@ -405,41 +407,39 @@ def a_n_theta(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> in
     return a_list_theta(n, g, theta, threads)[n]
 
 
-def _recurrence_weight(i: int, g: int, theta: Theta) -> Fraction:
+def _recurrence_weight(i: int, g: int, theta: Theta) -> int:
     # -2^((i+2)/2) C_theta(i); rational (indeed integral) for every i
     weight = -(pow2_half(i + 2) * c_theta(i, g, theta))
     if weight.irr != 0:
         raise ConsistencyError(
             f"recurrence weight at i={i} kept a sqrt(2) part: {weight}"
         )
-    return weight.rat
+    if weight.rat.denominator != 1:
+        raise ConsistencyError(
+            f"recurrence weight at i={i} is not an integer: {weight}"
+        )
+    return weight.rat.numerator
 
 
 def a_list_theta_recurrence(n_max: int, g: int, theta: Theta) -> list[int]:
     """a_0..a_{n_max} via n*a_n = sum_i -2^((i+2)/2) C_theta(i) a_{n-i}.
 
-    Independent of the enumeration core and not capped by it.
+    The lpoly recurrence over q = 2 with S_i the weights; independent of
+    the enumeration core and not capped by it.
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     if not 0 <= n_max <= g:
         raise ValueError(f"need 0 <= n_max <= g, got n_max={n_max}, g={g}")
-    weights = [Fraction(0)] + [_recurrence_weight(i, g, theta) for i in range(1, n_max + 1)]
-    values: list[Fraction] = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        total = Fraction(0)
-        for i in range(1, n + 1):
-            total += weights[i] * values[n - i]
-        values.append(total / n)
-    result = []
+    weights = tuple(_recurrence_weight(i, g, theta) for i in range(1, n_max + 1))
+    values = coeffs_by_recurrence_exact(SSequence(2, weights))
     for n, value in enumerate(values):
         if value.denominator != 1:
             raise ConsistencyError(
                 f"recurrence produced non-integer a_{n} for g={g}, "
                 f"theta={theta.value}: {value}"
             )
-        result.append(int(value))
-    return result
+    return [value.numerator for value in values]
 
 
 def a_n_theta_recurrence(n: int, g: int, theta: Theta) -> int:

@@ -11,7 +11,17 @@ separate so they can arbitrate each other.  The second half of the
 coefficients follows from the functional equation a_{2g-i} = q^{g-i} a_i,
 and the class number is h = L(1).
 
-Everything is exact integer and Fraction arithmetic.
+Everything is exact and runs in plain integers.  The recurrence divides by
+i at each step and keeps a_i an int while every division is exact (a
+Fraction from the first one that is not).  The two parapermanent routes
+share one integer table instead: its factorial products are
+S_{i+1-j} (i-1)!/(j-1)!, the telescoped S_{i+1-j}/i times i!/(j-1)!, so the
+product at the keys of a composition of N telescopes to N! times its term
+and the parapermanent of order i is i! a_i; one read-out divides by i!.
+So the recurrence shares neither loop nor arithmetic with the other two,
+which share the table and the read-out but not their loops.  The _exact
+functions return Fractions; the integer functions raise ConsistencyError
+at the first a_i that is not an integer.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import ConsistencyError
@@ -175,61 +186,98 @@ def s_from_traces(data: TraceData) -> SSequence:
     return SSequence(data.q, tuple(-totals[r] for r in range(1, g + 1)))
 
 
-def _telescoped_fp(s: SSequence):
+@lru_cache(maxsize=1)
+def _falling_row(i: int) -> tuple[int, ...]:
+    # row[j] = (i-1)!/(j-1)! for 1 <= j <= i; row[0] is unused
+    row = [1] * (i + 1)
+    for j in range(i - 1, 0, -1):
+        row[j] = row[j + 1] * j
+    return tuple(row)
+
+
+def _scaled_fp(s: SSequence):
+    # S_{i+1-j}/i times i!/(j-1)!: the product along a composition of N
+    # telescopes to N! times its term, so the parapermanent is i! a_i
     values = s.s
-    return lambda i, j: Fraction(values[i - j], i)
+    return lambda i, j: values[i - j] * _falling_row(i)[j]
 
 
-def coeffs_by_recurrence_exact(s: SSequence) -> list[Fraction]:
-    """a_0..a_g as Fractions via i*a_i = sum_{j<=i} S_j a_{i-j}."""
-    coeffs: list[Fraction] = [Fraction(1)]
+def _unscaled(scaled: Sequence[int]) -> list[Union[int, Fraction]]:
+    # entry i divided by i!; an int exactly when the division is exact
+    values: list[Union[int, Fraction]] = []
+    factorial = 1
+    for i, value in enumerate(scaled):
+        factorial *= max(i, 1)
+        quotient, remainder = divmod(value, factorial)
+        values.append(Fraction(value, factorial) if remainder else quotient)
+    return values
+
+
+def _recurrence(s: SSequence) -> list[Union[int, Fraction]]:
+    # a_i stays an int while every division by i is exact
+    values = s.s
+    coeffs: list[Union[int, Fraction]] = [1]
     for i in range(1, s.g + 1):
-        total = Fraction(0)
+        total = 0
         for j in range(1, i + 1):
-            total += s.s[j - 1] * coeffs[i - j]
-        coeffs.append(total / i)
+            total += values[j - 1] * coeffs[i - j]
+        quotient, remainder = divmod(total, i)
+        coeffs.append(Fraction(total, i) if remainder else quotient)
     return coeffs
 
 
-def coeffs_by_parapermanent_exact(s: SSequence) -> list[Fraction]:
-    """a_0..a_g as Fractions via the last-row parapermanent recurrence."""
-    return pper_prefixes(s.g, _telescoped_fp(s), Fraction(1))
+def _parapermanent(s: SSequence) -> list[Union[int, Fraction]]:
+    return _unscaled(pper_prefixes(s.g, _scaled_fp(s), 1))
 
 
-def coeffs_by_compositions_exact(s: SSequence) -> list[Fraction]:
-    """a_0..a_g as Fractions via full composition sums; g <= COMPOSITION_CAP."""
+def _compositions(s: SSequence) -> list[Union[int, Fraction]]:
     if s.g > COMPOSITION_CAP:
         raise ValueError(
             f"composition enumeration capped at g <= {COMPOSITION_CAP}, got g={s.g}"
         )
-    return pper_composition_sums(s.g, _telescoped_fp(s), Fraction(1))
+    return _unscaled(pper_composition_sums(s.g, _scaled_fp(s), 1))
 
 
-def _as_integers(values: Sequence[Fraction], s: SSequence, method: str) -> list[int]:
-    result = []
+def coeffs_by_recurrence_exact(s: SSequence) -> list[Fraction]:
+    """a_0..a_g as Fractions via i*a_i = sum_{j<=i} S_j a_{i-j}."""
+    return [Fraction(value) for value in _recurrence(s)]
+
+
+def coeffs_by_parapermanent_exact(s: SSequence) -> list[Fraction]:
+    """a_0..a_g as Fractions via the last-row parapermanent recurrence."""
+    return [Fraction(value) for value in _parapermanent(s)]
+
+
+def coeffs_by_compositions_exact(s: SSequence) -> list[Fraction]:
+    """a_0..a_g as Fractions via full composition sums; g <= COMPOSITION_CAP."""
+    return [Fraction(value) for value in _compositions(s)]
+
+
+def _as_integers(
+    values: Sequence[Union[int, Fraction]], s: SSequence, method: str
+) -> list[int]:
     for i, value in enumerate(values):
-        if value.denominator != 1:
+        if isinstance(value, Fraction):
             raise ConsistencyError(
                 f"a_{i} is not an integer ({value}) for q={s.q}, S={list(s.s)} "
                 f"[method: {method}]"
             )
-        result.append(int(value))
-    return result
+    return list(values)
 
 
 def coeffs_by_recurrence(s: SSequence) -> list[int]:
     """a_0..a_g via the power-sum recurrence; fails if any a_i is fractional."""
-    return _as_integers(coeffs_by_recurrence_exact(s), s, "recurrence")
+    return _as_integers(_recurrence(s), s, "recurrence")
 
 
 def coeffs_by_parapermanent(s: SSequence) -> list[int]:
     """a_0..a_g via the last-row parapermanent; fails if fractional."""
-    return _as_integers(coeffs_by_parapermanent_exact(s), s, "parapermanent")
+    return _as_integers(_parapermanent(s), s, "parapermanent")
 
 
 def coeffs_by_compositions(s: SSequence) -> list[int]:
     """a_0..a_g via composition sums; fails if fractional; g <= COMPOSITION_CAP."""
-    return _as_integers(coeffs_by_compositions_exact(s), s, "compositions")
+    return _as_integers(_compositions(s), s, "compositions")
 
 
 def literal_matrix(s: SSequence, n: int) -> TriangularMatrix:
@@ -279,11 +327,14 @@ def class_number(lpoly: LPolynomial) -> int:
 
 
 def class_number_formula(data: Union[SSequence, TraceData]) -> int:
-    """h = 1 + q^g + sum_{i<g} (1 + q^(g-i)) a_i + a_g, from half coefficients."""
+    """h = 1 + q^g + sum_{i<g} (1 + q^(g-i)) a_i + a_g, from half coefficients.
+
+    Reads the parapermanent route, so it checks L(1) of the recurrence.
+    """
     s = s_from_traces(data) if isinstance(data, TraceData) else data
     if s.g < 1:
         raise ValueError("need g >= 1")
-    a = coeffs_by_recurrence(s)
+    a = coeffs_by_parapermanent(s)
     q, g = s.q, s.g
     return 1 + q**g + sum((1 + q ** (g - i)) * a[i] for i in range(1, g)) + a[g]
 

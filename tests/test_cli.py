@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -223,8 +224,8 @@ class TestClassNumberCommand:
         assert json.loads(out)["h"] == "5"
 
     def test_wrong_recurrence_caught_by_trace_product(self, monkeypatch):
-        # h and h_formula both read coeffs_by_recurrence, so a wrong one
-        # moves them together; prod(q + 1 - t_i) does not read it
+        # prod(q + 1 - t_i) does not read coeffs_by_recurrence, and it is
+        # compared before the direct formula
         real = cli.lpoly.coeffs_by_recurrence
 
         def wrong(s):
@@ -238,11 +239,74 @@ class TestClassNumberCommand:
         assert out == ""
         assert "trace product" in err
 
+    def test_wrong_recurrence_caught_by_direct_formula(self, monkeypatch):
+        # with --counts there is no trace product; the formula reads the
+        # parapermanent route, not coeffs_by_recurrence
+        real = cli.lpoly.coeffs_by_recurrence
+
+        def wrong(s):
+            values = real(s)
+            values[1] += 1
+            return values
+
+        monkeypatch.setattr(cli.lpoly, "coeffs_by_recurrence", wrong)
+        code, out, err = run_cli("classnumber", "--q", "2", "--counts", "3,5")
+        assert code == cli.EXIT_CONSISTENCY
+        assert out == ""
+        assert "direct formula" in err
+
     def test_consistency_failure_exit_code(self, monkeypatch):
         monkeypatch.setattr(cli.lpoly, "class_number_formula", lambda data: -1)
         code, _, err = run_cli("classnumber", "--q", "2", "--counts", "3")
         assert code == cli.EXIT_CONSISTENCY
         assert "consistency failure" in err
+
+
+class TestOutputLimits:
+    @pytest.fixture
+    def default_digit_limit(self):
+        # pin the interpreter's int-to-str limit at its default for the test
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int-to-str digit limit")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("command", [("lpoly", "from-traces"), ("classnumber",)])
+    def test_huge_integer_is_refused(self, command, default_digit_limit):
+        # (q + 1)^400 has more than 4300 digits at q = 999999999989
+        traces = ",".join(["0"] * 400)
+        code, out, err = run_cli(*command, "--q", "999999999989", "--traces", traces)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert "4300 digits" in err
+        assert "PYTHONINTMAXSTRDIGITS" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("lpoly", "from-traces", "--traces"),
+            ("lpoly", "from-counts", "--counts"),
+            ("classnumber", "--traces"),
+            ("classnumber", "--counts"),
+        ],
+    )
+    def test_genus_cap_refused_up_front(self, args):
+        values = ",".join(["1"] * (cli._MAX_G + 1))
+        started = time.perf_counter()
+        code, out, err = run_cli(*args[:-1], "--q", "2", args[-1], values)
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert f"at most {cli._MAX_G} values" in err
+
+    def test_genus_cap_allows_512(self):
+        assert cli._MAX_G == 512
+        traces = ",".join(str((-2, -1, 0, 1, 2)[i % 5]) for i in range(512))
+        code, out, _ = run_cli("lpoly", "from-traces", "--q", "2", "--traces", traces)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["g"] == 512
 
 
 class TestDefect2Command:

@@ -342,6 +342,18 @@ class TestConsistencyGuards:
                 values = a_list_theta_recurrence(g, g, theta)
                 assert all(isinstance(v, int) for v in values)
 
+    def test_non_integral_recurrence_weight_raises(self, monkeypatch):
+        real = defect2.c_theta
+
+        def wrong(m, g, theta):
+            if m == 2:
+                return QuadExt(Fraction(1, 3))
+            return real(m, g, theta)
+
+        monkeypatch.setattr(defect2, "c_theta", wrong)
+        with pytest.raises(ConsistencyError, match="weight at i=2 is not an integer"):
+            a_list_theta_recurrence(4, 6, Theta.PI_4)
+
     def test_exact_matches_integer_route(self):
         for theta in BOTH:
             for n in range(1, 9):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zetapoly import lpoly
 from zetapoly.errors import ConsistencyError
 from zetapoly.lpoly import (
     COMPOSITION_CAP,
@@ -27,7 +28,7 @@ from zetapoly.lpoly import (
     s_from_counts,
     s_from_traces,
 )
-from zetapoly.parapermanent import pper_by_last_row
+from zetapoly.parapermanent import pper_by_last_row, pper_composition_sums, pper_prefixes
 
 s_vectors = st.builds(
     SSequence,
@@ -138,6 +139,88 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             literal_matrix(s, 2)
         assert pper_by_last_row(literal_matrix(s, 1)) == 0
+
+
+def fraction_recurrence(s):
+    # i a_i = sum_{j<=i} S_j a_{i-j}, written out in Fractions
+    a = [Fraction(1)]
+    for i in range(1, s.g + 1):
+        a.append(sum((s.s[j - 1] * a[i - j] for j in range(1, i + 1)), Fraction(0)) / i)
+    return a
+
+
+INTEGER_ROUTES = {
+    "recurrence": coeffs_by_recurrence,
+    "parapermanent": coeffs_by_parapermanent,
+    "compositions": coeffs_by_compositions,
+}
+EXACT_ROUTES = (
+    coeffs_by_recurrence_exact,
+    coeffs_by_parapermanent_exact,
+    coeffs_by_compositions_exact,
+)
+
+
+class TestIntegerRoutes:
+    @pytest.mark.parametrize(
+        "s, text",
+        [
+            (SSequence(2, (1, 0)), "a_2 is not an integer (1/2) for q=2, S=[1, 0]"),
+            (
+                SSequence(3, (2, 2, 1, 4)),
+                "a_3 is not an integer (11/3) for q=3, S=[2, 2, 1, 4]",
+            ),
+        ],
+    )
+    def test_integrality_error_pinned(self, s, text):
+        for method, route in INTEGER_ROUTES.items():
+            with pytest.raises(ConsistencyError) as caught:
+                route(s)
+            assert str(caught.value) == f"{text} [method: {method}]"
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            SSequence(2, (4, 4, -2, 6, 0, -9)),
+            SSequence(3, (2, 2, 1, 4)),
+            s_from_traces(TraceData(5, (4, -3, 0, 2, 1, -4, 3))),
+        ],
+    )
+    def test_scaled_table_gives_factorial_times_coefficient(self, s):
+        expected = [
+            math.factorial(i) * a for i, a in enumerate(fraction_recurrence(s))
+        ]
+        fp = lpoly._scaled_fp(s)
+        for values in (pper_prefixes(s.g, fp, 1), pper_composition_sums(s.g, fp, 1)):
+            assert all(type(value) is int for value in values)
+            assert values == expected
+
+    @given(st.one_of(s_vectors, trace_data().map(s_from_traces)))
+    @settings(deadline=None)
+    def test_routes_match_fraction_recurrence(self, s):
+        expected = fraction_recurrence(s)
+        for route in EXACT_ROUTES:
+            values = route(s)
+            assert all(type(value) is Fraction for value in values)
+            assert values == expected
+        fractional = [i for i, a in enumerate(expected) if a.denominator != 1]
+        for route in INTEGER_ROUTES.values():
+            if fractional:
+                with pytest.raises(ConsistencyError, match=f"^a_{fractional[0]} "):
+                    route(s)
+            else:
+                assert route(s) == [int(a) for a in expected]
+
+    def test_integral_input_builds_no_fraction(self, monkeypatch):
+        class NoFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(lpoly, "Fraction", NoFraction)
+        data = TraceData(7, (5, -3, 0, 2, 1, -5, 4, 3, -1, 2))
+        expected = list(oracle_expand(data).coeffs[: data.g + 1])
+        for route in INTEGER_ROUTES.values():
+            assert route(s_from_traces(data)) == expected
 
 
 class TestLPolynomial:
