@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, TextIO, Union
 
 from . import defect2, lpoly
-from .arith import format_rational, parse_rational
+from .arith import parse_rational
 from .compositions import iter_parts
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, describe
 from .parapermanent import matrix_from_entries, pper_by_compositions, pper_by_last_row
 
 EXIT_OK = 0
@@ -54,6 +54,10 @@ _ALL_COMPOSITION_MAX_G = 18
 # lpoly and classnumber run O(g^2) big-integer routes: every command took
 # 0.7-2.7 s at g=512 for q in {2, 4093, 65521} (Python 3.11, one core)
 _MAX_G = 512
+
+# pper runs the 2^(n-1)-term composition walk: order 20 took 0.3 s on a
+# table of entries +-(1..9)/(1..9) (integer path), and each order doubles it
+_MAX_PPER_ORDER = 20
 
 # the prime-power check is trial division up to sqrt(q): 0.17 s for the
 # largest prime below this bound, 1.6 s near 10^14 (Python 3.11, one core)
@@ -133,7 +137,7 @@ def _validate_q(q: int, skip_prime_power: bool) -> None:
         )
 
 
-def _decimal(value: int) -> str:
+def _decimal(value: Union[int, Fraction]) -> str:
     try:
         return str(value)
     except ValueError:
@@ -215,16 +219,16 @@ def _half_coefficients(s: lpoly.SSequence, method: str) -> tuple[list[int], list
     methods = ["recurrence", "pper"]
     if by_pper != by_recurrence:
         raise ConsistencyError(
-            f"recurrence and parapermanent disagree for q={s.q}, S={list(s.s)}: "
-            f"{by_recurrence} vs {by_pper}"
+            f"recurrence and parapermanent disagree for q={s.q}, "
+            f"S={describe(list(s.s))}: {describe(by_recurrence)} vs {describe(by_pper)}"
         )
     if s.g <= _ALL_COMPOSITION_MAX_G:
         by_compositions = lpoly.coeffs_by_compositions(s)
         methods.append("compositions")
         if by_compositions != by_recurrence:
             raise ConsistencyError(
-                f"composition sum disagrees for q={s.q}, S={list(s.s)}: "
-                f"{by_recurrence} vs {by_compositions}"
+                f"composition sum disagrees for q={s.q}, S={describe(list(s.s))}: "
+                f"{describe(by_recurrence)} vs {describe(by_compositions)}"
             )
     return by_recurrence, methods
 
@@ -260,7 +264,8 @@ def _lpoly_payload(
     if oracle is not None and full.coeffs != oracle.coeffs:
         raise ConsistencyError(
             f"S-value routes disagree with the trace product for q={s.q}, "
-            f"S={list(s.s)}: {list(full.coeffs)} vs {list(oracle.coeffs)}"
+            f"S={describe(list(s.s))}: {describe(list(full.coeffs))} vs "
+            f"{describe(list(oracle.coeffs))}"
         )
     return {
         "q": s.q,
@@ -353,14 +358,15 @@ def _cmd_classnumber(args: list[str], out: TextIO, err: TextIO) -> int:
         if h != h_product:
             raise ConsistencyError(
                 f"L(1) disagrees with the trace product prod(q + 1 - t_i) for "
-                f"q={s.q}, traces={list(data.traces)}: {h} vs {h_product}"
+                f"q={s.q}, traces={describe(list(data.traces))}: {describe(h)} vs "
+                f"{describe(h_product)}"
             )
     # the formula reads the parapermanent route, not the recurrence
     h_formula = lpoly.class_number_formula(s)
     if h != h_formula:
         raise ConsistencyError(
-            f"L(1) and the direct formula disagree for q={s.q}, S={list(s.s)}: "
-            f"{h} vs {h_formula}"
+            f"L(1) and the direct formula disagree for q={s.q}, "
+            f"S={describe(list(s.s))}: {describe(h)} vs {describe(h_formula)}"
         )
     payload = {
         "q": s.q,
@@ -532,22 +538,23 @@ def _cmd_pper(args: list[str], out: TextIO, err: TextIO) -> int:
     _add_format_option(parser)
     ns = parser.parse_args(args)
     rows = _load_matrix_file(ns.file)
-    if len(rows) > lpoly.COMPOSITION_CAP:
+    if len(rows) > _MAX_PPER_ORDER:
         raise ValidationError(
-            f"table order capped at {lpoly.COMPOSITION_CAP}, got {len(rows)}"
+            f"table order capped at {_MAX_PPER_ORDER}, got {len(rows)}"
         )
     matrix = matrix_from_entries(rows)
     by_rows = pper_by_last_row(matrix)
     by_sums = pper_by_compositions(matrix)
     if by_rows != by_sums:
         raise ConsistencyError(
-            f"last-row and composition evaluations disagree: {by_rows} vs {by_sums}"
+            "last-row and composition evaluations disagree: "
+            f"{describe(by_rows)} vs {describe(by_sums)}"
         )
     payload = {
         "order": matrix.order,
-        "pper": format_rational(by_rows),
-        "by_last_row": format_rational(by_rows),
-        "by_compositions": format_rational(by_sums),
+        "pper": _decimal(by_rows),
+        "by_last_row": _decimal(by_rows),
+        "by_compositions": _decimal(by_sums),
         "agree": True,
     }
     _emit_pairs(payload, ns.format, out)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, describe
 from .parapermanent import TriangularMatrix, pper_composition_sums, pper_prefixes
 
 COMPOSITION_CAP = 30
@@ -259,7 +259,8 @@ def _as_integers(
     for i, value in enumerate(values):
         if isinstance(value, Fraction):
             raise ConsistencyError(
-                f"a_{i} is not an integer ({value}) for q={s.q}, S={list(s.s)} "
+                f"a_{i} is not an integer ({describe(value)}) for q={s.q}, "
+                f"S={describe(list(s.s))} "
                 f"[method: {method}]"
             )
     return list(values)
@@ -320,8 +321,8 @@ def class_number(lpoly: LPolynomial) -> int:
     h = sum(lpoly.coeffs)
     if h <= 0:
         raise ConsistencyError(
-            f"class number must be positive, got L(1) = {h} for "
-            f"coeffs={list(lpoly.coeffs)}"
+            f"class number must be positive, got L(1) = {describe(h)} for "
+            f"coeffs={describe(list(lpoly.coeffs))}"
         )
     return h
 

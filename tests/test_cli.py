@@ -2,6 +2,7 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -301,6 +302,53 @@ class TestOutputLimits:
         assert out == ""
         assert f"at most {cli._MAX_G} values" in err
 
+    def test_huge_pper_is_refused(self, tmp_path, default_digit_limit):
+        # the product of three 4001-digit entries has 12003 digits
+        big = "7" * 4001
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps({"order": 3, "rows": [[big], [big, big], [big, big, big]]}),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli("pper", "--file", str(path))
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert "4300 digits" in err
+        assert "PYTHONINTMAXSTRDIGITS" in err
+
+    def test_huge_consistency_message(self, default_digit_limit):
+        # a_2 = 1/2 - q is not an integer, and S_45 has 4500 digits
+        q = 10**100
+        counts = ",".join(["2"] + ["1"] * 44)
+        code, out, err = run_cli(
+            "lpoly", "from-counts", "--q", str(q), "--counts", counts, "--no-validate"
+        )
+        assert code == cli.EXIT_CONSISTENCY
+        assert out == ""
+        failure = err.splitlines()[-1]
+        assert failure.startswith(
+            f"consistency failure: a_2 is not an integer ({1 - 2 * q}/2) "
+            f"for q={q}, S=[{1 - q}, {-(q**2)}, "
+        )
+        big = f"<integer of {(q**45).bit_length()} bits>"
+        assert failure.endswith(f", {big}] [method: recurrence]")
+
+    def test_huge_pper_disagreement_message(self, tmp_path, monkeypatch, default_digit_limit):
+        big = "7" * 4001
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"order": 2, "rows": [[big], [big, big]]}), encoding="utf-8")
+        tiny = 10**5000
+        monkeypatch.setattr(cli, "pper_by_compositions", lambda matrix: Fraction(1, tiny))
+        code, out, err = run_cli("pper", "--file", str(path))
+        assert code == cli.EXIT_CONSISTENCY
+        assert out == ""
+        by_rows = 2 * int(big) ** 2
+        assert err == (
+            "consistency failure: last-row and composition evaluations disagree: "
+            f"<integer of {by_rows.bit_length()} bits> vs "
+            f"1/<integer of {tiny.bit_length()} bits>\n"
+        )
+
     def test_genus_cap_allows_512(self):
         assert cli._MAX_G == 512
         traces = ",".join(str((-2, -1, 0, 1, 2)[i % 5]) for i in range(512))
@@ -415,6 +463,71 @@ class TestPperCommand:
         payload = json.loads(out)
         assert payload["pper"] == "3"
         assert payload["agree"] is True
+
+    def test_golden_formats(self, tmp_path):
+        # seeded order-12 table: signs, zeros, ints and denominators up to 12
+        rows = [
+            ["2/7"],
+            [7, "9/4"],
+            ["-7/6", 0, "-1/9"],
+            ["6/2", -8, 7, 2],
+            ["0/9", -6, "7/10", "-1/4", "5/6"],
+            ["4/2", "5/6", "0/7", "0/9", 0, "-8/4"],
+            [0, "5/10", "-8/8", "4/8", "3/3", "2/4", "-9/1"],
+            ["2/4", "-3/10", 8, "-5/11", "-3/9", "5/5", "2/8", "-4/6"],
+            ["3/12", "0/11", -2, "6/3", 7, "0/7", "-6/4", "5/11", "0/12"],
+            ["0/2", "-6/2", "-4/5", "9/10", 9, 5, "2/11", 4, "5/3", 9],
+            ["0/11", "3/6", 0, "4/4", "3/9", "2/9", "-7/8", "-3/7", "8/11", "-1/9", "5/12"],
+            [5, "-2/8", -4, "5/5", "6/10", "-4/11", 6, "5/7", "6/7", "-2/4", "-4/9", "4/3"],
+        ]
+        path = self.write(tmp_path, {"order": 12, "rows": rows})
+        value = "6474014068999/1290909312"
+        golden = {
+            "json": (
+                '{\n'
+                '  "order": 12,\n'
+                f'  "pper": "{value}",\n'
+                f'  "by_last_row": "{value}",\n'
+                f'  "by_compositions": "{value}",\n'
+                '  "agree": true\n'
+                '}\n'
+            ),
+            "csv": (
+                "key,value\n"
+                "order,12\n"
+                f"pper,{value}\n"
+                f"by_last_row,{value}\n"
+                f"by_compositions,{value}\n"
+                "agree,true\n"
+            ),
+            "table": (
+                "order            12\n"
+                f"pper             {value}\n"
+                f"by_last_row      {value}\n"
+                f"by_compositions  {value}\n"
+                "agree            true\n"
+            ),
+        }
+        for fmt, expected in golden.items():
+            assert run_cli("pper", "--file", path, "--format", fmt) == (cli.EXIT_OK, expected, "")
+
+    def test_order_bound_refused_up_front(self, tmp_path):
+        order = cli._MAX_PPER_ORDER + 1
+        path = self.write(tmp_path, {"order": order, "rows": [["1/3"] * i for i in range(1, order + 1)]})
+        started = time.perf_counter()
+        code, out, err = run_cli("pper", "--file", path)
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert f"table order capped at {cli._MAX_PPER_ORDER}, got {order}" in err
+
+    def test_order_bound_allows_20(self, tmp_path):
+        # all-ones table: the parapermanent counts the 2^19 compositions of 20
+        assert cli._MAX_PPER_ORDER == 20
+        path = self.write(tmp_path, {"order": 20, "rows": [[1] * i for i in range(1, 21)]})
+        code, out, _ = run_cli("pper", "--file", path)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["pper"] == str(2**19)
 
     def test_integer_entries_allowed(self, tmp_path):
         path = self.write(tmp_path, {"order": 1, "rows": [[7]]})

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from zetapoly.arith import QuadExt
 from zetapoly.compositions import count, enumerate_compositions
+from zetapoly import parapermanent
 from zetapoly.parapermanent import (
     TriangularMatrix,
+    _common_denominator,
     _factorial_product_table,
     factorial_product,
     pper_by_compositions,
@@ -202,6 +205,109 @@ class TestGenericEvaluators:
                 expected = term if expected is None else expected + term
             assert sums[k] == expected
             assert sums[: k + 1] == pper_composition_sums(k, fp, one)
+
+
+def fraction_last_row(rows):
+    # pper(i) = sum_s prod_{k=s..i} b[i][k] * pper(s-1), each entry taken as
+    # a Fraction on its own: no common denominator and no read-out
+    prefixes = [Fraction(1)]
+    for i, row in enumerate(rows, start=1):
+        total, product = Fraction(0), Fraction(1)
+        for s in range(i, 0, -1):
+            product *= Fraction(row[s - 1])
+            total += product * prefixes[s - 1]
+        prefixes.append(total)
+    return prefixes[-1]
+
+
+LARGE_PRIMES = (1_000_000_007, 2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+rational_entries = st.one_of(
+    st.just(0),
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.sampled_from(LARGE_PRIMES)),
+)
+
+rational_rows = st.integers(0, 8).flatmap(
+    lambda order: st.tuples(
+        *(st.lists(rational_entries, min_size=i, max_size=i) for i in range(1, order + 1))
+    )
+)
+
+
+def _mixed_matrix(order, seed):
+    # ints, zeros and Fractions of several denominators in every row
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.3:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    return TriangularMatrix(
+        tuple(tuple(entry() for _ in range(i)) for i in range(1, order + 1))
+    )
+
+
+class TestRationalTables:
+    @settings(deadline=None)
+    @given(rational_rows)
+    def test_evaluators_match_fraction_recurrence(self, rows):
+        matrix = TriangularMatrix(rows)
+        expected = fraction_last_row(rows)
+        assert pper_by_last_row(matrix) == expected
+        assert pper_by_compositions(matrix) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_common_denominator_path_matches_fraction_recurrence(self, seed):
+        matrix = _mixed_matrix(9, seed)
+        _, denominator = _common_denominator(matrix)
+        assert denominator > 1
+        expected = fraction_last_row(matrix.rows)
+        assert pper_by_last_row(matrix) == expected
+        assert pper_by_compositions(matrix) == expected
+
+    def test_integer_table_has_unit_denominator(self):
+        matrix = TriangularMatrix(((3,), (-2, 0), (5, 7, -1)))
+        scaled, denominator = _common_denominator(matrix)
+        assert denominator == 1
+        assert scaled == matrix
+        assert pper_by_last_row(matrix) == pper_by_compositions(matrix) == -35 - 21
+
+    def test_scaled_table_is_integer(self):
+        matrix = _mixed_matrix(7, 11)
+        scaled, denominator = _common_denominator(matrix)
+        entries = [entry for row in matrix.rows for entry in row]
+        assert denominator == math.lcm(*(Fraction(entry).denominator for entry in entries))
+        for row, scaled_row in zip(matrix.rows, scaled.rows):
+            assert all(type(value) is int for value in scaled_row)
+            assert list(scaled_row) == [entry * denominator for entry in row]
+        table = _factorial_product_table(scaled)
+        assert all(type(value) is int for row in table[1:] for value in row[1:])
+
+    def test_large_denominator_keeps_fractions(self):
+        # order * bit_length(D) past the bound: the generic path, same value
+        prime = LARGE_PRIMES[-1]
+        rows = tuple(
+            tuple(Fraction(i - 2 * j, prime**j) for j in range(1, i + 1))
+            for i in range(1, 9)
+        )
+        matrix = TriangularMatrix(rows)
+        assert 8 * (8 * 127) > parapermanent._SCALED_BITS
+        assert _common_denominator(matrix) is None
+        expected = fraction_last_row(rows)
+        assert pper_by_last_row(matrix) == expected
+        assert pper_by_compositions(matrix) == expected
+        assert 2 * (2 * 127) <= parapermanent._SCALED_BITS
+        assert _common_denominator(TriangularMatrix(rows[:2])) is not None
+
+    def test_other_scalars_keep_their_type(self):
+        matrix = TriangularMatrix(((QuadExt(1, 1),), (QuadExt(2), QuadExt(0, 1))))
+        assert _common_denominator(matrix) is None
+        expected = QuadExt(2) * QuadExt(0, 1) + QuadExt(1, 1) * QuadExt(0, 1)
+        assert pper_by_last_row(matrix, QuadExt.one()) == expected
+        assert pper_by_compositions(matrix, QuadExt.one()) == expected
 
 
 class CountingScalar:
