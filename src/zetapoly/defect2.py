@@ -22,20 +22,22 @@ neither c_theta nor the walk: the branch's trace product in closed form,
 that stands in for the trace-data L-polynomial in verify_symmetry and
 analyze.
 
-The integer core is one depth-first walk over compositions by part that
-carries both branches at once.  A node is a composition of its prefix
-sum N and carries the integers N! * CR_pi/4 and N! * CR_3pi/4, so
-appending a part multiplies each by one precomputed factor, and every
-node is the term of its own n: one walk to max_n yields n! * a_n and the
-sign tallies (P+, P-) of both branches for every n <= max_n at once (a
-call that asks for one branch walks both).  The two branches' child
-tables must list the same parts; at every node each term's sign is
-checked against its branch's parity-class rule, and the pair is compared
-termwise, v_pi/4 == (-1)^N v_3pi/4, a verdict recorded per n.  cr_theta
-stays the paper's term formula and the tests' check on the walk; it never
-feeds it.  Large walks split at a fixed prefix sum: the parent walks the
-short prefixes and one process pool, at most one worker per available
-CPU, walks the size-balanced groups of subtrees below them.
+The integer core is one depth-first walk over compositions by part in one
+branch's child table.  A node is a composition of its prefix sum N and
+carries the integer N! * CR_theta, so appending a part multiplies it by
+one precomputed factor, and every node is the term of its own n: one walk
+to max_n yields n! * a_n and the sign tallies (P+, P-) for every n <= max_n.
+A term is the product of its parts' factors, so the tables decide both
+claims about terms: the parity-class sign rule holds for every term when it
+holds for every part, and the branches agree termwise,
+v_pi/4 == (-1)^N v_3pi/4, up to n when every step into a prefix sum <= n
+has f_pi/4 == (-1)^m f_3pi/4.  A call for one branch walks its own table;
+a call for both walks pi/4 and reads 3pi/4 off it (n! * a_n flips by
+(-1)^n, P+ and P- swap for odd n), still checked against the 3pi/4 closed
+form.  cr_theta stays the paper's term formula and the tests' check on
+the walk; it never feeds it.  Large walks split at a fixed prefix sum: the
+parent walks the short prefixes and one process pool, at most one worker
+per available CPU, walks the size-balanced groups of subtrees below them.
 
 On top of it sit the sign bookkeeping (classify, count_signs,
 sign_tallies), the pi/4 <-> 3pi/4 symmetry check, the sign/growth
@@ -57,7 +59,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .arith import QuadExt, pow2_half
 from .compositions import Composition
 from .errors import ConsistencyError
-from .lpoly import SSequence, coeffs_by_recurrence_exact
+from .lpoly import SSequence, coeffs_by_recurrence
 
 ENUMERATION_CAP = 24
 
@@ -68,22 +70,18 @@ _SPLIT_PREFIX = 8
 # pool tasks per walk, each a size-balanced group of subtrees
 _CHUNKS_PER_WALK = 8
 
-# a walk node and a paired child step share one layout: (prefix sum, value
-# or factor at pi/4, value or factor at 3pi/4, parity-rule flag at pi/4,
-# parity-rule flag at 3pi/4)
-_Node = tuple[int, int, int, bool, bool]
-# one branch's child step: (prefix sum, factor, rule flag)
-_Step = tuple[int, int, bool]
+# a walk node is (prefix sum, value) and a child step (prefix sum, factor)
+_Node = tuple[int, int]
 # per n: n! * a_n, then P+ and P-
 _Sums = tuple[list[int], list[int], list[int]]
 
 
 class _Walk(NamedTuple):
-    """What one paired walk to max_n found, per n <= max_n."""
+    """What one walk to max_n found, per n <= max_n."""
 
     sums: dict[Theta, _Sums]
-    # every term of a_n has v_pi4 == (-1)^n * v_3pi4
-    symmetric: list[bool]
+    # every term of a_n has v_pi4 == (-1)^n * v_3pi4; None for a one-branch walk
+    symmetric: Optional[list[bool]]
 
 
 class Theta(enum.Enum):
@@ -181,15 +179,17 @@ def _cnum_table(n: int, g: int, theta: Theta) -> list[int]:
     return table
 
 
-def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Step]]:
+def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Node]]:
     # children[N] lists, for every part m that can follow a prefix summing
-    # to N, the tuple (N + m, factor, parity-rule flag).  A node's value is
-    # n! * CR_theta of its composition of n = N, so a child's value is its
-    # parent's times factor = F(m) (N+1)(N+2)...(N+m-1), where
+    # to N, the step (N + m, factor).  A node's value is n! * CR_theta of
+    # its composition of n = N, so a child's value is its parent's times
+    # factor = F(m) (N+1)(N+2)...(N+m-1), where
     # F(m) = -2 * 2^(m/2) * C_theta(m) = -cnum[m] * 2^(m//2 + 1).
     # Parts of weight zero (only for g <= 2) are left out: their subtrees
-    # add nothing.  For g <= 2 no parity rule is claimed, so the flag is the
-    # factor's own sign and the walk's sign check holds trivially.
+    # add nothing.  The falling factorials are positive, so a term's sign is
+    # the product of its parts' signs of F(m), and the parity-class rule
+    # (claimed for g > 2) holds for every term exactly when it holds for
+    # every one-part term.
     cnum = _cnum_table(max_n, g, theta)
     classes = _PARITY_CLASSES[theta]
     parts = []
@@ -197,44 +197,58 @@ def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Step]]:
         if cnum[m] == 0:
             continue
         factor = -cnum[m] << (m // 2 + 1)
-        flag = residue_class(m) in classes if g > 2 else factor < 0
-        parts.append((m, factor, flag))
+        if g > 2 and (factor < 0) is not (residue_class(m) in classes):
+            raise ConsistencyError(
+                f"a term of a_{m} has the sign opposite to the parity-class rule"
+            )
+        parts.append((m, factor))
     fact = [math.factorial(k) for k in range(max_n + 1)]
     return [
         [
-            (prefix + m, factor * (fact[prefix + m - 1] // fact[prefix]), flag)
-            for m, factor, flag in parts
+            (prefix + m, factor * (fact[prefix + m - 1] // fact[prefix]))
+            for m, factor in parts
             if prefix + m <= max_n
         ]
         for prefix in range(max_n)
     ]
 
 
-def _paired_children(max_n: int, g: int) -> list[list[_Node]]:
-    # the two branches' child tables zipped into one: they must list the
-    # same children, so the same zero weights pruned, and differ only in
-    # their factors and rule flags
-    paired = []
-    tables = zip(_walk_children(max_n, g, Theta.PI_4), _walk_children(max_n, g, Theta.THREE_PI_4))
-    for prefix, (steps, steps3) in enumerate(tables):
-        if [step[0] for step in steps] != [step[0] for step in steps3]:
+def _symmetry_verdicts(
+    children: list[list[_Node]], children3: list[list[_Node]], g: int
+) -> list[bool]:
+    # entry n: every term of every n' <= n has v_pi4 == (-1)^n' v_3pi4.  The
+    # two tables must list the same steps; a term is the product of its
+    # steps' factors, none of them zero, so the terms of n' all agree
+    # exactly when every step into a prefix sum <= n' has
+    # f_pi4 == (-1)^m f_3pi4 for its part m.
+    max_n = len(children)
+    first_break = max_n + 1
+    for prefix, (steps, steps3) in enumerate(zip(children, children3)):
+        if [child for child, _ in steps] != [child for child, _ in steps3]:
             raise ConsistencyError(
                 f"the two branches' walk steps after prefix sum {prefix} differ for g={g}"
             )
-        paired.append(
-            [
-                (child, factor, factor3, rule, rule3)
-                for (child, factor, rule), (_, factor3, rule3) in zip(steps, steps3)
-            ]
-        )
-    return paired
+        for (child, factor), (_, factor3) in zip(steps, steps3):
+            if factor != (-factor3 if (child - prefix) & 1 else factor3):
+                first_break = min(first_break, child)
+    return [n < first_break for n in range(max_n + 1)]
 
 
-def _empty_walk(max_n: int) -> _Walk:
-    return _Walk(
-        {theta: tuple([0] * (max_n + 1) for _ in range(3)) for theta in _THETAS},
-        [True] * (max_n + 1),
+def _reflect(sums: _Sums) -> _Sums:
+    # the 3pi/4 sums read off the pi/4 ones, exact for every n whose
+    # symmetry verdict holds: each term of n flips by (-1)^n, so n! * a_n
+    # does and, for odd n, P+ and P- swap
+    scaled, plus, minus = sums
+    odd = [n & 1 for n in range(len(scaled))]
+    return (
+        [-value if flip else value for value, flip in zip(scaled, odd)],
+        [m if flip else p for p, m, flip in zip(plus, minus, odd)],
+        [p if flip else m for p, m, flip in zip(plus, minus, odd)],
     )
+
+
+def _empty_sums(max_n: int) -> _Sums:
+    return tuple([0] * (max_n + 1) for _ in range(3))
 
 
 def _walk(
@@ -242,69 +256,44 @@ def _walk(
     stop: int,
     children: list[list[_Node]],
     roots: list[_Node],
-    walk: _Walk,
+    sums: _Sums,
 ) -> list[_Node]:
     # depth-first walk below the given nodes; every node below a root is the
-    # term of its own n in both branches: both values are added to their
-    # branch sums, each sign is checked against its branch's parity rule and
-    # tallied, and the pair is compared termwise.  Nodes with prefix >= stop
-    # are not expanded but returned, so a caller can hand their subtrees to
-    # other processes.
-    sums, plus, minus = walk.sums[Theta.PI_4]
-    sums3, plus3, minus3 = walk.sums[Theta.THREE_PI_4]
-    symmetric = walk.symmetric
+    # term of its own n: its value is added to the sum of n and its sign
+    # tallied.  Nodes with prefix >= stop are not expanded but returned, so
+    # a caller can hand their subtrees to other processes.
+    scaled, plus, minus = sums
     frontier = []
     stack = list(roots)
     pop = stack.pop
     push = stack.append
     while stack:
-        prefix, value, value3, rule, rule3 = pop()
-        for child, factor, factor3, rule_step, rule3_step in children[prefix]:
+        prefix, value = pop()
+        for child, factor in children[prefix]:
             term = value * factor
-            term3 = value3 * factor3
-            child_rule = rule ^ rule_step
-            child_rule3 = rule3 ^ rule3_step
-            sums[child] += term
-            sums3[child] += term3
-            if (term < 0) is not child_rule or (term3 < 0) is not child_rule3:
-                raise _sign_error(child)
-            if child_rule:
+            scaled[child] += term
+            if term < 0:
                 minus[child] += 1
             else:
                 plus[child] += 1
-            if child_rule3:
-                minus3[child] += 1
-            else:
-                plus3[child] += 1
-            if term != (-term3 if child & 1 else term3):
-                symmetric[child] = False
             if child < stop:
-                push((child, term, term3, child_rule, child_rule3))
+                push((child, term))
             elif child < max_n:
-                frontier.append((child, term, term3, child_rule, child_rule3))
+                frontier.append((child, term))
     return frontier
 
 
-def _sign_error(n: int) -> ConsistencyError:
-    return ConsistencyError(
-        f"a term of a_{n} has the sign opposite to the parity-class rule"
-    )
-
-
-def _walk_subtrees(max_n: int, children: list[list[_Node]], roots: list[_Node]) -> _Walk:
+def _walk_subtrees(max_n: int, children: list[list[_Node]], roots: list[_Node]) -> _Sums:
     # worker entry point: what the walk finds in the subtrees below the roots
-    walk = _empty_walk(max_n)
-    _walk(max_n, max_n, children, roots, walk)
-    return walk
+    sums = _empty_sums(max_n)
+    _walk(max_n, max_n, children, roots, sums)
+    return sums
 
 
-def _merge(total: _Walk, part: _Walk) -> None:
-    for theta in _THETAS:
-        for into, values in zip(total.sums[theta], part.sums[theta]):
-            for n, value in enumerate(values):
-                into[n] += value
-    for n, ok in enumerate(part.symmetric):
-        total.symmetric[n] = total.symmetric[n] and ok
+def _merge(total: _Sums, part: _Sums) -> None:
+    for into, values in zip(total, part):
+        for n, value in enumerate(values):
+            into[n] += value
 
 
 def _balance(frontier: list[_Node], max_n: int, chunks: int) -> list[list[_Node]]:
@@ -339,32 +328,43 @@ def _resolve_threads(threads: Optional[int], chunks: int) -> int:
     return _clamp_workers(cpus if threads is None else threads, chunks, cpus)
 
 
-def _walk_sums(max_n: int, g: int, threads: Optional[int]) -> _Walk:
-    # one paired walk over every composition of every n <= max_n, both
-    # branches at once; large walks use one process pool: the parent walks
-    # the prefixes below _SPLIT_PREFIX and the pool walks the subtrees
-    # hanging off them
-    if max_n > ENUMERATION_CAP:
-        raise ValueError(
-            f"composition enumeration capped at n <= {ENUMERATION_CAP}, got n={max_n}"
-        )
+def _walk_table(max_n: int, children: list[list[_Node]], threads: Optional[int]) -> _Sums:
+    # one walk over every composition of every n <= max_n in one child
+    # table; large walks use one process pool: the parent walks the
+    # prefixes below _SPLIT_PREFIX and the pool walks the subtrees hanging
+    # off them
     parallel = (1 << max_n) - 1 >= _PARALLEL_MIN_NODES
     workers = _resolve_threads(threads, _CHUNKS_PER_WALK if parallel else 1)
-    children = _paired_children(max_n, g)
-    walk = _empty_walk(max_n)
-    root = [(0, 1, 1, False, False)]
+    sums = _empty_sums(max_n)
+    root = [(0, 1)]
     if workers == 1:
-        _walk(max_n, max_n, children, root, walk)
-        return walk
+        _walk(max_n, max_n, children, root, sums)
+        return sums
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        frontier = _walk(max_n, _SPLIT_PREFIX, children, root, walk)
+        frontier = _walk(max_n, _SPLIT_PREFIX, children, root, sums)
         futures = [
             pool.submit(_walk_subtrees, max_n, children, group)
             for group in _balance(frontier, max_n, _CHUNKS_PER_WALK)
         ]
         for future in futures:
-            _merge(walk, future.result())
-    return walk
+            _merge(sums, future.result())
+    return sums
+
+
+def _walk_sums(max_n: int, g: int, threads: Optional[int], theta: Optional[Theta] = None) -> _Walk:
+    # one walk to max_n: of the given branch's own table, or, for both
+    # branches (theta None), of the pi/4 table, with 3pi/4 read off it and
+    # the termwise symmetry decided on the two tables
+    if max_n > ENUMERATION_CAP:
+        raise ValueError(
+            f"composition enumeration capped at n <= {ENUMERATION_CAP}, got n={max_n}"
+        )
+    if theta is not None:
+        return _Walk({theta: _walk_table(max_n, _walk_children(max_n, g, theta), threads)}, None)
+    children = _walk_children(max_n, g, Theta.PI_4)
+    symmetric = _symmetry_verdicts(children, _walk_children(max_n, g, Theta.THREE_PI_4), g)
+    sums = _walk_table(max_n, children, threads)
+    return _Walk({Theta.PI_4: sums, Theta.THREE_PI_4: _reflect(sums)}, symmetric)
 
 
 def _coefficients(sums: _Sums, g: int, theta: Theta) -> list[int]:
@@ -383,23 +383,23 @@ def _coefficients(sums: _Sums, g: int, theta: Theta) -> list[int]:
     return values
 
 
-def _walk_to(n: int, g: int, threads: Optional[int]) -> _Walk:
+def _walk_to(n: int, g: int, threads: Optional[int], theta: Optional[Theta] = None) -> _Walk:
     # the walk for the entry points that read a_1..a_n, 1 <= n <= g
     if not 1 <= n <= g:
         raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
-    return _walk_sums(n, g, threads)
+    return _walk_sums(n, g, threads, theta)
 
 
 def a_n_theta_exact(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> QuadExt:
     """a_n as an exact Q(sqrt 2) number via the composition sum; n <= cap."""
-    return QuadExt(_coefficients(_walk_to(n, g, threads).sums[theta], g, theta)[n])
+    return QuadExt(_coefficients(_walk_to(n, g, threads, theta).sums[theta], g, theta)[n])
 
 
 def a_list_theta(
     max_n: int, g: int, theta: Theta, threads: Optional[int] = None
 ) -> list[int]:
     """a_0..a_max_n as integers from one walk of every composition; max_n <= cap."""
-    return _coefficients(_walk_to(max_n, g, threads).sums[theta], g, theta)
+    return _coefficients(_walk_to(max_n, g, threads, theta).sums[theta], g, theta)
 
 
 def a_n_theta(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> int:
@@ -432,14 +432,7 @@ def a_list_theta_recurrence(n_max: int, g: int, theta: Theta) -> list[int]:
     if not 0 <= n_max <= g:
         raise ValueError(f"need 0 <= n_max <= g, got n_max={n_max}, g={g}")
     weights = tuple(_recurrence_weight(i, g, theta) for i in range(1, n_max + 1))
-    values = coeffs_by_recurrence_exact(SSequence(2, weights))
-    for n, value in enumerate(values):
-        if value.denominator != 1:
-            raise ConsistencyError(
-                f"recurrence produced non-integer a_{n} for g={g}, "
-                f"theta={theta.value}: {value}"
-            )
-    return [value.numerator for value in values]
+    return coeffs_by_recurrence(SSequence(2, weights))
 
 
 def a_n_theta_recurrence(n: int, g: int, theta: Theta) -> int:
@@ -461,7 +454,7 @@ def sign_tallies(
         raise ValueError(f"sign counting needs g > 2, got g={g}")
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    _, plus, minus = _walk_sums(max_n, g, threads).sums[theta]
+    _, plus, minus = _walk_sums(max_n, g, threads, theta).sums[theta]
     return [(1, 0)] + list(zip(plus[1:], minus[1:]))
 
 
@@ -510,11 +503,12 @@ def _check_agreement(
 def verify_symmetry(n: int, g: int) -> bool:
     """Termwise and aggregate check of a_{n,pi/4} = (-1)^n a_{n,3pi/4}.
 
-    One paired walk compares the two branches' terms of every composition
-    of n; a pair that differs is the verdict False.  When every pair
-    agrees, each branch's a_1..a_n must be integers equal to the closed
-    form [t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), which reads neither
-    c_theta nor the walk; a disagreement there raises ConsistencyError.
+    The two branches' child tables decide whether the terms of every
+    composition of n agree; a pair that differs is the verdict False.
+    When every pair agrees, one walk of pi/4 gives both branches'
+    a_1..a_n; each must be integers equal to the closed form
+    [t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), which reads neither c_theta
+    nor the walk; a disagreement there raises ConsistencyError.
     """
     walk = _walk_to(n, g, 1)
     if not walk.symmetric[n]:
@@ -679,12 +673,13 @@ def analyze(
 ) -> Defect2Report:
     """Full defect-2 coefficient report for one genus.
 
-    One paired walk of every composition gives a_1..a_max_n and the term
-    sign tallies (g > 2) for both branches; the report shows the selected
-    ones.  Row by row it checks the symmetry (termwise in the walk, and
-    between the two coefficients), the sign-tally claims and the
-    sign/growth claims, and it cross-checks the coefficients against both
-    the branch's trace product in closed form and the linear recurrence.
+    One walk of every composition gives a_1..a_max_n and the term sign
+    tallies (g > 2) of the selected branches: of that branch's table for
+    one, of pi/4 with 3pi/4 read off it for both.  Row by row it checks
+    the termwise symmetry (both branches only), the sign-tally claims and
+    the sign/growth claims, and it cross-checks the coefficients against
+    both the branch's trace product in closed form and the linear
+    recurrence.
     Any cross-check mismatch raises ConsistencyError; claim verdicts land
     in the report.
     """
@@ -702,7 +697,12 @@ def analyze(
         if not selected:
             raise ValueError("no branch selected")
 
-    walk = _walk_sums(max_n, g, threads)
+    # both branches: one walk of pi/4 with 3pi/4 read off it; one branch:
+    # a walk of its own table
+    if len(selected) == 2:
+        walk = _walk_sums(max_n, g, threads)
+    else:
+        walk = _walk_sums(max_n, g, threads, selected[0])
     coefficients: dict[Theta, list[int]] = {}
     for theta in selected:
         values = _coefficients(walk.sums[theta], g, theta)
@@ -720,13 +720,7 @@ def analyze(
             tally = (plus[n], minus[n]) if g > 2 else (None, None)
             cells[theta] = ThetaCell(coefficients[theta][n], *tally)
 
-        if len(selected) == 2:
-            flip = -1 if n % 2 else 1
-            symmetry_ok: Optional[bool] = walk.symmetric[n] and (
-                cells[Theta.PI_4].a == flip * cells[Theta.THREE_PI_4].a
-            )
-        else:
-            symmetry_ok = None
+        symmetry_ok = None if walk.symmetric is None else walk.symmetric[n]
 
         if g > 2 and n >= 2:
             tally_ok: Optional[bool] = True

@@ -13,11 +13,12 @@ and the class number is h = L(1).
 
 Everything is exact and runs in plain integers.  The recurrence divides by
 i at each step and keeps a_i an int while every division is exact (a
-Fraction from the first one that is not).  The two parapermanent routes
-share one integer table instead: its factorial products are
-S_{i+1-j} (i-1)!/(j-1)!, the telescoped S_{i+1-j}/i times i!/(j-1)!, so the
-product at the keys of a composition of N telescopes to N! times its term
-and the parapermanent of order i is i! a_i; one read-out divides by i!.
+Fraction from the first one that is not, where the integer route stops).
+The two parapermanent routes share one integer table instead: its
+factorial products are S_{i+1-j} (i-1)!/(j-1)!, the telescoped
+S_{i+1-j}/i times i!/(j-1)!, so the product at the keys of a composition
+of N telescopes to N! times its term and the parapermanent of order i is
+i! a_i; one read-out divides by i!.
 So the recurrence shares neither loop nor arithmetic with the other two,
 which share the table and the read-out but not their loops.  The _exact
 functions return Fractions; the integer functions raise ConsistencyError
@@ -30,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ConsistencyError, describe
 from .parapermanent import TriangularMatrix, pper_composition_sums, pper_prefixes
@@ -213,17 +214,19 @@ def _unscaled(scaled: Sequence[int]) -> list[Union[int, Fraction]]:
     return values
 
 
-def _recurrence(s: SSequence) -> list[Union[int, Fraction]]:
-    # a_i stays an int while every division by i is exact
+def _recurrence(s: SSequence) -> Iterator[Union[int, Fraction]]:
+    # a_i stays an int while every division by i is exact; each a_i is
+    # yielded as it is found, so a caller can stop at the first Fraction
     values = s.s
     coeffs: list[Union[int, Fraction]] = [1]
+    yield 1
     for i in range(1, s.g + 1):
         total = 0
         for j in range(1, i + 1):
             total += values[j - 1] * coeffs[i - j]
         quotient, remainder = divmod(total, i)
         coeffs.append(Fraction(total, i) if remainder else quotient)
-    return coeffs
+        yield coeffs[i]
 
 
 def _parapermanent(s: SSequence) -> list[Union[int, Fraction]]:
@@ -254,8 +257,9 @@ def coeffs_by_compositions_exact(s: SSequence) -> list[Fraction]:
 
 
 def _as_integers(
-    values: Sequence[Union[int, Fraction]], s: SSequence, method: str
+    values: Iterable[Union[int, Fraction]], s: SSequence, method: str
 ) -> list[int]:
+    integers = []
     for i, value in enumerate(values):
         if isinstance(value, Fraction):
             raise ConsistencyError(
@@ -263,7 +267,8 @@ def _as_integers(
                 f"S={describe(list(s.s))} "
                 f"[method: {method}]"
             )
-    return list(values)
+        integers.append(value)
+    return integers
 
 
 def coeffs_by_recurrence(s: SSequence) -> list[int]:

@@ -333,6 +333,18 @@ class TestOutputLimits:
         big = f"<integer of {(q**45).bit_length()} bits>"
         assert failure.endswith(f", {big}] [method: recurrence]")
 
+    @pytest.mark.parametrize("command", [("lpoly", "from-counts"), ("classnumber",)])
+    def test_recurrence_stops_at_first_fraction(self, command):
+        # a_2 = 1/2 - q is the first non-integral coefficient: the route
+        # must stop there, not carry Fractions on to a_400
+        counts = ",".join(["2"] + ["1"] * 399)
+        started = time.perf_counter()
+        code, out, err = run_cli(*command, "--q", "999999999989", "--counts", counts)
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_CONSISTENCY
+        assert out == ""
+        assert "a_2 is not an integer" in err.splitlines()[-1]
+
     def test_huge_pper_disagreement_message(self, tmp_path, monkeypatch, default_digit_limit):
         big = "7" * 4001
         path = tmp_path / "huge.json"

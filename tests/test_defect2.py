@@ -354,6 +354,13 @@ class TestConsistencyGuards:
         with pytest.raises(ConsistencyError, match="weight at i=2 is not an integer"):
             a_list_theta_recurrence(4, 6, Theta.PI_4)
 
+    def test_non_integral_recurrence_raises(self, monkeypatch):
+        # w_1 = 1 and no other weight: 2 a_2 = a_1 = 1
+        monkeypatch.setattr(defect2, "_recurrence_weight", lambda i, g, theta: int(i == 1))
+        for theta in BOTH:
+            with pytest.raises(ConsistencyError, match="a_2 is not an integer"):
+                a_list_theta_recurrence(2, 6, theta)
+
     def test_exact_matches_integer_route(self):
         for theta in BOTH:
             for n in range(1, 9):
@@ -392,6 +399,14 @@ class TestPrefixWalk:
             count_signs(5, 5, Theta.PI_4)
         with pytest.raises(ConsistencyError):
             analyze(5)
+
+    def test_rule_checked_on_every_part(self, monkeypatch):
+        # class 8 dropped from the 3pi/4 rule: only parts of 8 break it
+        below_eight = count_signs(7, 5, Theta.THREE_PI_4)
+        monkeypatch.setitem(defect2._PARITY_CLASSES, Theta.THREE_PI_4, (3, 5))
+        assert count_signs(7, 5, Theta.THREE_PI_4) == below_eight
+        with pytest.raises(ConsistencyError, match="a term of a_8 has the sign opposite"):
+            count_signs(9, 5, Theta.THREE_PI_4)
 
     def test_wrong_weight_caught_by_trace_route(self, monkeypatch):
         # the walk and the recurrence both read c_theta, so a wrong weight
@@ -435,7 +450,7 @@ class TestPairedWalk:
         # is n! * cr_theta, and every term is rational
         for theta in BOTH:
             steps = [
-                {child: factor for child, factor, _ in row}
+                {child: factor for child, factor in row}
                 for row in defect2._walk_children(10, g, theta)
             ]
             for n in range(1, 11):
@@ -464,13 +479,46 @@ class TestPairedWalk:
                 assert [step[0] for step in row_pi4] == [step[0] for step in row_3pi4]
                 if g > 2:
                     assert len(row_pi4) == 24 - prefix
-                for (child, factor, _), (_, factor3, _) in zip(row_pi4, row_3pi4):
+                for (child, factor), (_, factor3) in zip(row_pi4, row_3pi4):
                     assert factor == (-1) ** (child - prefix) * factor3
 
     def test_walk_verdicts_all_hold(self):
         for g in (1, 2, 3, 9, 14):
             walk = defect2._walk_sums(14, g, 1)
             assert all(walk.symmetric)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 9, 14])
+    def test_reflected_branch_equals_its_own_walk(self, g):
+        # 3pi/4 read off the pi/4 walk: n! a_n and (P+, P-) of every n <= 14
+        both = defect2._walk_sums(14, g, 1)
+        own = defect2._walk_sums(14, g, 1, Theta.THREE_PI_4)
+        assert both.sums[Theta.THREE_PI_4] == own.sums[Theta.THREE_PI_4]
+        assert own.symmetric is None
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    @pytest.mark.parametrize("g", [3, 6])
+    def test_verdicts_equal_termwise_comparison(self, monkeypatch, g, faulty):
+        if faulty:
+            patched = _with_weight(defect2.c_theta, (2,), (Theta.PI_4,), lambda g: QuadExt(-2))
+            monkeypatch.setattr(defect2, "c_theta", patched)
+        symmetric = defect2._walk_sums(8, g, 1).symmetric
+        holds = True
+        for n in range(1, 9):
+            for composition in enumerate_compositions(n):
+                left = cr_theta(composition, g, Theta.PI_4)
+                right = cr_theta(composition, g, Theta.THREE_PI_4)
+                holds = holds and left == (-right if n % 2 else right)
+            assert symmetric[n] is holds
+        assert holds is not faulty
+
+    def test_one_branch_call_reads_its_own_weights(self, monkeypatch):
+        # a pi/4-only fault leaves every 3pi/4 answer as it was
+        a_before = a_list_theta(6, 6, Theta.THREE_PI_4)
+        tallies_before = sign_tallies(6, 6, Theta.THREE_PI_4)
+        patched = _with_weight(defect2.c_theta, (2,), (Theta.PI_4,), lambda g: QuadExt(-2))
+        monkeypatch.setattr(defect2, "c_theta", patched)
+        assert a_list_theta(6, 6, Theta.THREE_PI_4) == a_before
+        assert sign_tallies(6, 6, Theta.THREE_PI_4) == tallies_before
 
     def test_one_branch_weight_changed_is_asymmetric(self, monkeypatch):
         # a class-2 weight of the same sign, on pi/4 only: every sign check
