@@ -439,7 +439,11 @@ def _cmd_defect2_analyze(args: list[str], out: TextIO, err: TextIO) -> int:
     parser.add_argument("--g", required=True)
     parser.add_argument("--max-n", dest="max_n")
     parser.add_argument("--theta", choices=("pi4", "3pi4", "both"), default="both")
-    parser.add_argument("--threads")
+    parser.add_argument(
+        "--threads",
+        help="accepted for compatibility; must be >= 1 and changes nothing, "
+        "as the composition sum runs in one process",
+    )
     _add_format_option(parser)
     ns = parser.parse_args(args)
     g = _int_option("--g", ns.g)

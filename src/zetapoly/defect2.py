@@ -17,27 +17,33 @@ three ways: exact Q(sqrt 2) term-by-term (cr_theta), an integer core
 (a_n_theta_recurrence, the lpoly S-value recurrence over q = 2 with the
 weights as S-values).  All three read the weights from c_theta; the
 integer core checks the weight shape in _cnum_table.  A fourth route reads
-neither c_theta nor the walk: the branch's trace product in closed form,
+neither c_theta nor the pass: the branch's trace product in closed form,
 [t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), a binomial sum of O(n^2) steps
 that stands in for the trace-data L-polynomial in verify_symmetry and
 analyze.
 
-The integer core is one depth-first walk over compositions by part in one
-branch's child table.  A node is a composition of its prefix sum N and
-carries the integer N! * CR_theta, so appending a part multiplies it by
-one precomputed factor, and every node is the term of its own n: one walk
-to max_n yields n! * a_n and the sign tallies (P+, P-) for every n <= max_n.
-A term is the product of its parts' factors, so the tables decide both
-claims about terms: the parity-class sign rule holds for every term when it
-holds for every part, and the branches agree termwise,
+The integer core sums one branch's child table by prefix sum.  A
+composition of N carries the integer N! * CR_theta, and appending a part m
+multiplies it by a factor that depends only on N and m, never on the parts
+before.  So the compositions of N are never listed one by one: a forward
+pass over N = 0..max_n-1 carries their sum s[N] = N! * a_N and their sign
+tallies (P+, P-) into every N + m, in O(max_n^2) integer steps for every
+n <= max_n at once.  A term is the product of its parts' factors, so the
+tables decide both claims about terms: the parity-class sign rule holds for
+every term when it holds for every part, and the branches agree termwise,
 v_pi/4 == (-1)^N v_3pi/4, up to n when every step into a prefix sum <= n
-has f_pi/4 == (-1)^m f_3pi/4.  A call for one branch walks its own table;
-a call for both walks pi/4 and reads 3pi/4 off it (n! * a_n flips by
+has f_pi/4 == (-1)^m f_3pi/4.  A call for one branch sums its own table;
+a call for both sums pi/4 and reads 3pi/4 off it (n! * a_n flips by
 (-1)^n, P+ and P- swap for odd n), still checked against the 3pi/4 closed
 form.  cr_theta stays the paper's term formula and the tests' check on
-the walk; it never feeds it.  Large walks split at a fixed prefix sum: the
-parent walks the short prefixes and one process pool, at most one worker
-per available CPU, walks the size-balanced groups of subtrees below them.
+the pass; it never feeds it.  The entry points' threads= is validated
+(>= 1) and otherwise unused: the pass runs in the calling process.
+
+The pass computes n! * a_n = sum_m s[n-m] * F(m) * (n-1)!/(n-m)!, which is
+the recurrence n * a_n = sum_m F(m) * a_(n-m) scaled by (n-1)!.  The two
+stay separate routes in code and in input: the pass reads _cnum_table, the
+recurrence reads _recurrence_weight through lpoly.coeffs_by_recurrence.
+The closed form is the check that is algebraically independent of both.
 
 On top of it sit the sign bookkeeping (classify, count_signs,
 sign_tallies), the pi/4 <-> 3pi/4 symmetry check, the sign/growth
@@ -48,10 +54,7 @@ against the closed form and the recurrence.
 from __future__ import annotations
 
 import enum
-import heapq
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
@@ -63,24 +66,17 @@ from .lpoly import SSequence, coeffs_by_recurrence
 
 ENUMERATION_CAP = 24
 
-# walks with fewer nodes (compositions of every n <= max_n) stay in-process
-_PARALLEL_MIN_NODES = 1 << 17
-# the parent walks the prefixes summing below this; the pool walks the rest
-_SPLIT_PREFIX = 8
-# pool tasks per walk, each a size-balanced group of subtrees
-_CHUNKS_PER_WALK = 8
-
-# a walk node is (prefix sum, value) and a child step (prefix sum, factor)
-_Node = tuple[int, int]
+# a child step: (prefix sum after the part, factor)
+_Step = tuple[int, int]
 # per n: n! * a_n, then P+ and P-
 _Sums = tuple[list[int], list[int], list[int]]
 
 
 class _Walk(NamedTuple):
-    """What one walk to max_n found, per n <= max_n."""
+    """What one pass to max_n found, per n <= max_n."""
 
     sums: dict[Theta, _Sums]
-    # every term of a_n has v_pi4 == (-1)^n * v_3pi4; None for a one-branch walk
+    # every term of a_n has v_pi4 == (-1)^n * v_3pi4; None for a one-branch pass
     symmetric: Optional[list[bool]]
 
 
@@ -163,7 +159,7 @@ def classify(composition: Composition, g: int, theta: Theta) -> int:
 def _cnum_table(n: int, g: int, theta: Theta) -> list[int]:
     # integer content of C_theta: for odd m the weight is table[m]*sqrt(2)/2,
     # for even m it is table[m] itself.  Any other shape would leave a sqrt(2)
-    # or a fraction that the walk's integers cannot hold, so it raises.
+    # or a fraction that the pass's integers cannot hold, so it raises.
     table = [0]
     for m in range(1, n + 1):
         weight = c_theta(m, g, theta)
@@ -179,17 +175,17 @@ def _cnum_table(n: int, g: int, theta: Theta) -> list[int]:
     return table
 
 
-def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Node]]:
+def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Step]]:
     # children[N] lists, for every part m that can follow a prefix summing
-    # to N, the step (N + m, factor).  A node's value is n! * CR_theta of
-    # its composition of n = N, so a child's value is its parent's times
+    # to N, the step (N + m, factor).  A composition of N carries
+    # N! * CR_theta, so appending the part m multiplies it by
     # factor = F(m) (N+1)(N+2)...(N+m-1), where
     # F(m) = -2 * 2^(m/2) * C_theta(m) = -cnum[m] * 2^(m//2 + 1).
-    # Parts of weight zero (only for g <= 2) are left out: their subtrees
-    # add nothing.  The falling factorials are positive, so a term's sign is
-    # the product of its parts' signs of F(m), and the parity-class rule
-    # (claimed for g > 2) holds for every term exactly when it holds for
-    # every one-part term.
+    # Parts of weight zero (only for g <= 2) are left out: the compositions
+    # that use them add nothing.  The falling factorials are positive, so a
+    # term's sign is the product of its parts' signs of F(m), and the
+    # parity-class rule (claimed for g > 2) holds for every term exactly
+    # when it holds for every one-part term.
     cnum = _cnum_table(max_n, g, theta)
     classes = _PARITY_CLASSES[theta]
     parts = []
@@ -214,7 +210,7 @@ def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Node]]:
 
 
 def _symmetry_verdicts(
-    children: list[list[_Node]], children3: list[list[_Node]], g: int
+    children: list[list[_Step]], children3: list[list[_Step]], g: int
 ) -> list[bool]:
     # entry n: every term of every n' <= n has v_pi4 == (-1)^n' v_3pi4.  The
     # two tables must list the same steps; a term is the product of its
@@ -247,128 +243,48 @@ def _reflect(sums: _Sums) -> _Sums:
     )
 
 
-def _empty_sums(max_n: int) -> _Sums:
-    return tuple([0] * (max_n + 1) for _ in range(3))
-
-
-def _walk(
-    max_n: int,
-    stop: int,
-    children: list[list[_Node]],
-    roots: list[_Node],
-    sums: _Sums,
-) -> list[_Node]:
-    # depth-first walk below the given nodes; every node below a root is the
-    # term of its own n: its value is added to the sum of n and its sign
-    # tallied.  Nodes with prefix >= stop are not expanded but returned, so
-    # a caller can hand their subtrees to other processes.
-    scaled, plus, minus = sums
-    frontier = []
-    stack = list(roots)
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        prefix, value = pop()
-        for child, factor in children[prefix]:
-            term = value * factor
-            scaled[child] += term
-            if term < 0:
-                minus[child] += 1
-            else:
-                plus[child] += 1
-            if child < stop:
-                push((child, term))
-            elif child < max_n:
-                frontier.append((child, term))
-    return frontier
-
-
-def _walk_subtrees(max_n: int, children: list[list[_Node]], roots: list[_Node]) -> _Sums:
-    # worker entry point: what the walk finds in the subtrees below the roots
-    sums = _empty_sums(max_n)
-    _walk(max_n, max_n, children, roots, sums)
-    return sums
-
-
-def _merge(total: _Sums, part: _Sums) -> None:
-    for into, values in zip(total, part):
-        for n, value in enumerate(values):
-            into[n] += value
-
-
-def _balance(frontier: list[_Node], max_n: int, chunks: int) -> list[list[_Node]]:
-    # greedy split into chunks of equal work: a root at prefix N has
-    # 2^(max_n - N) - 1 nodes below it; largest first, each to the lightest
-    groups: list[list[_Node]] = [[] for _ in range(chunks)]
-    loads = [(0, index) for index in range(chunks)]
-    for node in sorted(frontier, key=lambda node: node[0]):
-        load, index = heapq.heappop(loads)
-        groups[index].append(node)
-        heapq.heappush(loads, (load + (1 << (max_n - node[0])), index))
-    return [group for group in groups if group]
-
-
-def _clamp_workers(requested: int, chunks: int, cpus: int) -> int:
-    return min(requested, chunks, cpus)
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _resolve_threads(threads: Optional[int], chunks: int) -> int:
-    # worker processes for `chunks` units of work: never more than asked
-    # for, than there are chunks, or than this process may run on
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    cpus = _available_cpus()
-    return _clamp_workers(cpus if threads is None else threads, chunks, cpus)
-
-
-def _walk_table(max_n: int, children: list[list[_Node]], threads: Optional[int]) -> _Sums:
-    # one walk over every composition of every n <= max_n in one child
-    # table; large walks use one process pool: the parent walks the
-    # prefixes below _SPLIT_PREFIX and the pool walks the subtrees hanging
-    # off them
-    parallel = (1 << max_n) - 1 >= _PARALLEL_MIN_NODES
-    workers = _resolve_threads(threads, _CHUNKS_PER_WALK if parallel else 1)
-    sums = _empty_sums(max_n)
-    root = [(0, 1)]
-    if workers == 1:
-        _walk(max_n, max_n, children, root, sums)
-        return sums
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        frontier = _walk(max_n, _SPLIT_PREFIX, children, root, sums)
-        futures = [
-            pool.submit(_walk_subtrees, max_n, children, group)
-            for group in _balance(frontier, max_n, _CHUNKS_PER_WALK)
-        ]
-        for future in futures:
-            _merge(sums, future.result())
+def _walk_table(max_n: int, children: list[list[_Step]]) -> _Sums:
+    # n! * a_n and (P+, P-) for every n <= max_n, summed by prefix sum: a
+    # step's factor depends only on the prefix sum N and the part, not on
+    # the path to N, so in order of N each step (child, factor) adds
+    # s[N] * factor into s[child] and N's tallies into the child's, swapped
+    # when factor < 0.  Entry 0 seeds the empty composition and is cleared
+    # again: the term sums have no n = 0.
+    scaled, plus, minus = sums = tuple([0] * (max_n + 1) for _ in range(3))
+    scaled[0] = plus[0] = 1
+    for prefix, steps in enumerate(children):
+        value, up, down = scaled[prefix], plus[prefix], minus[prefix]
+        for child, factor in steps:
+            scaled[child] += value * factor
+            same, swapped = (up, down) if factor > 0 else (down, up)
+            plus[child] += same
+            minus[child] += swapped
+    scaled[0] = plus[0] = 0
     return sums
 
 
 def _walk_sums(max_n: int, g: int, threads: Optional[int], theta: Optional[Theta] = None) -> _Walk:
-    # one walk to max_n: of the given branch's own table, or, for both
-    # branches (theta None), of the pi/4 table, with 3pi/4 read off it and
+    # one pass to max_n: over the given branch's own table, or, for both
+    # branches (theta None), over the pi/4 table, with 3pi/4 read off it and
     # the termwise symmetry decided on the two tables
     if max_n > ENUMERATION_CAP:
         raise ValueError(
             f"composition enumeration capped at n <= {ENUMERATION_CAP}, got n={max_n}"
         )
+    # threads stays in the signatures for their callers; the pass runs in
+    # this process, so it changes neither the results nor the processes
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if theta is not None:
-        return _Walk({theta: _walk_table(max_n, _walk_children(max_n, g, theta), threads)}, None)
+        return _Walk({theta: _walk_table(max_n, _walk_children(max_n, g, theta))}, None)
     children = _walk_children(max_n, g, Theta.PI_4)
     symmetric = _symmetry_verdicts(children, _walk_children(max_n, g, Theta.THREE_PI_4), g)
-    sums = _walk_table(max_n, children, threads)
+    sums = _walk_table(max_n, children)
     return _Walk({Theta.PI_4: sums, Theta.THREE_PI_4: _reflect(sums)}, symmetric)
 
 
 def _coefficients(sums: _Sums, g: int, theta: Theta) -> list[int]:
-    # a_0..a_max_n from one branch's walk sums of n! * a_n, each of which
+    # a_0..a_max_n from one branch's sums of n! * a_n, each of which
     # n! must divide exactly
     scaled = sums[0]
     values = [1]
@@ -384,7 +300,7 @@ def _coefficients(sums: _Sums, g: int, theta: Theta) -> list[int]:
 
 
 def _walk_to(n: int, g: int, threads: Optional[int], theta: Optional[Theta] = None) -> _Walk:
-    # the walk for the entry points that read a_1..a_n, 1 <= n <= g
+    # the pass for the entry points that read a_1..a_n, 1 <= n <= g
     if not 1 <= n <= g:
         raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
     return _walk_sums(n, g, threads, theta)
@@ -398,7 +314,7 @@ def a_n_theta_exact(n: int, g: int, theta: Theta, threads: Optional[int] = None)
 def a_list_theta(
     max_n: int, g: int, theta: Theta, threads: Optional[int] = None
 ) -> list[int]:
-    """a_0..a_max_n as integers from one walk of every composition; max_n <= cap."""
+    """a_0..a_max_n as integers from one composition sum; max_n <= cap."""
     return _coefficients(_walk_to(max_n, g, threads, theta).sums[theta], g, theta)
 
 
@@ -443,12 +359,12 @@ def a_n_theta_recurrence(n: int, g: int, theta: Theta) -> int:
 def sign_tallies(
     max_n: int, g: int, theta: Theta, threads: Optional[int] = None
 ) -> list[tuple[int, int]]:
-    """(P+, P-) for every n <= max_n from one walk; max_n <= cap.
+    """(P+, P-) for every n <= max_n from one pass; max_n <= cap.
 
     Entry n counts the compositions of n whose terms are positive and
     negative; entry 0 is the empty composition, whose term a_0 = 1 is
     positive.  The split depends only on theta once g > 2; g is required
-    to guard that.
+    to guard that.  threads= is validated (>= 1) and otherwise unused.
     """
     if g <= 2:
         raise ValueError(f"sign counting needs g > 2, got g={g}")
@@ -475,7 +391,7 @@ def _branch_coeffs(max_n: int, g: int, theta: Theta) -> list[int]:
     # product (1 - 2st + 2t^2)^(g-1) (1 + 2t^2) with s = +-1 the sign of
     # its trace.  With u = 2t(t - s), (1 + u)^k = sum_j C(k, j) u^j and
     # [t^n] u^j = 2^j C(j, n-j) (-s)^n.  O(max_n^2) big-integer steps; it
-    # reads neither c_theta nor the walk.
+    # reads neither c_theta nor the pass.
     k = g - 1
     flip = theta.trace_value > 0
     power = []
@@ -491,7 +407,7 @@ def _branch_coeffs(max_n: int, g: int, theta: Theta) -> list[int]:
 def _check_agreement(
     route: str, values: list[int], expected: list[int], g: int, theta: Theta
 ) -> None:
-    # the walk's a_0..a_max_n against another route's; a mismatch raises
+    # the pass's a_0..a_max_n against another route's; a mismatch raises
     for n, (value, other) in enumerate(zip(values, expected)):
         if value != other:
             raise ConsistencyError(
@@ -505,10 +421,10 @@ def verify_symmetry(n: int, g: int) -> bool:
 
     The two branches' child tables decide whether the terms of every
     composition of n agree; a pair that differs is the verdict False.
-    When every pair agrees, one walk of pi/4 gives both branches'
+    When every pair agrees, one pass over pi/4 gives both branches'
     a_1..a_n; each must be integers equal to the closed form
     [t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), which reads neither c_theta
-    nor the walk; a disagreement there raises ConsistencyError.
+    nor the pass; a disagreement there raises ConsistencyError.
     """
     walk = _walk_to(n, g, 1)
     if not walk.symmetric[n]:
@@ -673,15 +589,15 @@ def analyze(
 ) -> Defect2Report:
     """Full defect-2 coefficient report for one genus.
 
-    One walk of every composition gives a_1..a_max_n and the term sign
-    tallies (g > 2) of the selected branches: of that branch's table for
-    one, of pi/4 with 3pi/4 read off it for both.  Row by row it checks
+    One pass over every composition's prefix sums gives a_1..a_max_n and
+    the term sign tallies (g > 2) of the selected branches: over that
+    branch's table for one, over pi/4 with 3pi/4 read off it for both.  Row by row it checks
     the termwise symmetry (both branches only), the sign-tally claims and
     the sign/growth claims, and it cross-checks the coefficients against
     both the branch's trace product in closed form and the linear
     recurrence.
     Any cross-check mismatch raises ConsistencyError; claim verdicts land
-    in the report.
+    in the report.  threads= is validated (>= 1) and otherwise unused.
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
@@ -697,8 +613,8 @@ def analyze(
         if not selected:
             raise ValueError("no branch selected")
 
-    # both branches: one walk of pi/4 with 3pi/4 read off it; one branch:
-    # a walk of its own table
+    # both branches: one pass over pi/4 with 3pi/4 read off it; one
+    # branch: a pass over its own table
     if len(selected) == 2:
         walk = _walk_sums(max_n, g, threads)
     else:

@@ -261,7 +261,7 @@ def test_criterion_07_sign_tally_values_and_growth():
         pinned_ok and majority_ok and growth_ok and elapsed < 120.0,
         f"sign-tally gaps match the pinned table, positives dominate at "
         f"3pi/4, and the gap exceeds n and grows strictly for 6 <= n <= 20 "
-        f"({elapsed:.2f}s < 120s, 8 threads at n=20)",
+        f"({elapsed:.2f}s < 120s, one prefix-sum pass to n=20)",
     )
 
 
@@ -365,7 +365,7 @@ def test_criterion_12_performance_envelope():
     value = defect2.a_n_theta_exact(24, 24, Theta.THREE_PI_4, threads=8)
     scan_elapsed = time.perf_counter() - scan_started
     grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before_kb
-    # the largest worker process the scan (or anything before it) reaped
+    # the largest child process reaped so far; the scan itself starts none
     children_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     expected = defect2.a_list_theta_recurrence(24, 24, Theta.THREE_PI_4)[24]
     scan_ok = value == expected and scan_elapsed < 300.0
@@ -374,7 +374,7 @@ def test_criterion_12_performance_envelope():
         12,
         recurrence_ok and scan_ok and memory_ok,
         f"a_0..a_100 recurrence in {recurrence_elapsed * 1000:.0f}ms (< 1s); "
-        f"streamed n=24 composition sum on 8 threads in {scan_elapsed:.1f}s "
-        f"(< 300s) with peak-memory growth {grown_kb} KB and worker peak "
+        f"n=24 composition sum by prefix sums in {scan_elapsed:.1f}s "
+        f"(< 300s) with peak-memory growth {grown_kb} KB and child-process peak "
         f"{children_kb} KB (each < 262144 KB)",
     )

@@ -1,8 +1,9 @@
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
-from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from zetapoly import defect2
 from zetapoly.arith import QuadExt, quad_sign
-from zetapoly.compositions import Composition, count, enumerate_compositions
+from zetapoly.compositions import Composition, enumerate_compositions
 from zetapoly.defect2 import (
     ENUMERATION_CAP,
     Theta,
@@ -182,9 +183,18 @@ class TestSignClassification:
                 assert count_signs(n, 7, theta) == (plus, minus)
 
     def test_tally_totals(self):
-        for n in range(1, 15):
-            plus, minus = count_signs(n, 5, Theta.THREE_PI_4)
-            assert plus + minus == count(n)
+        # every composition of every n up to the cap is tallied once, and the
+        # coefficients there agree with the closed form and the recurrence
+        started = time.perf_counter()
+        cap = ENUMERATION_CAP
+        for theta in BOTH:
+            for g in (3, 5, cap):
+                totals = [plus + minus for plus, minus in sign_tallies(cap, g, theta)]
+                assert totals[1:] == [1 << (n - 1) for n in range(1, cap + 1)]
+            values = a_list_theta(cap, cap, theta)
+            assert values == defect2._branch_coeffs(cap, cap, theta)
+            assert values == a_list_theta_recurrence(cap, cap, theta)
+        assert time.perf_counter() - started < 1.0
 
     @pytest.mark.parametrize(
         "n,theta,delta",
@@ -431,6 +441,27 @@ class TestPrefixWalk:
         count_signs(18, 5, Theta.THREE_PI_4, threads=2)
         assert multiprocessing.active_children() == []
 
+    def test_no_process_machinery_loaded(self):
+        # in a fresh interpreter, threads= must not pull in a process pool
+        script = "; ".join([
+            "import sys, zetapoly",
+            "from zetapoly.defect2 import Theta, a_list_theta, analyze",
+            "analyze(20, threads=8)",
+            "[a_list_theta(24, 24, theta, threads=8) for theta in Theta]",
+            "print([name for name in ('multiprocessing', 'concurrent.futures.process')"
+            " if name in sys.modules])",
+        ])
+        src = os.path.dirname(os.path.dirname(defect2.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
 
 def _with_weight(real, classes, thetas, weight):
     # c_theta with the weight of the given residue classes replaced on the
@@ -637,43 +668,3 @@ class TestListApis:
             sign_tallies(0, 5, Theta.PI_4)
         with pytest.raises(ValueError):
             sign_tallies(ENUMERATION_CAP + 1, 5, Theta.PI_4)
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
-
-    requested: list[int] = []
-
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-class TestWorkerCount:
-    def test_clamp(self):
-        assert defect2._clamp_workers(10**9, 16, 2) == 2
-        assert defect2._clamp_workers(10**9, 3, 64) == 3
-        assert defect2._clamp_workers(5, 16, 64) == 5
-        assert defect2._clamp_workers(1, 1, 1) == 1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            defect2._resolve_threads(0, 16)
-
-    def test_pool_never_larger_than_cpus(self, monkeypatch):
-        monkeypatch.setattr(_RecordingPool, "requested", [])
-        monkeypatch.setattr(defect2, "ProcessPoolExecutor", _RecordingPool)
-        value = a_n_theta(18, 18, Theta.THREE_PI_4, threads=8)
-        assert _RecordingPool.requested
-        assert all(1 <= k <= os.cpu_count() for k in _RecordingPool.requested)
-        assert value == a_list_theta_recurrence(18, 18, Theta.THREE_PI_4)[18]
