@@ -11,39 +11,37 @@ sum over the compositions (m_1, ..., m_r) of n of
 where N_s are the prefix sums and the weight C_theta(m) depends only on
 m mod 8 (and g).  For odd m the weight is a rational multiple of sqrt(2),
 for even m it is an integer, and a composition of n has as many odd parts
-as n has parity, so every term is rational.  This module evaluates the sum
-three ways: exact Q(sqrt 2) term-by-term (cr_theta), an integer core
-(a_n_theta), and a length-n linear recurrence with integer weights
-(a_n_theta_recurrence, the lpoly S-value recurrence over q = 2 with the
-weights as S-values).  All three read the weights from c_theta; the
-integer core checks the weight shape in _cnum_table.  A fourth route reads
-neither c_theta nor the pass: the branch's trace product in closed form,
-[t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), a binomial sum of O(n^2) steps
-that stands in for the trace-data L-polynomial in verify_symmetry and
-analyze.
+as n has parity, so every term is rational.
 
-The integer core sums one branch's child table by prefix sum.  A
-composition of N carries the integer N! * CR_theta, and appending a part m
-multiplies it by a factor that depends only on N and m, never on the parts
-before.  So the compositions of N are never listed one by one: a forward
-pass over N = 0..max_n-1 carries their sum s[N] = N! * a_N and their sign
-tallies (P+, P-) into every N + m, in O(max_n^2) integer steps for every
-n <= max_n at once.  A term is the product of its parts' factors, so the
-tables decide both claims about terms: the parity-class sign rule holds for
-every term when it holds for every part, and the branches agree termwise,
-v_pi/4 == (-1)^N v_3pi/4, up to n when every step into a prefix sum <= n
-has f_pi/4 == (-1)^m f_3pi/4.  A call for one branch sums its own table;
-a call for both sums pi/4 and reads 3pi/4 off it (n! * a_n flips by
-(-1)^n, P+ and P- swap for odd n), still checked against the 3pi/4 closed
-form.  cr_theta stays the paper's term formula and the tests' check on
-the pass; it never feeds it.  The entry points' threads= is validated
-(>= 1) and otherwise unused: the pass runs in the calling process.
+That sum is the paper's parapermanent formula for a_n over the branch's
+S-values S_m = F(m) = -2 * 2^(m/2) * C_theta(m), an integer for every m
+(_cnum_table refuses a weight of any other shape).  With N! in front, a
+composition of N carries N! * CR_theta, and appending a part m multiplies
+it by F(m) (N+1)(N+2)...(N+m-1): lpoly's scaled factorial product at the
+part's key.  So one branch's sums are lpoly.coeffs_by_parapermanent over
+its S-values, O(max_n^2) integer steps for every n <= max_n at once, and
+no composition is ever listed.  A term is the product of its parts' F(m)
+and positive falling factorials, so F decides both claims about terms: the
+parity-class sign rule holds for every term when it holds for every part,
+and the branches agree termwise, v_pi/4 == (-1)^n v_3pi/4, up to n while
+F_pi/4(m) == (-1)^m F_3pi/4(m) for every m <= n.  The sign tallies are
+parapermanents as well: over the table of the parts' signs each term is
+its own sign, so the sum is P+ - P-, and over their absolute values it is
+P+ + P-.  A call for both branches sums each branch's own S-values.
+cr_theta stays the paper's term formula and the tests' check on the pass;
+it never feeds it.  The entry points' threads= is validated (>= 1) and
+otherwise unused: everything runs in the calling process.
 
-The pass computes n! * a_n = sum_m s[n-m] * F(m) * (n-1)!/(n-m)!, which is
-the recurrence n * a_n = sum_m F(m) * a_(n-m) scaled by (n-1)!.  The two
-stay separate routes in code and in input: the pass reads _cnum_table, the
-recurrence reads _recurrence_weight through lpoly.coeffs_by_recurrence.
-The closed form is the check that is algebraically independent of both.
+The recurrence n * a_n = sum_m F(m) * a_(n-m) is lpoly's recurrence over
+q = 2 with the same S-values (a_list_theta_recurrence).  The two stay the
+pair of routes that lpoly cross-checks, sharing no loop, and they read
+their S-values from separate code: the pass from _cnum_table, the
+recurrence from _recurrence_weight in Q(sqrt 2).  Both read c_theta, so a
+wrong weight moves both.  The branch's trace product in closed form,
+[t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), a binomial sum of O(n^2) steps,
+reads neither c_theta nor the pass: it is the algebraically independent
+check, and it stands in for the trace-data L-polynomial in
+verify_symmetry and analyze.
 
 On top of it sit the sign bookkeeping (classify, count_signs,
 sign_tallies), the pi/4 <-> 3pi/4 symmetry check, the sign/growth
@@ -57,27 +55,15 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .arith import QuadExt, pow2_half
 from .compositions import Composition
 from .errors import ConsistencyError
-from .lpoly import SSequence, coeffs_by_recurrence
+from .lpoly import SSequence, coeffs_by_parapermanent, coeffs_by_recurrence
+from .parapermanent import pper_prefixes
 
 ENUMERATION_CAP = 24
-
-# a child step: (prefix sum after the part, factor)
-_Step = tuple[int, int]
-# per n: n! * a_n, then P+ and P-
-_Sums = tuple[list[int], list[int], list[int]]
-
-
-class _Walk(NamedTuple):
-    """What one pass to max_n found, per n <= max_n."""
-
-    sums: dict[Theta, _Sums]
-    # every term of a_n has v_pi4 == (-1)^n * v_3pi4; None for a one-branch pass
-    symmetric: Optional[list[bool]]
 
 
 class Theta(enum.Enum):
@@ -175,98 +161,57 @@ def _cnum_table(n: int, g: int, theta: Theta) -> list[int]:
     return table
 
 
-def _walk_children(max_n: int, g: int, theta: Theta) -> list[list[_Step]]:
-    # children[N] lists, for every part m that can follow a prefix summing
-    # to N, the step (N + m, factor).  A composition of N carries
-    # N! * CR_theta, so appending the part m multiplies it by
-    # factor = F(m) (N+1)(N+2)...(N+m-1), where
-    # F(m) = -2 * 2^(m/2) * C_theta(m) = -cnum[m] * 2^(m//2 + 1).
-    # Parts of weight zero (only for g <= 2) are left out: the compositions
-    # that use them add nothing.  The falling factorials are positive, so a
-    # term's sign is the product of its parts' signs of F(m), and the
-    # parity-class rule (claimed for g > 2) holds for every term exactly
-    # when it holds for every one-part term.
+def _pass_weights(max_n: int, g: int, theta: Theta) -> tuple[int, ...]:
+    # F(1..max_n), the branch's S-values: appending the part m to a
+    # composition of N multiplies its N! * CR_theta by
+    # F(m) (N+1)(N+2)...(N+m-1), where
+    # F(m) = -2 * 2^(m/2) * C_theta(m) = -cnum[m] * 2^(m//2 + 1).  The
+    # falling factorials are positive, so a term's sign is the product of
+    # its parts' signs of F(m), and the parity-class rule (claimed for
+    # g > 2) holds for every term exactly when it holds for every part of
+    # nonzero weight (zero weights occur only for g <= 2).
     cnum = _cnum_table(max_n, g, theta)
     classes = _PARITY_CLASSES[theta]
-    parts = []
+    weights = []
     for m in range(1, max_n + 1):
-        if cnum[m] == 0:
-            continue
-        factor = -cnum[m] << (m // 2 + 1)
-        if g > 2 and (factor < 0) is not (residue_class(m) in classes):
+        weight = -cnum[m] << (m // 2 + 1)
+        if g > 2 and weight and (weight < 0) is not (residue_class(m) in classes):
             raise ConsistencyError(
                 f"a term of a_{m} has the sign opposite to the parity-class rule"
             )
-        parts.append((m, factor))
-    fact = [math.factorial(k) for k in range(max_n + 1)]
-    return [
-        [
-            (prefix + m, factor * (fact[prefix + m - 1] // fact[prefix]))
-            for m, factor in parts
-            if prefix + m <= max_n
-        ]
-        for prefix in range(max_n)
-    ]
+        weights.append(weight)
+    return tuple(weights)
 
 
-def _symmetry_verdicts(
-    children: list[list[_Step]], children3: list[list[_Step]], g: int
-) -> list[bool]:
-    # entry n: every term of every n' <= n has v_pi4 == (-1)^n' v_3pi4.  The
-    # two tables must list the same steps; a term is the product of its
-    # steps' factors, none of them zero, so the terms of n' all agree
-    # exactly when every step into a prefix sum <= n' has
-    # f_pi4 == (-1)^m f_3pi4 for its part m.
-    max_n = len(children)
-    first_break = max_n + 1
-    for prefix, (steps, steps3) in enumerate(zip(children, children3)):
-        if [child for child, _ in steps] != [child for child, _ in steps3]:
-            raise ConsistencyError(
-                f"the two branches' walk steps after prefix sum {prefix} differ for g={g}"
-            )
-        for (child, factor), (_, factor3) in zip(steps, steps3):
-            if factor != (-factor3 if (child - prefix) & 1 else factor3):
-                first_break = min(first_break, child)
-    return [n < first_break for n in range(max_n + 1)]
+def _tallies(weights: Sequence[int]) -> list[tuple[int, int]]:
+    # (P+, P-) for n = 0..len(weights).  A term's sign is the product of its
+    # parts' signs, so the parapermanent of the parts' signs sums P+ - P-
+    # and that of their absolute values P+ + P-; a part of weight zero
+    # drops out of both, as its terms are zero.
+    signs = [(weight > 0) - (weight < 0) for weight in weights]
+    signed = pper_prefixes(len(signs), lambda i, j: signs[i - j], 1)
+    total = pper_prefixes(len(signs), lambda i, j: abs(signs[i - j]), 1)
+    return [((both + net) // 2, (both - net) // 2) for net, both in zip(signed, total)]
 
 
-def _reflect(sums: _Sums) -> _Sums:
-    # the 3pi/4 sums read off the pi/4 ones, exact for every n whose
-    # symmetry verdict holds: each term of n flips by (-1)^n, so n! * a_n
-    # does and, for odd n, P+ and P- swap
-    scaled, plus, minus = sums
-    odd = [n & 1 for n in range(len(scaled))]
-    return (
-        [-value if flip else value for value, flip in zip(scaled, odd)],
-        [m if flip else p for p, m, flip in zip(plus, minus, odd)],
-        [p if flip else m for p, m, flip in zip(plus, minus, odd)],
+def _symmetry_verdicts(weights: Sequence[int], weights3: Sequence[int]) -> list[bool]:
+    # entry n: every term of every n' <= n has v_pi4 == (-1)^n' v_3pi4.  A
+    # term is the product of its parts' F(m) and positive falling
+    # factorials, so that holds exactly while every part m <= n has
+    # F_pi4(m) == (-1)^m F_3pi4(m); the first m that breaks it is the
+    # one-part term of m.
+    first_break = next(
+        (
+            m
+            for m, (weight, weight3) in enumerate(zip(weights, weights3), start=1)
+            if weight != (-weight3 if m & 1 else weight3)
+        ),
+        len(weights) + 1,
     )
+    return [n < first_break for n in range(len(weights) + 1)]
 
 
-def _walk_table(max_n: int, children: list[list[_Step]]) -> _Sums:
-    # n! * a_n and (P+, P-) for every n <= max_n, summed by prefix sum: a
-    # step's factor depends only on the prefix sum N and the part, not on
-    # the path to N, so in order of N each step (child, factor) adds
-    # s[N] * factor into s[child] and N's tallies into the child's, swapped
-    # when factor < 0.  Entry 0 seeds the empty composition and is cleared
-    # again: the term sums have no n = 0.
-    scaled, plus, minus = sums = tuple([0] * (max_n + 1) for _ in range(3))
-    scaled[0] = plus[0] = 1
-    for prefix, steps in enumerate(children):
-        value, up, down = scaled[prefix], plus[prefix], minus[prefix]
-        for child, factor in steps:
-            scaled[child] += value * factor
-            same, swapped = (up, down) if factor > 0 else (down, up)
-            plus[child] += same
-            minus[child] += swapped
-    scaled[0] = plus[0] = 0
-    return sums
-
-
-def _walk_sums(max_n: int, g: int, threads: Optional[int], theta: Optional[Theta] = None) -> _Walk:
-    # one pass to max_n: over the given branch's own table, or, for both
-    # branches (theta None), over the pi/4 table, with 3pi/4 read off it and
-    # the termwise symmetry decided on the two tables
+def _check_pass(max_n: int, threads: Optional[int]) -> None:
     if max_n > ENUMERATION_CAP:
         raise ValueError(
             f"composition enumeration capped at n <= {ENUMERATION_CAP}, got n={max_n}"
@@ -275,47 +220,29 @@ def _walk_sums(max_n: int, g: int, threads: Optional[int], theta: Optional[Theta
     # this process, so it changes neither the results nor the processes
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if theta is not None:
-        return _Walk({theta: _walk_table(max_n, _walk_children(max_n, g, theta))}, None)
-    children = _walk_children(max_n, g, Theta.PI_4)
-    symmetric = _symmetry_verdicts(children, _walk_children(max_n, g, Theta.THREE_PI_4), g)
-    sums = _walk_table(max_n, children)
-    return _Walk({Theta.PI_4: sums, Theta.THREE_PI_4: _reflect(sums)}, symmetric)
 
 
-def _coefficients(sums: _Sums, g: int, theta: Theta) -> list[int]:
-    # a_0..a_max_n from one branch's sums of n! * a_n, each of which
-    # n! must divide exactly
-    scaled = sums[0]
-    values = [1]
-    for n in range(1, len(scaled)):
-        value, remainder = divmod(scaled[n], math.factorial(n))
-        if remainder:
-            raise ConsistencyError(
-                f"a_{n} is not an integer for g={g}, theta={theta.value}: "
-                f"{Fraction(scaled[n], math.factorial(n))}"
-            )
-        values.append(value)
-    return values
-
-
-def _walk_to(n: int, g: int, threads: Optional[int], theta: Optional[Theta] = None) -> _Walk:
-    # the pass for the entry points that read a_1..a_n, 1 <= n <= g
+def _check_range(n: int, g: int, threads: Optional[int]) -> None:
+    # the entry points that read a_1..a_n need 1 <= n <= g
     if not 1 <= n <= g:
         raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
-    return _walk_sums(n, g, threads, theta)
+    _check_pass(n, threads)
 
 
 def a_n_theta_exact(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> QuadExt:
     """a_n as an exact Q(sqrt 2) number via the composition sum; n <= cap."""
-    return QuadExt(_coefficients(_walk_to(n, g, threads, theta).sums[theta], g, theta)[n])
+    return QuadExt(a_list_theta(n, g, theta, threads)[n])
 
 
 def a_list_theta(
     max_n: int, g: int, theta: Theta, threads: Optional[int] = None
 ) -> list[int]:
-    """a_0..a_max_n as integers from one composition sum; max_n <= cap."""
-    return _coefficients(_walk_to(max_n, g, threads, theta).sums[theta], g, theta)
+    """a_0..a_max_n as integers from one composition sum; max_n <= cap.
+
+    The sum is lpoly's parapermanent route over the branch's S-values.
+    """
+    _check_range(max_n, g, threads)
+    return coeffs_by_parapermanent(SSequence(2, _pass_weights(max_n, g, theta)))
 
 
 def a_n_theta(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> int:
@@ -341,7 +268,7 @@ def a_list_theta_recurrence(n_max: int, g: int, theta: Theta) -> list[int]:
     """a_0..a_{n_max} via n*a_n = sum_i -2^((i+2)/2) C_theta(i) a_{n-i}.
 
     The lpoly recurrence over q = 2 with S_i the weights; independent of
-    the enumeration core and not capped by it.
+    the parapermanent route's loop and not capped by it.
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
@@ -359,19 +286,21 @@ def a_n_theta_recurrence(n: int, g: int, theta: Theta) -> int:
 def sign_tallies(
     max_n: int, g: int, theta: Theta, threads: Optional[int] = None
 ) -> list[tuple[int, int]]:
-    """(P+, P-) for every n <= max_n from one pass; max_n <= cap.
+    """(P+, P-) for every n <= max_n; max_n <= cap.
 
     Entry n counts the compositions of n whose terms are positive and
     negative; entry 0 is the empty composition, whose term a_0 = 1 is
-    positive.  The split depends only on theta once g > 2; g is required
+    positive.  Both counts come from two parapermanents of the branch's
+    part signs: P+ - P- over the signs, P+ + P- over their absolute
+    values.  The split depends only on theta once g > 2; g is required
     to guard that.  threads= is validated (>= 1) and otherwise unused.
     """
     if g <= 2:
         raise ValueError(f"sign counting needs g > 2, got g={g}")
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    _, plus, minus = _walk_sums(max_n, g, threads, theta).sums[theta]
-    return [(1, 0)] + list(zip(plus[1:], minus[1:]))
+    _check_pass(max_n, threads)
+    return _tallies(_pass_weights(max_n, g, theta))
 
 
 def count_signs(
@@ -411,7 +340,7 @@ def _check_agreement(
     for n, (value, other) in enumerate(zip(values, expected)):
         if value != other:
             raise ConsistencyError(
-                f"enumeration disagrees with the {route} at n={n}, g={g}, "
+                f"the parapermanent route disagrees with the {route} at n={n}, g={g}, "
                 f"theta={theta.value}: {value} vs {other}"
             )
 
@@ -419,18 +348,19 @@ def _check_agreement(
 def verify_symmetry(n: int, g: int) -> bool:
     """Termwise and aggregate check of a_{n,pi/4} = (-1)^n a_{n,3pi/4}.
 
-    The two branches' child tables decide whether the terms of every
+    The two branches' S-values decide whether the terms of every
     composition of n agree; a pair that differs is the verdict False.
-    When every pair agrees, one pass over pi/4 gives both branches'
-    a_1..a_n; each must be integers equal to the closed form
+    When every pair agrees, each branch's parapermanent route gives its
+    a_1..a_n, which must be integers equal to the closed form
     [t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), which reads neither c_theta
     nor the pass; a disagreement there raises ConsistencyError.
     """
-    walk = _walk_to(n, g, 1)
-    if not walk.symmetric[n]:
+    _check_range(n, g, None)
+    weights = {theta: _pass_weights(n, g, theta) for theta in _THETAS}
+    if not _symmetry_verdicts(weights[Theta.PI_4], weights[Theta.THREE_PI_4])[n]:
         return False
     for theta in _THETAS:
-        values = _coefficients(walk.sums[theta], g, theta)
+        values = coeffs_by_parapermanent(SSequence(2, weights[theta]))
         _check_agreement("closed form", values, _branch_coeffs(n, g, theta), g, theta)
     return True
 
@@ -589,9 +519,9 @@ def analyze(
 ) -> Defect2Report:
     """Full defect-2 coefficient report for one genus.
 
-    One pass over every composition's prefix sums gives a_1..a_max_n and
-    the term sign tallies (g > 2) of the selected branches: over that
-    branch's table for one, over pi/4 with 3pi/4 read off it for both.  Row by row it checks
+    Each selected branch's S-values give its a_1..a_max_n by lpoly's
+    parapermanent route and its term sign tallies (g > 2) as
+    parapermanents of their signs.  Row by row it checks
     the termwise symmetry (both branches only), the sign-tally claims and
     the sign/growth claims, and it cross-checks the coefficients against
     both the branch's trace product in closed form and the linear
@@ -613,18 +543,19 @@ def analyze(
         if not selected:
             raise ValueError("no branch selected")
 
-    # both branches: one pass over pi/4 with 3pi/4 read off it; one
-    # branch: a pass over its own table
+    _check_pass(max_n, threads)
+    weights = {theta: _pass_weights(max_n, g, theta) for theta in selected}
+    symmetric: Optional[list[bool]] = None
     if len(selected) == 2:
-        walk = _walk_sums(max_n, g, threads)
-    else:
-        walk = _walk_sums(max_n, g, threads, selected[0])
+        symmetric = _symmetry_verdicts(weights[Theta.PI_4], weights[Theta.THREE_PI_4])
     coefficients: dict[Theta, list[int]] = {}
+    tallies: dict[Theta, list] = {}
     for theta in selected:
-        values = _coefficients(walk.sums[theta], g, theta)
+        values = coeffs_by_parapermanent(SSequence(2, weights[theta]))
         _check_agreement("trace route", values, _branch_coeffs(max_n, g, theta), g, theta)
         _check_agreement("recurrence", values, a_list_theta_recurrence(max_n, g, theta), g, theta)
         coefficients[theta] = values
+        tallies[theta] = _tallies(weights[theta]) if g > 2 else [(None, None)] * (max_n + 1)
 
     theorem_mode = _theorem_mode(g)
 
@@ -632,11 +563,9 @@ def analyze(
     for n in range(1, max_n + 1):
         cells: dict[Theta, ThetaCell] = {}
         for theta in selected:
-            _, plus, minus = walk.sums[theta]
-            tally = (plus[n], minus[n]) if g > 2 else (None, None)
-            cells[theta] = ThetaCell(coefficients[theta][n], *tally)
+            cells[theta] = ThetaCell(coefficients[theta][n], *tallies[theta][n])
 
-        symmetry_ok = None if walk.symmetric is None else walk.symmetric[n]
+        symmetry_ok = None if symmetric is None else symmetric[n]
 
         if g > 2 and n >= 2:
             tally_ok: Optional[bool] = True

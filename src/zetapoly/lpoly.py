@@ -22,7 +22,9 @@ i! a_i; one read-out divides by i!.
 So the recurrence shares neither loop nor arithmetic with the other two,
 which share the table and the read-out but not their loops.  The _exact
 functions return Fractions; the integer functions raise ConsistencyError
-at the first a_i that is not an integer.
+at the first a_i that is not an integer.  The defect2 module sums a
+defect-2 branch with two of these routes over q = 2: the parapermanent
+route and the recurrence, each over the branch's S-values.
 """
 
 from __future__ import annotations

@@ -31,7 +31,14 @@ from zetapoly.defect2 import (
     verify_theorem_signs,
 )
 from zetapoly.errors import ConsistencyError
-from zetapoly.lpoly import TraceData, coeffs_from_traces
+from zetapoly.lpoly import (
+    SSequence,
+    TraceData,
+    _scaled_fp,
+    coeffs_by_parapermanent,
+    coeffs_from_traces,
+    s_from_traces,
+)
 
 BOTH = (Theta.PI_4, Theta.THREE_PI_4)
 
@@ -381,22 +388,34 @@ class TestConsistencyGuards:
 class TestPrefixWalk:
     @pytest.mark.parametrize("g", [1, 2, 3, 5, 9])
     def test_sums_equal_term_sums(self, g):
-        # g = 1 and 2 have zero-weight parts, whose subtrees the walk skips
+        # g = 1 and 2 have zero-weight parts; n runs past g, which
+        # a_list_theta refuses, so the pass is run on its S-values directly
         for theta in BOTH:
-            sums, _, _ = defect2._walk_sums(10, g, 1).sums[theta]
+            values = coeffs_by_parapermanent(SSequence(2, defect2._pass_weights(10, g, theta)))
             for n in range(1, 11):
                 total = QuadExt.zero()
                 for composition in enumerate_compositions(n):
                     total = total + cr_theta(composition, g, theta)
-                assert QuadExt(Fraction(sums[n], math.factorial(n))) == total
+                assert QuadExt(values[n]) == total
 
     @pytest.mark.parametrize("g", [3, 7])
     def test_tallies_equal_classification(self, g):
         for theta in BOTH:
-            _, plus, minus = defect2._walk_sums(10, g, 1).sums[theta]
+            tallies = sign_tallies(10, g, theta)
             for n in range(1, 11):
                 signs = [classify(c, g, theta) for c in enumerate_compositions(n)]
-                assert (plus[n], minus[n]) == (signs.count(1), signs.count(-1))
+                assert tallies[n] == (signs.count(1), signs.count(-1))
+
+    def test_weights_are_the_branch_s_values(self):
+        # both routes' inputs equal S_1.. of the branch's trace vector
+        for g in range(1, 41):
+            for theta in BOTH:
+                traces = TraceData(2, (theta.trace_value,) * (g - 1) + (0,))
+                s_values = s_from_traces(traces).s
+                n = min(g, ENUMERATION_CAP)
+                assert defect2._pass_weights(n, g, theta) == s_values[:n]
+                recurrence = [defect2._recurrence_weight(i, g, theta) for i in range(1, g + 1)]
+                assert recurrence == list(s_values)
 
     def test_analyze_independent_of_workers(self):
         sequential = analyze(18, threads=1).to_json_dict()
@@ -477,22 +496,16 @@ def _with_weight(real, classes, thetas, weight):
 class TestPairedWalk:
     @pytest.mark.parametrize("g", [1, 2, 3, 5, 9, 14])
     def test_step_products_equal_terms(self, g):
-        # the product of the child-table factors along a composition's parts
-        # is n! * cr_theta, and every term is rational
+        # the product of lpoly's scaled factorial products over the branch's
+        # S-values at a composition's keys is n! * cr_theta, and every term
+        # is rational
         for theta in BOTH:
-            steps = [
-                {child: factor for child, factor in row}
-                for row in defect2._walk_children(10, g, theta)
-            ]
+            fp = _scaled_fp(SSequence(2, defect2._pass_weights(10, g, theta)))
             for n in range(1, 11):
                 for composition in enumerate_compositions(n):
                     value, prefix = 1, 0
                     for part in composition.parts:
-                        factor = steps[prefix].get(prefix + part)
-                        if factor is None:  # a zero-weight part, pruned
-                            value = 0
-                            break
-                        value *= factor
+                        value *= fp(prefix + part, prefix + 1)
                         prefix += part
                     term = cr_theta(composition, g, theta)
                     assert term.irr == 0
@@ -500,31 +513,39 @@ class TestPairedWalk:
 
     def test_per_part_identity(self):
         # f_pi4(m) = (-1)^m f_3pi4(m) for every part after every prefix, with
-        # the same parts (and the same pruning) on both branches
+        # the same zero weights on both branches and none for g > 2
         for g in range(1, 31):
-            tables = zip(
-                defect2._walk_children(24, g, Theta.PI_4),
-                defect2._walk_children(24, g, Theta.THREE_PI_4),
-            )
-            for prefix, (row_pi4, row_3pi4) in enumerate(tables):
-                assert [step[0] for step in row_pi4] == [step[0] for step in row_3pi4]
-                if g > 2:
-                    assert len(row_pi4) == 24 - prefix
-                for (child, factor), (_, factor3) in zip(row_pi4, row_3pi4):
+            weights = defect2._pass_weights(24, g, Theta.PI_4)
+            weights3 = defect2._pass_weights(24, g, Theta.THREE_PI_4)
+            if g > 2:
+                assert all(weights)
+            fp = _scaled_fp(SSequence(2, weights))
+            fp3 = _scaled_fp(SSequence(2, weights3))
+            for prefix in range(24):
+                for child in range(prefix + 1, 25):
+                    factor, factor3 = fp(child, prefix + 1), fp3(child, prefix + 1)
+                    assert (factor == 0) is (factor3 == 0)
                     assert factor == (-1) ** (child - prefix) * factor3
 
     def test_walk_verdicts_all_hold(self):
         for g in (1, 2, 3, 9, 14):
-            walk = defect2._walk_sums(14, g, 1)
-            assert all(walk.symmetric)
+            verdicts = defect2._symmetry_verdicts(
+                defect2._pass_weights(14, g, Theta.PI_4),
+                defect2._pass_weights(14, g, Theta.THREE_PI_4),
+            )
+            assert all(verdicts)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 9, 14])
     def test_reflected_branch_equals_its_own_walk(self, g):
-        # 3pi/4 read off the pi/4 walk: n! a_n and (P+, P-) of every n <= 14
-        both = defect2._walk_sums(14, g, 1)
-        own = defect2._walk_sums(14, g, 1, Theta.THREE_PI_4)
-        assert both.sums[Theta.THREE_PI_4] == own.sums[Theta.THREE_PI_4]
-        assert own.symmetric is None
+        # a both-branch report's 3pi/4 cells (a_n and (P+, P-) of every
+        # n <= 14) equal a 3pi/4-only report's
+        max_n = min(g, 14)
+        both = analyze(g, max_n=max_n)
+        own = analyze(g, max_n=max_n, thetas=(Theta.THREE_PI_4,))
+        assert [row.cells[Theta.THREE_PI_4] for row in both.rows] == [
+            row.cells[Theta.THREE_PI_4] for row in own.rows
+        ]
+        assert all(row.symmetry_ok is None for row in own.rows)
 
     @pytest.mark.parametrize("faulty", [False, True])
     @pytest.mark.parametrize("g", [3, 6])
@@ -532,7 +553,10 @@ class TestPairedWalk:
         if faulty:
             patched = _with_weight(defect2.c_theta, (2,), (Theta.PI_4,), lambda g: QuadExt(-2))
             monkeypatch.setattr(defect2, "c_theta", patched)
-        symmetric = defect2._walk_sums(8, g, 1).symmetric
+        symmetric = defect2._symmetry_verdicts(
+            defect2._pass_weights(8, g, Theta.PI_4),
+            defect2._pass_weights(8, g, Theta.THREE_PI_4),
+        )
         holds = True
         for n in range(1, 9):
             for composition in enumerate_compositions(n):
@@ -559,7 +583,11 @@ class TestPairedWalk:
         assert verify_symmetry(1, 6)
         for n in range(2, 7):
             assert not verify_symmetry(n, 6)
-        assert defect2._walk_sums(6, 6, 1).symmetric[1:] == [True] + [False] * 5
+        verdicts = defect2._symmetry_verdicts(
+            defect2._pass_weights(6, 6, Theta.PI_4),
+            defect2._pass_weights(6, 6, Theta.THREE_PI_4),
+        )
+        assert verdicts[1:] == [True] + [False] * 5
 
     @pytest.mark.parametrize(
         "classes,distort",
@@ -596,29 +624,16 @@ class TestPairedWalk:
             verify_symmetry(4, 6)
 
     def test_analyze_reads_the_termwise_verdict(self, monkeypatch):
-        real = defect2._walk_sums
+        real = defect2._symmetry_verdicts
 
-        def broken_at_three(max_n, g, threads):
-            walk = real(max_n, g, threads)
-            walk.symmetric[3] = False
-            return walk
+        def broken_at_three(weights, weights3):
+            verdicts = real(weights, weights3)
+            verdicts[3] = False
+            return verdicts
 
-        monkeypatch.setattr(defect2, "_walk_sums", broken_at_three)
+        monkeypatch.setattr(defect2, "_symmetry_verdicts", broken_at_three)
         verdicts = [row.symmetry_ok for row in analyze(5).rows]
         assert verdicts == [True, True, False, True, True]
-
-    def test_unequal_branch_tables_raise(self, monkeypatch):
-        real = defect2._walk_children
-
-        def pruned_on_one_branch(max_n, g, theta):
-            rows = real(max_n, g, theta)
-            if theta is Theta.PI_4:
-                rows[0] = rows[0][1:]
-            return rows
-
-        monkeypatch.setattr(defect2, "_walk_children", pruned_on_one_branch)
-        with pytest.raises(ConsistencyError, match="prefix sum 0"):
-            verify_symmetry(3, 5)
 
     def test_symmetry_at_large_genus_is_instant(self):
         started = time.perf_counter()

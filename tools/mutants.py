@@ -1,0 +1,180 @@
+"""Mutation check for zetapoly's cross-checking routes.
+
+    python3 tools/mutants.py
+
+Run it from anywhere; it needs pytest and hypothesis, as the test suite
+does.  Each entry of MUTANTS is a named exact-string replacement in one
+file under src/ plus the tests expected to kill it.  For each mutant the
+tool copies src/ to a temporary directory, applies the replacement
+there, and runs those tests against the copy; the checkout itself is
+never changed.  A mutant is killed when at least one of its tests fails.
+
+First the union of the named tests runs on the unmutated copy: a kill
+means nothing if the tests fail anyway.  The exit status is 1 if that
+run fails, if a replacement string does not occur exactly once in its
+file, if a mutant survives, or if pytest cannot run a mutant's tests
+(for example a test that no longer exists); it is 0 when every mutant is
+killed.  Standard library only; pytest runs in a subprocess.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+DEFECT2 = "tests/test_defect2.py"
+LPOLY = "tests/test_lpoly.py"
+PPER = "tests/test_parapermanent.py"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the checkout
+
+
+MUTANTS = (
+    Mutant(
+        "tally-halves-swapped",
+        "zetapoly/defect2.py",
+        "[((both + net) // 2, (both - net) // 2) for",
+        "[((both - net) // 2, (both + net) // 2) for",
+        (
+            f"{DEFECT2}::TestSignClassification::test_counts_match_classification",
+            f"{DEFECT2}::TestSignClassification::test_direction_of_majorities",
+            f"{DEFECT2}::TestPrefixWalk::test_tallies_equal_classification",
+        ),
+    ),
+    Mutant(
+        "verdict-includes-first-break",
+        "zetapoly/defect2.py",
+        "[n < first_break for n",
+        "[n <= first_break for n",
+        (
+            f"{DEFECT2}::TestPairedWalk::test_verdicts_equal_termwise_comparison",
+            f"{DEFECT2}::TestPairedWalk::test_one_branch_weight_changed_is_asymmetric",
+        ),
+    ),
+    Mutant(
+        "weight-power-halved",
+        "zetapoly/defect2.py",
+        "weight = -cnum[m] << (m // 2 + 1)",
+        "weight = -cnum[m] << (m // 2)",
+        (
+            f"{DEFECT2}::TestPrefixWalk::test_sums_equal_term_sums",
+            f"{DEFECT2}::TestPrefixWalk::test_weights_are_the_branch_s_values",
+            f"{DEFECT2}::TestAnalyze::test_report_genus_four",
+        ),
+    ),
+    Mutant(
+        "falling-row-off-by-one",
+        "zetapoly/lpoly.py",
+        "for j in range(i - 1, 0, -1):",
+        "for j in range(i - 1, 1, -1):",
+        (
+            f"{LPOLY}::TestCoefficients::test_three_methods_agree",
+            f"{LPOLY}::TestIntegerRoutes::test_scaled_table_gives_factorial_times_coefficient",
+            f"{DEFECT2}::TestPrefixWalk::test_sums_equal_term_sums",
+        ),
+    ),
+    Mutant(
+        "c-theta-class-4-weight",
+        "zetapoly/defect2.py",
+        "return QuadExt(-(g - 2))",
+        "return QuadExt(-(g - 1))",
+        (
+            f"{DEFECT2}::TestCTheta::test_pinned_g5",
+            f"{DEFECT2}::TestPrefixWalk::test_weights_are_the_branch_s_values",
+            f"{DEFECT2}::TestAnalyze::test_report_genus_four",
+        ),
+    ),
+    Mutant(
+        "branch-coeffs-sign-flipped",
+        "zetapoly/defect2.py",
+        "flip = theta.trace_value > 0",
+        "flip = theta.trace_value < 0",
+        (
+            f"{DEFECT2}::TestClosedForm::test_equals_trace_route",
+            f"{DEFECT2}::TestSymmetry::test_holds",
+        ),
+    ),
+    Mutant(
+        "common-denominator-power",
+        "zetapoly/parapermanent.py",
+        "entry.numerator * (denominator // entry.denominator) for entry in row",
+        "entry.numerator * (denominator // entry.denominator)"
+        " * denominator ** (len(row) - 1 - k) for k, entry in enumerate(row)",
+        (
+            f"{PPER}::TestRationalTables",
+            f"{LPOLY}::TestCoefficients::test_literal_matrix_matches",
+        ),
+    ),
+)
+
+
+def _pytest(src: Path, tests: tuple[str, ...]) -> tuple[int, str]:
+    # (exit code, last summary line) of pytest over the tests, importing
+    # zetapoly from src
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    return done.returncode, lines[-1] if lines else done.stderr.strip()
+
+
+def _apply(copy: Path, mutant: Mutant) -> bool:
+    # the replacement in the copy; False unless the old string occurs once
+    target = copy / mutant.path
+    text = target.read_text()
+    if text.count(mutant.old) != 1:
+        return False
+    target.write_text(text.replace(mutant.old, mutant.new))
+    return True
+
+
+def main() -> int:
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="zetapoly-mutants-") as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        tests = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+        code, summary = _pytest(copy, tests)
+        if code != 0:
+            print(f"unmutated source fails its tests: {summary}")
+            return 1
+        for mutant in MUTANTS:
+            shutil.rmtree(copy)
+            shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+            if not _apply(copy, mutant):
+                print(f"STALE     {mutant.name}: replacement string not found exactly once")
+                ok = False
+                continue
+            code, summary = _pytest(copy, mutant.tests)
+            if code == 1:  # pytest ran the tests and some failed
+                print(f"killed    {mutant.name}: {summary}")
+            elif code == 0:
+                print(f"SURVIVED  {mutant.name}: {summary}")
+                ok = False
+            else:
+                print(f"ERROR     {mutant.name}: pytest exit {code}: {summary}")
+                ok = False
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
