@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 import warnings
@@ -23,7 +24,12 @@ from . import defect2, lpoly
 from .arith import parse_rational
 from .compositions import iter_parts
 from .errors import ConsistencyError, ValidationError, describe
-from .parapermanent import matrix_from_entries, pper_by_compositions, pper_by_last_row
+from .parapermanent import (
+    _SCALED_BITS,
+    matrix_from_entries,
+    pper_by_compositions,
+    pper_by_last_row,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,12 +58,37 @@ _MAX_COMPOSITION_N = 62
 _ALL_COMPOSITION_MAX_G = 18
 
 # lpoly and classnumber run O(g^2) big-integer routes: every command took
-# 0.7-2.7 s at g=512 for q in {2, 4093, 65521} (Python 3.11, one core)
+# 0.15-1.3 s at g=512 for q in {2, 9, 4093, 65521}, and 3.4-4.2 s at
+# q=999999999989 (Python 3.11, 2 cores)
 _MAX_G = 512
 
 # pper runs the 2^(n-1)-term composition walk: order 20 took 0.3 s on a
 # table of entries +-(1..9)/(1..9) (integer path), and each order doubles it
 _MAX_PPER_ORDER = 20
+
+# The walk visits 2^order - 1 compositions.  With D the lcm of the entry
+# denominators and n the bits of the largest numerator, a table with
+# order * bits(D) <= parapermanent._SCALED_BITS walks integers of at most
+# order * (bits(D) + n) bits, and multiplying b-bit integers costs about
+# b^log2(3) (Karatsuba); any other table walks Fractions, and each term, of
+# at most order * (d + n) bits with d the bits of the largest denominator,
+# meets gcds against running sums of up to order * (bits(D) + n) bits.
+# Seconds per walked composition, and per composition and unit of that
+# cost, fitted to the slowest of tables of orders 4-20 built to sit at
+# the budget (large numerators; distinct 2- to 14,000-bit denominators;
+# one shared large denominator; both at once) and to tables past it
+# (Python 3.11, 2 cores).  Past the budget: 13.9 s for an order-20 table
+# of distinct 12-bit prime denominators, 2.7 s for order 18 with 10-bit
+# ones, 4.5 s for order 20 with 256-bit integers, 5.1 s for order 16 with
+# 64-bit prime denominators.  At the budget the tables took 0.2-1.5 s
+# (orders 6-20; 1.5 s for order 10 with 12,654-bit integers).  A Fraction
+# walk of order 18 or more is past it whatever its entries.
+_INTEGER_NODE_S = 3.5e-7
+_INTEGER_WALK_S = 1.2e-11
+_FRACTION_NODE_S = 1e-5
+_FRACTION_WALK_S = 1e-12
+_MAX_PPER_SECONDS = 1.5
+_KARATSUBA = math.log2(3)
 
 # the prime-power check is trial division up to sqrt(q): 0.17 s for the
 # largest prime below this bound, 1.6 s near 10^14 (Python 3.11, one core)
@@ -499,6 +530,9 @@ def _load_matrix_file(path: str) -> list[list[Fraction]]:
         raise ValidationError(f"cannot read --file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"--file {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        # an integer literal past the interpreter's int-to-str digit limit
+        raise ValidationError(f"--file {path} cannot be read: {exc}") from None
     if not isinstance(data, dict) or "order" not in data or "rows" not in data:
         raise ValidationError(
             f"--file {path} must hold an object with 'order' and 'rows'"
@@ -536,6 +570,36 @@ def _load_matrix_file(path: str) -> list[list[Fraction]]:
     return rows
 
 
+def _pper_walk_seconds(rows: list[list[Fraction]]) -> float:
+    # the estimated seconds of the composition walk; D grows one entry at a
+    # time, and a Fraction walk's estimate only grows with D, so the loop
+    # stops at the first partial D past the budget and never forms a huge
+    # lcm (that of 210 distinct 14,000-bit denominators takes 12 s)
+    order = len(rows)
+    nodes = 2**order - 1
+    entries = [entry for row in rows for entry in row]
+    numerator_bits = max((abs(entry.numerator).bit_length() for entry in entries), default=0)
+    term_bits = order * (
+        max((entry.denominator.bit_length() for entry in entries), default=0) + numerator_bits
+    )
+
+    def estimate(denominator: int) -> float:
+        product_bits = order * (denominator.bit_length() + numerator_bits)
+        if order * denominator.bit_length() <= _SCALED_BITS:
+            return nodes * (_INTEGER_NODE_S + _INTEGER_WALK_S * product_bits**_KARATSUBA)
+        return nodes * (_FRACTION_NODE_S + _FRACTION_WALK_S * product_bits * term_bits)
+
+    denominator = 1
+    for entry in entries:
+        denominator = math.lcm(denominator, entry.denominator)
+        if (
+            order * denominator.bit_length() > _SCALED_BITS
+            and estimate(denominator) > _MAX_PPER_SECONDS
+        ):
+            break
+    return estimate(denominator)
+
+
 def _cmd_pper(args: list[str], out: TextIO, err: TextIO) -> int:
     parser = _Parser(prog="zetapoly pper", add_help=True)
     parser.add_argument("--file", required=True)
@@ -545,6 +609,12 @@ def _cmd_pper(args: list[str], out: TextIO, err: TextIO) -> int:
     if len(rows) > _MAX_PPER_ORDER:
         raise ValidationError(
             f"table order capped at {_MAX_PPER_ORDER}, got {len(rows)}"
+        )
+    seconds = _pper_walk_seconds(rows)
+    if seconds > _MAX_PPER_SECONDS:
+        raise ValidationError(
+            f"table too large to walk: its composition walk is estimated at "
+            f"{seconds:.3g} s or more, past the {_MAX_PPER_SECONDS} s budget"
         )
     matrix = matrix_from_entries(rows)
     by_rows = pper_by_last_row(matrix)

@@ -15,13 +15,14 @@ as n has parity, so every term is rational.
 
 That sum is the paper's parapermanent formula for a_n over the branch's
 S-values S_m = F(m) = -2 * 2^(m/2) * C_theta(m), an integer for every m
-(_cnum_table refuses a weight of any other shape).  With N! in front, a
-composition of N carries N! * CR_theta, and appending a part m multiplies
-it by F(m) (N+1)(N+2)...(N+m-1): lpoly's scaled factorial product at the
-part's key.  So one branch's sums are lpoly.coeffs_by_parapermanent over
-its S-values, O(max_n^2) integer steps for every n <= max_n at once, and
+(_cnum_table refuses a weight of any other shape).  A term is
+CR_theta = prod_s F(m_s) / N_s, and F(m_s) / N_s is lpoly's factorial
+product S_{i+1-j}/i at the part's key (i = N_s, j = N_(s-1) + 1).  So one
+branch's sums are lpoly.coeffs_by_parapermanent over its S-values, one
+last-row pass that divides row i by i once and keeps every prefix at the
+size of a_i, O(max_n^2) integer steps for every n <= max_n at once, and
 no composition is ever listed.  A term is the product of its parts' F(m)
-and positive falling factorials, so F decides both claims about terms: the
+and positive 1/N_s, so F decides both claims about terms: the
 parity-class sign rule holds for every term when it holds for every part,
 and the branches agree termwise, v_pi/4 == (-1)^n v_3pi/4, up to n while
 F_pi/4(m) == (-1)^m F_3pi/4(m) for every m <= n.  The sign tallies are
@@ -163,10 +164,9 @@ def _cnum_table(n: int, g: int, theta: Theta) -> list[int]:
 
 def _pass_weights(max_n: int, g: int, theta: Theta) -> tuple[int, ...]:
     # F(1..max_n), the branch's S-values: appending the part m to a
-    # composition of N multiplies its N! * CR_theta by
-    # F(m) (N+1)(N+2)...(N+m-1), where
+    # composition of N multiplies its CR_theta by F(m) / (N + m), where
     # F(m) = -2 * 2^(m/2) * C_theta(m) = -cnum[m] * 2^(m//2 + 1).  The
-    # falling factorials are positive, so a term's sign is the product of
+    # prefix sums are positive, so a term's sign is the product of
     # its parts' signs of F(m), and the parity-class rule (claimed for
     # g > 2) holds for every term exactly when it holds for every part of
     # nonzero weight (zero weights occur only for g <= 2).
@@ -196,8 +196,8 @@ def _tallies(weights: Sequence[int]) -> list[tuple[int, int]]:
 
 def _symmetry_verdicts(weights: Sequence[int], weights3: Sequence[int]) -> list[bool]:
     # entry n: every term of every n' <= n has v_pi4 == (-1)^n' v_3pi4.  A
-    # term is the product of its parts' F(m) and positive falling
-    # factorials, so that holds exactly while every part m <= n has
+    # term is the product of its parts' F(m) / N_s with positive prefix
+    # sums N_s, so that holds exactly while every part m <= n has
     # F_pi4(m) == (-1)^m F_3pi4(m); the first m that breaks it is the
     # one-part term of m.
     first_break = next(

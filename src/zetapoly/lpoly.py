@@ -14,13 +14,17 @@ and the class number is h = L(1).
 Everything is exact and runs in plain integers.  The recurrence divides by
 i at each step and keeps a_i an int while every division is exact (a
 Fraction from the first one that is not, where the integer route stops).
-The two parapermanent routes share one integer table instead: its
-factorial products are S_{i+1-j} (i-1)!/(j-1)!, the telescoped
-S_{i+1-j}/i times i!/(j-1)!, so the product at the keys of a composition
-of N telescopes to N! times its term and the parapermanent of order i is
-i! a_i; one read-out divides by i!.
-So the recurrence shares neither loop nor arithmetic with the other two,
-which share the table and the read-out but not their loops.  The _exact
+The last-row parapermanent takes the factorial products S_{i+1-j} with
+row i's diagonal denominator i (pper_prefixes' denominator): every
+factorial product of row i carries that one 1/i, so the row's sum is
+divided once and prefix i is a_i itself, an int while the division is
+exact.  It does the recurrence's arithmetic in parapermanent.py's generic
+loop, so a fault in either loop shows as a disagreement.  The composition
+route walks an integer table instead: its factorial products are
+S_{i+1-j} (i-1)!/(j-1)!, the telescoped S_{i+1-j}/i times i!/(j-1)!, so
+the product at the keys of a composition of N telescopes to N! times its
+term and the parapermanent of order i is i! a_i; one read-out divides by
+i!.  The three routes share only the S-values.  The _exact
 functions return Fractions; the integer functions raise ConsistencyError
 at the first a_i that is not an integer.  The defect2 module sums a
 defect-2 branch with two of these routes over q = 2: the parapermanent
@@ -36,7 +40,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ConsistencyError, describe
-from .parapermanent import TriangularMatrix, pper_composition_sums, pper_prefixes
+from .parapermanent import TriangularMatrix, iter_pper_prefixes, pper_composition_sums
 
 COMPOSITION_CAP = 30
 
@@ -231,8 +235,12 @@ def _recurrence(s: SSequence) -> Iterator[Union[int, Fraction]]:
         yield coeffs[i]
 
 
-def _parapermanent(s: SSequence) -> list[Union[int, Fraction]]:
-    return _unscaled(pper_prefixes(s.g, _scaled_fp(s), 1))
+def _parapermanent(s: SSequence) -> Iterator[Union[int, Fraction]]:
+    # factorial products S_{i+1-j} with row i over i: the telescoped
+    # S_{i+1-j}/i, divided once per row, so prefix i is a_i itself; lazy,
+    # like _recurrence, so the integer route stops at the first Fraction
+    values = s.s
+    return iter_pper_prefixes(s.g, lambda i, j: values[i - j], 1, lambda i: i)
 
 
 def _compositions(s: SSequence) -> list[Union[int, Fraction]]:

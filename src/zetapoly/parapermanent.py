@@ -11,7 +11,10 @@ definition: one depth-first walk over the compositions of every order <= n,
 where a node is a composition of its prefix sum N carrying the product at
 its keys, so each term costs one multiplication and is added on its own.
 Unrolling the sum along the last row instead gives an O(n^2)-multiplication
-recurrence over prefix parapermanents.
+recurrence over prefix parapermanents.  It takes an optional denominator
+for each row's diagonal entry: every factorial product of row i carries
+that entry, so the row's sum is divided by it once, which keeps lpoly's
+prefixes at the size of its coefficients.
 
 Entries may be any exact scalar supporting + and * (Fraction, QuadExt, or
 similar); evaluators take the multiplicative identity of that scalar type.
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 FactorialProduct = Callable[[int, int], Any]
 
@@ -84,21 +87,57 @@ def _factorial_product_table(matrix: TriangularMatrix) -> list[list[Any]]:
     return table
 
 
-def pper_prefixes(n: int, fp: FactorialProduct, one: Any = Fraction(1)) -> list[Any]:
+def pper_prefixes(
+    n: int,
+    fp: FactorialProduct,
+    one: Any = Fraction(1),
+    denominator: Optional[Callable[[int], Any]] = None,
+) -> list[Any]:
     """Parapermanents of all prefix tables of orders 0..n.
 
     Uses the last-row recurrence pper(n) = sum_s fp(n, s) * pper(s-1) with
     pper(0) = one; O(n^2) multiplications total.
+
+    With denominator, the table's diagonal entry (i, i) is divided by
+    denominator(i), so every factorial product of row i is fp(i, s) /
+    denominator(i) and row i's sum is divided once: pper(i) = (sum_s
+    fp(i, s) * pper(s-1)) / denominator(i).  An int sum over an int
+    denominator stays an int when the division is exact and becomes a
+    Fraction when it is not; any other sum is divided with /.
+    """
+    return list(iter_pper_prefixes(n, fp, one, denominator))
+
+
+def iter_pper_prefixes(
+    n: int,
+    fp: FactorialProduct,
+    one: Any = Fraction(1),
+    denominator: Optional[Callable[[int], Any]] = None,
+) -> Iterator[Any]:
+    """pper_prefixes, each prefix yielded as it is found.
+
+    A caller can stop early, for example at the first prefix that is not
+    an int.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
     prefixes: list[Any] = [one]
+    yield one
     for i in range(1, n + 1):
         acc = fp(i, 1) * prefixes[0]
         for s in range(2, i + 1):
             acc = acc + fp(i, s) * prefixes[s - 1]
+        if denominator is not None:
+            acc = _divide(acc, denominator(i))
         prefixes.append(acc)
-    return prefixes
+        yield acc
+
+
+def _divide(value: Any, divisor: Any) -> Any:
+    if isinstance(value, int) and isinstance(divisor, int):
+        quotient, remainder = divmod(value, divisor)
+        return Fraction(value, divisor) if remainder else quotient
+    return value / divisor
 
 
 def pper_composition_sums(

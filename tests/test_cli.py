@@ -1,13 +1,19 @@
 import io
+import itertools
 import json
+import math
+import os
+import random
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zetapoly import cli
-from zetapoly.lpoly import TraceData, coeffs_from_traces, n_from_traces
+from zetapoly.lpoly import TraceData, coeffs_from_traces, n_from_traces, s_from_traces
 
 
 def run_cli(*args):
@@ -316,6 +322,15 @@ class TestOutputLimits:
         assert "4300 digits" in err
         assert "PYTHONINTMAXSTRDIGITS" in err
 
+    def test_pper_integer_past_digit_limit_refused(self, tmp_path, default_digit_limit):
+        # json raises a plain ValueError for such a literal, not a decode error
+        path = tmp_path / "long.json"
+        path.write_text('{"order": 1, "rows": [[' + "7" * 5000 + "]]}", encoding="utf-8")
+        code, out, err = run_cli("pper", "--file", str(path))
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert "cannot be read" in err
+
     def test_huge_consistency_message(self, default_digit_limit):
         # a_2 = 1/2 - q is not an integer, and S_45 has 4500 digits
         q = 10**100
@@ -541,6 +556,65 @@ class TestPperCommand:
         assert code == cli.EXIT_OK
         assert json.loads(out)["pper"] == str(2**19)
 
+    def test_work_budget_refuses_large_denominators(self, tmp_path):
+        # distinct 64-bit (Fermat probable) prime denominators: an order-18
+        # table takes the Fraction walk, which ran 34.9 s before the budget
+        candidates = (n for n in itertools.count(2**63 + 1, 2) if pow(2, n - 1, n) == 1)
+        primes = list(itertools.islice(candidates, 18 * 19 // 2))
+        rows = [[f"{(-1) ** j}/{primes.pop()}" for j in range(i)] for i in range(1, 19)]
+        path = self.write(tmp_path, {"order": 18, "rows": rows})
+        started = time.perf_counter()
+        code, out, err = run_cli("pper", "--file", path)
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert "table too large to walk" in err
+        assert f"past the {cli._MAX_PPER_SECONDS} s budget" in err
+        # its first eight rows are well inside the budget
+        path = self.write(tmp_path, {"order": 8, "rows": rows[:8]})
+        code, out, _ = run_cli("pper", "--file", path)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["agree"] is True
+
+    def test_work_budget_refuses_large_integers(self, tmp_path):
+        # no denominators at all: order 20 with 256-bit integers ran 4.5 s
+        rng = random.Random(20)
+        rows = [[rng.getrandbits(256) | 1 << 255 for _ in range(i)] for i in range(1, 21)]
+        path = self.write(tmp_path, {"order": 20, "rows": rows})
+        started = time.perf_counter()
+        code, out, err = run_cli("pper", "--file", path)
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_VALIDATION
+        assert "table too large to walk" in err
+
+    def test_work_budget_refuses_huge_denominators_at_once(self, tmp_path):
+        # 210 distinct 14,000-bit denominators: their full lcm alone takes
+        # seconds, so the budget must stop before forming it
+        rng = random.Random(210)
+        rows = [
+            [f"1/{rng.getrandbits(14000) | 1 << 13999 | 1}" for _ in range(i)]
+            for i in range(1, 21)
+        ]
+        path = self.write(tmp_path, {"order": 20, "rows": rows})
+        started = time.perf_counter()
+        code, _, err = run_cli("pper", "--file", path)
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_VALIDATION
+        assert "table too large to walk" in err
+
+    def test_work_budget_accepts_small_rationals(self, tmp_path):
+        # tables of +-(1..9)/(1..9), D | 2520, as the benchmark sends them
+        rng = random.Random(17)
+        rows = [
+            [f"{rng.choice((-1, 1)) * rng.randint(1, 9)}/{rng.randint(1, 9)}" for _ in range(i)]
+            for i in range(1, 18)
+        ]
+        assert cli._pper_walk_seconds([[Fraction(x) for x in row] for row in rows]) < 0.1
+        path = self.write(tmp_path, {"order": 17, "rows": rows})
+        code, out, _ = run_cli("pper", "--file", path)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["agree"] is True
+
     def test_integer_entries_allowed(self, tmp_path):
         path = self.write(tmp_path, {"order": 1, "rows": [[7]]})
         code, out, _ = run_cli("pper", "--file", path)
@@ -574,3 +648,107 @@ class TestPperCommand:
         code, _, err = run_cli("pper", "--file", str(path))
         assert code == cli.EXIT_VALIDATION
         assert "not valid JSON" in err
+
+
+# argv fuzzing: values that parse and values that do not, lists from empty
+# to just past _MAX_G, and pper tables from empty to past _MAX_PPER_ORDER
+_SMALL_Q = st.sampled_from(["2", "3", "4", "5", "9"])
+_ANY_Q = st.one_of(_SMALL_Q, st.sampled_from(["4093", "1", "6", "-3", "x", "1e3", ""]))
+_BAD_VALUE = st.sampled_from(["", "x", "1.5", "--", "-"])
+
+
+@st.composite
+def _value_list(draw, q: str):
+    # traces or counts inside |t| <= 2 sqrt(q); mostly short lists, a
+    # quarter of length _MAX_G - 2 .. _MAX_G + 1 (small q only); one in
+    # eight lists has a value past the bound or one that is no integer
+    bound = math.isqrt(4 * int(q)) if q.isdigit() else 2
+    long = q in ("2", "3", "4", "5", "9") and draw(st.integers(0, 3)) == 0
+    size = draw(st.integers(cli._MAX_G - 2, cli._MAX_G + 1) if long else st.integers(0, 8))
+    values = [str(value) for value in draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))]
+    if values and draw(st.integers(0, 7)) == 0:
+        spoiled = draw(st.sampled_from(["", "x", "1.5", "-", str(bound + 1), str(-bound - 1)]))
+        values[draw(st.integers(0, len(values) - 1))] = spoiled
+    return ",".join(values)
+
+
+@st.composite
+def _lpoly_argv(draw):
+    command = draw(
+        st.sampled_from([["lpoly", "from-traces"], ["lpoly", "from-counts"], ["classnumber"]])
+    )
+    q = draw(_ANY_Q)
+    if command[0] == "lpoly":
+        lists = ["--" + command[1].split("-")[1]]
+    else:
+        lists = draw(st.sampled_from([["--traces"], ["--counts"]] * 3 + [[], ["--traces", "--counts"]]))
+    groups = [["--q", q]] + [[option, draw(_value_list(q))] for option in lists]
+    if draw(st.booleans()):
+        methods = ["recurrence", "pper", "all"] * 3 + ["compositions", "x"]
+        groups.append(["--method", draw(st.sampled_from(methods))])
+    if draw(st.booleans()):
+        groups.append(["--format", draw(st.sampled_from(["json", "csv", "table"] * 3 + ["xml"]))])
+    if draw(st.integers(0, 3)) == 0:
+        extra = ["--no-validate"] * 3 + ["--help", "--bogus", "extra"]
+        groups.append([draw(st.sampled_from(extra))])
+    if draw(st.integers(0, 11)) == 0:
+        groups.pop(draw(st.integers(0, len(groups) - 1)))  # a required option missing
+    return command + [arg for group in draw(st.permutations(groups)) for arg in group]
+
+
+_ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str),
+    st.sampled_from(["1/0", "x", "", "2**64", "1/18446744073709551557"]),
+    st.none(),
+)
+
+
+@st.composite
+def _pper_table(draw):
+    order = draw(st.one_of(st.integers(0, 12), st.sampled_from([19, 21])))
+    if order > 12:
+        # large orders only with 64-bit prime denominators, which the work
+        # budget or the order cap refuses before any walk
+        rows = [["1/18446744073709551557"] * i for i in range(1, order + 1)]
+    else:
+        rows = [draw(st.lists(_ENTRIES, min_size=i, max_size=i)) for i in range(1, order + 1)]
+    if draw(st.integers(0, 9)) == 0:
+        rows = rows[:-1]  # a row short of the stated order
+    return {"order": order, "rows": rows}
+
+
+# g near _MAX_G on inputs that pass validation, on every run: N_r >= q^r +
+# 1 - 2g q^(r/2), so q >= 2g keeps every count N_r >= 0 for r >= 2, and
+# small traces of mean about 0 keep N_1 >= 0
+_NEAR_MAX_G = TraceData(1031, tuple(random.Random(512).randint(-3, 3) for _ in range(cli._MAX_G)))
+_NEAR_MAX_G_TRACES = ",".join(map(str, _NEAR_MAX_G.traces))
+_NEAR_MAX_G_COUNTS = ",".join(
+    str(s + 1031**r + 1) for r, s in enumerate(s_from_traces(_NEAR_MAX_G).s[:-1], start=1)
+)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(_lpoly_argv(), _lpoly_argv(), _pper_table()))
+    @example(["lpoly", "from-traces", "--q", "1031", "--traces", _NEAR_MAX_G_TRACES])
+    @example(["classnumber", "--q", "1031", "--counts", _NEAR_MAX_G_COUNTS])
+    @example(["lpoly", "from-counts", "--method", "pper", "--q", "1031", "--counts", _NEAR_MAX_G_COUNTS])
+    @example(["classnumber", "--q", "1031", "--traces", _NEAR_MAX_G_TRACES + ",0"])
+    def test_exit_codes_and_time(self, case):
+        with tempfile.TemporaryDirectory() as tmp:
+            if isinstance(case, dict):
+                path = os.path.join(tmp, "table.json")
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(case, handle)
+                argv = ["pper", "--file", path]
+            else:
+                argv = case
+            started = time.perf_counter()
+            code, out, err = run_cli(*argv)
+            elapsed = time.perf_counter() - started
+        assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_CONSISTENCY, cli.EXIT_USAGE)
+        assert "Traceback" not in err
+        assert elapsed < 3.0, (argv[:6], elapsed)
+        if code != cli.EXIT_OK:
+            assert err

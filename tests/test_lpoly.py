@@ -1,10 +1,11 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetapoly import lpoly
+from zetapoly import lpoly, parapermanent
 from zetapoly.errors import ConsistencyError
 from zetapoly.lpoly import (
     COMPOSITION_CAP,
@@ -195,6 +196,20 @@ class TestIntegerRoutes:
             assert all(type(value) is int for value in values)
             assert values == expected
 
+    def test_lazy_routes_stop_at_first_fraction(self):
+        # a_2 = 1/2 - q; building a_3..a_400 in Fractions takes seconds at
+        # this q, so only a route that stops at a_2 answers at once
+        q = 999999999989
+        s = SSequence(q, (1 - q,) + tuple(-(q**r) for r in range(2, 401)))
+        text = f"a_2 is not an integer ({Fraction(1, 2) - q}) for q={q}, "
+        for method in ("recurrence", "parapermanent"):
+            started = time.perf_counter()
+            with pytest.raises(ConsistencyError) as caught:
+                INTEGER_ROUTES[method](s)
+            assert time.perf_counter() - started < 0.5
+            assert str(caught.value).startswith(text)
+            assert str(caught.value).endswith(f"[method: {method}]")
+
     @given(st.one_of(s_vectors, trace_data().map(s_from_traces)))
     @settings(deadline=None)
     def test_routes_match_fraction_recurrence(self, s):
@@ -217,6 +232,7 @@ class TestIntegerRoutes:
                 raise AssertionError("a Fraction was built")
 
         monkeypatch.setattr(lpoly, "Fraction", NoFraction)
+        monkeypatch.setattr(parapermanent, "Fraction", NoFraction)
         data = TraceData(7, (5, -3, 0, 2, 1, -5, 4, 3, -1, 2))
         expected = list(oracle_expand(data).coeffs[: data.g + 1])
         for route in INTEGER_ROUTES.values():

@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zetapoly.arith import QuadExt
 from zetapoly.compositions import count, enumerate_compositions
@@ -13,6 +14,7 @@ from zetapoly.parapermanent import (
     _common_denominator,
     _factorial_product_table,
     factorial_product,
+    iter_pper_prefixes,
     pper_by_compositions,
     pper_by_last_row,
     pper_composition_sums,
@@ -308,6 +310,75 @@ class TestRationalTables:
         expected = QuadExt(2) * QuadExt(0, 1) + QuadExt(1, 1) * QuadExt(0, 1)
         assert pper_by_last_row(matrix, QuadExt.one()) == expected
         assert pper_by_compositions(matrix, QuadExt.one()) == expected
+
+
+divisors = st.integers(1, 7).flatmap(lambda d: st.sampled_from((d, -d)))
+
+
+def _with_divisors(rows_strategy):
+    # (rows, d_1..d_order): one nonzero divisor per row
+    return rows_strategy.flatmap(
+        lambda rows: st.tuples(
+            st.just(rows), st.lists(divisors, min_size=len(rows), max_size=len(rows))
+        )
+    )
+
+
+integer_rows = st.integers(0, 8).flatmap(
+    lambda order: st.tuples(
+        *(st.lists(st.integers(-9, 9), min_size=i, max_size=i) for i in range(1, order + 1))
+    )
+)
+
+
+def _divided_prefixes(rows, row_divisors):
+    # pper_prefixes with row i over d_i, and the same tables in Fractions
+    # with the diagonal entry of row i divided by d_i
+    table = _factorial_product_table(TriangularMatrix(rows))
+    prefixes = pper_prefixes(
+        len(rows), lambda i, j: table[i][j], 1, lambda i: row_divisors[i - 1]
+    )
+    divided = [
+        tuple(row[:-1]) + (Fraction(row[-1]) / d,) for row, d in zip(rows, row_divisors)
+    ]
+    expected = [fraction_last_row(divided[:k]) for k in range(len(rows) + 1)]
+    return prefixes, expected
+
+
+class TestRowDenominator:
+    @settings(deadline=None)
+    @given(_with_divisors(rational_rows))
+    def test_matches_fraction_table_with_row_divided(self, case):
+        prefixes, expected = _divided_prefixes(*case)
+        assert prefixes == expected
+
+    @settings(deadline=None)
+    @given(_with_divisors(integer_rows))
+    @example((((1,), (1, 1), (1, 1, 1), (1, 1, 1, 1)), [1, 2, 3, 4]))
+    @example((((1,), (1, 1), (1, 1, 1)), [1, 3, 3]))
+    def test_integer_table_is_int_until_first_inexact_division(self, case):
+        # the all-ones table over d_i = i has every prefix 1; over 1, 3, 3
+        # the division of row 2 is not exact
+        prefixes, expected = _divided_prefixes(*case)
+        assert prefixes == expected
+        first = next(
+            (k for k, value in enumerate(expected) if value.denominator != 1), len(expected)
+        )
+        assert all(type(value) is int for value in prefixes[:first])
+        assert all(type(value) is Fraction for value in prefixes[first:])
+
+    def test_iterator_is_lazy(self):
+        rows_seen = []
+
+        def fp(i, j):
+            rows_seen.append(i)
+            return i + j
+
+        first = list(itertools.islice(iter_pper_prefixes(50, fp, 1, lambda i: i), 3))
+        assert first == pper_prefixes(2, fp, 1, lambda i: i)
+        assert max(rows_seen) == 2
+        with pytest.raises(ValueError):
+            next(iter_pper_prefixes(-1, fp))
 
 
 class CountingScalar:

@@ -85,7 +85,39 @@ MUTANTS = (
         (
             f"{LPOLY}::TestCoefficients::test_three_methods_agree",
             f"{LPOLY}::TestIntegerRoutes::test_scaled_table_gives_factorial_times_coefficient",
+            f"{DEFECT2}::TestPairedWalk::test_step_products_equal_terms",
+        ),
+    ),
+    Mutant(
+        "row-denominator-off-by-one",
+        "zetapoly/lpoly.py",
+        "values[i - j], 1, lambda i: i)",
+        "values[i - j], 1, lambda i: i + 1)",
+        (
+            f"{LPOLY}::TestCoefficients::test_pinned_small",
+            f"{LPOLY}::TestCoefficients::test_three_methods_agree",
             f"{DEFECT2}::TestPrefixWalk::test_sums_equal_term_sums",
+        ),
+    ),
+    Mutant(
+        "row-table-s-index-shifted",
+        "zetapoly/lpoly.py",
+        "values[i - j], 1, lambda i: i)",
+        "values[i - j - 1], 1, lambda i: i)",
+        (
+            f"{LPOLY}::TestCoefficients::test_pinned_small",
+            f"{LPOLY}::TestIntegerRoutes::test_routes_match_fraction_recurrence",
+            f"{DEFECT2}::TestPrefixWalk::test_sums_equal_term_sums",
+        ),
+    ),
+    Mutant(
+        "row-division-drops-remainder",
+        "zetapoly/parapermanent.py",
+        "return Fraction(value, divisor) if remainder else quotient",
+        "return quotient",
+        (
+            f"{PPER}::TestRowDenominator",
+            f"{LPOLY}::TestIntegerRoutes::test_integrality_error_pinned",
         ),
     ),
     Mutant(
