@@ -432,7 +432,7 @@ def _defect2_flat_row(row: dict) -> list[str]:
 
 
 def _emit_defect2(report: defect2.Defect2Report, fmt: str, out: TextIO) -> None:
-    payload = report.to_json_dict()
+    payload = report.to_json_dict(_decimal)
     header = list(_DEFECT2_VALUE_COLUMNS) + [
         f"check_{check}" for check in _DEFECT2_CHECK_COLUMNS
     ]
@@ -478,22 +478,16 @@ def _cmd_defect2_analyze(args: list[str], out: TextIO, err: TextIO) -> int:
     _add_format_option(parser)
     ns = parser.parse_args(args)
     g = _int_option("--g", ns.g)
-    if g < 1:
-        raise ValidationError(f"--g must be >= 1, got {g}")
-    cap = min(g, defect2.ENUMERATION_CAP)
-    max_n = cap if ns.max_n is None else _int_option("--max-n", ns.max_n)
-    if not 1 <= max_n <= cap:
-        raise ValidationError(
-            f"--max-n must be in [1, {cap}] for g={g}, got {max_n}"
-        )
+    max_n = None if ns.max_n is None else _int_option("--max-n", ns.max_n)
     threads = None if ns.threads is None else _int_option("--threads", ns.threads)
-    if threads is not None and threads < 1:
-        raise ValidationError(f"--threads must be >= 1, got {threads}")
     if ns.theta == "both":
         thetas: Optional[tuple[defect2.Theta, ...]] = None
     else:
         thetas = (defect2.Theta(ns.theta),)
-    report = defect2.analyze(g, max_n=max_n, thetas=thetas, threads=threads)
+    try:
+        report = defect2.analyze(g, max_n=max_n, thetas=thetas, threads=threads)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     _emit_defect2(report, ns.format, out)
     return EXIT_OK
 

@@ -33,16 +33,18 @@ cr_theta stays the paper's term formula and the tests' check on the pass;
 it never feeds it.  The entry points' threads= is validated (>= 1) and
 otherwise unused: everything runs in the calling process.
 
-The recurrence n * a_n = sum_m F(m) * a_(n-m) is lpoly's recurrence over
-q = 2 with the same S-values (a_list_theta_recurrence).  The two stay the
-pair of routes that lpoly cross-checks, sharing no loop, and they read
-their S-values from separate code: the pass from _cnum_table, the
-recurrence from _recurrence_weight in Q(sqrt 2).  Both read c_theta, so a
-wrong weight moves both.  The branch's trace product in closed form,
-[t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), a binomial sum of O(n^2) steps,
-reads neither c_theta nor the pass: it is the algebraically independent
-check, and it stands in for the trace-data L-polynomial in
-verify_symmetry and analyze.
+The recurrence n * a_n = sum_m S_m * a_(n-m) is lpoly's recurrence over
+q = 2 (a_list_theta_recurrence).  The two stay the pair of routes that
+lpoly cross-checks, sharing no loop, and they derive their S-values
+separately: the pass from the per-part weights (_cnum_table), the
+recurrence as the power sums of the branch's traces, g - 1 copies of +-2
+and one 0, in lpoly's _s_values, the loop behind s_from_traces.  Only the
+pass reads c_theta, so a wrong weight splits it from the recurrence.  The
+branch's trace product in closed form, [t^n] (1 -+ 2t + 2t^2)^(g-1)
+(1 + 2t^2), a binomial sum of O(n^2) steps, reads neither c_theta nor
+the pass nor the S-values: it is the algebraically independent check,
+and it stands in for the trace-data L-polynomial in verify_symmetry and
+analyze.
 
 On top of it sit the sign bookkeeping (classify, count_signs,
 sign_tallies), the pi/4 <-> 3pi/4 symmetry check, the sign/growth
@@ -56,12 +58,12 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .arith import QuadExt, pow2_half
 from .compositions import Composition
-from .errors import ConsistencyError
-from .lpoly import SSequence, coeffs_by_parapermanent, coeffs_by_recurrence
+from .errors import ConsistencyError, describe
+from .lpoly import SSequence, _s_values, coeffs_by_parapermanent, coeffs_by_recurrence
 from .parapermanent import pper_prefixes
 
 ENUMERATION_CAP = 24
@@ -250,32 +252,20 @@ def a_n_theta(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> in
     return a_list_theta(n, g, theta, threads)[n]
 
 
-def _recurrence_weight(i: int, g: int, theta: Theta) -> int:
-    # -2^((i+2)/2) C_theta(i); rational (indeed integral) for every i
-    weight = -(pow2_half(i + 2) * c_theta(i, g, theta))
-    if weight.irr != 0:
-        raise ConsistencyError(
-            f"recurrence weight at i={i} kept a sqrt(2) part: {weight}"
-        )
-    if weight.rat.denominator != 1:
-        raise ConsistencyError(
-            f"recurrence weight at i={i} is not an integer: {weight}"
-        )
-    return weight.rat.numerator
-
-
 def a_list_theta_recurrence(n_max: int, g: int, theta: Theta) -> list[int]:
-    """a_0..a_{n_max} via n*a_n = sum_i -2^((i+2)/2) C_theta(i) a_{n-i}.
+    """a_0..a_{n_max} via n*a_n = sum_i S_i a_{n-i}, lpoly's recurrence over q = 2.
 
-    The lpoly recurrence over q = 2 with S_i the weights; independent of
-    the parapermanent route's loop and not capped by it.
+    S_1..S_{n_max} are the power sums of the branch's traces, g - 1 copies
+    of theta.trace_value and one 0, in plain integers; they read no
+    c_theta, so a wrong weight there splits the parapermanent route from
+    this one.  Not capped by the enumeration cap.
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     if not 0 <= n_max <= g:
         raise ValueError(f"need 0 <= n_max <= g, got n_max={n_max}, g={g}")
-    weights = tuple(_recurrence_weight(i, g, theta) for i in range(1, n_max + 1))
-    return coeffs_by_recurrence(SSequence(2, weights))
+    traces = {theta.trace_value: g - 1, 0: 1}
+    return coeffs_by_recurrence(SSequence(2, _s_values(traces, 2, n_max)))
 
 
 def a_n_theta_recurrence(n: int, g: int, theta: Theta) -> int:
@@ -322,11 +312,12 @@ def _branch_coeffs(max_n: int, g: int, theta: Theta) -> list[int]:
     # [t^n] u^j = 2^j C(j, n-j) (-s)^n.  O(max_n^2) big-integer steps; it
     # reads neither c_theta nor the pass.
     k = g - 1
+    choose = [math.comb(k, j) for j in range(max_n + 1)]
     flip = theta.trace_value > 0
     power = []
     for n in range(max_n + 1):
         total = sum(
-            math.comb(k, j) * math.comb(j, n - j) << j
+            choose[j] * math.comb(j, n - j) << j
             for j in range((n + 1) // 2, min(n, k) + 1)
         )
         power.append(-total if flip and n % 2 else total)
@@ -341,7 +332,7 @@ def _check_agreement(
         if value != other:
             raise ConsistencyError(
                 f"the parapermanent route disagrees with the {route} at n={n}, g={g}, "
-                f"theta={theta.value}: {value} vs {other}"
+                f"theta={theta.value}: {describe(value)} vs {describe(other)}"
             )
 
 
@@ -462,7 +453,8 @@ class Defect2Report:
     oracle_match: dict[Theta, bool]
     recurrence_match: dict[Theta, bool]
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, decimal: Callable[[int], str] = str) -> dict:
+        """The report as JSON-ready data; decimal renders its big integers."""
         rows = []
         for row in self.rows:
             entry: dict[str, object] = {"n": row.n}
@@ -472,7 +464,7 @@ class Defect2Report:
                     cell.a, cell.p_plus, cell.p_minus, cell.delta
                 )
                 for key, value in zip(("a", "p_plus", "p_minus", "delta"), values):
-                    entry[f"{key}_{theta.value}"] = None if value is None else str(value)
+                    entry[f"{key}_{theta.value}"] = None if value is None else decimal(value)
             entry["checks"] = {
                 "symmetry": row.symmetry_ok,
                 "tallies": row.tally_ok,

@@ -28,16 +28,19 @@ i!.  The three routes share only the S-values.  The _exact
 functions return Fractions; the integer functions raise ConsistencyError
 at the first a_i that is not an integer.  The defect2 module sums a
 defect-2 branch with two of these routes over q = 2: the parapermanent
-route and the recurrence, each over the branch's S-values.
+route over S-values from the paper's per-part weights, and the
+recurrence over the power sums of the branch's traces, which s_from_traces
+and the defect2 module take from one loop (_s_values).
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ConsistencyError, describe
 from .parapermanent import TriangularMatrix, iter_pper_prefixes, pper_composition_sums
@@ -181,16 +184,21 @@ def n_from_traces(data: TraceData, r: int) -> int:
     return data.q**r + 1 - sum(_pair_power_sum(t, data.q, r) for t in data.traces)
 
 
-def s_from_traces(data: TraceData) -> SSequence:
-    """S_1..S_g from trace data: S_r = -sum_i p_r(t_i)."""
-    g = data.g
-    totals = [0] * (g + 1)
-    for t in data.traces:
+def _s_values(traces: Mapping[int, int], q: int, n: int) -> tuple[int, ...]:
+    # S_1..S_n = -sum count * p_r(t) over the distinct traces t and their
+    # multiplicities: one power-sum recurrence per distinct trace
+    totals = [0] * (n + 1)
+    for t, count in traces.items():
         previous, current = 2, t
-        for r in range(1, g + 1):
-            totals[r] += current
-            previous, current = current, t * current - data.q * previous
-    return SSequence(data.q, tuple(-totals[r] for r in range(1, g + 1)))
+        for r in range(1, n + 1):
+            totals[r] -= count * current
+            previous, current = current, t * current - q * previous
+    return tuple(totals[1:])
+
+
+def s_from_traces(data: TraceData) -> SSequence:
+    """S_1..S_g from trace data: S_r = -sum_i p_r(t_i), once per distinct t_i."""
+    return SSequence(data.q, _s_values(Counter(data.traces), data.q, data.g))
 
 
 @lru_cache(maxsize=1)

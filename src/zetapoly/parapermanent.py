@@ -184,13 +184,17 @@ _SCALED_BITS = 4096
 def _common_denominator(matrix: TriangularMatrix) -> Optional[tuple[TriangularMatrix, int]]:
     # (D * matrix, D) with D the lcm of the entry denominators, so every
     # entry of D * matrix is an int; None unless every entry is rational
-    # and order * bit_length(D) is at most _SCALED_BITS
+    # and order * bit_length(D) is at most _SCALED_BITS.  D is built one
+    # entry at a time and never shrinks, so the first partial lcm past the
+    # bound decides, before the full lcm of a large table is formed
     entries = [entry for row in matrix.rows for entry in row]
     if not all(isinstance(entry, (int, Fraction)) for entry in entries):
         return None
-    denominator = math.lcm(*(entry.denominator for entry in entries))
-    if matrix.order * denominator.bit_length() > _SCALED_BITS:
-        return None
+    denominator = 1
+    for entry in entries:
+        denominator = math.lcm(denominator, entry.denominator)
+        if matrix.order * denominator.bit_length() > _SCALED_BITS:
+            return None
     scaled = TriangularMatrix(
         tuple(
             tuple(entry.numerator * (denominator // entry.denominator) for entry in row)

@@ -308,6 +308,14 @@ class TestOutputLimits:
         assert out == ""
         assert f"at most {cli._MAX_G} values" in err
 
+    def test_huge_defect2_genus_is_refused(self, default_digit_limit):
+        # a_24 at g = 10^200 has about 4800 digits
+        code, out, err = run_cli("defect2", "analyze", "--g", str(10**200))
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert "4300 digits" in err
+        assert "PYTHONINTMAXSTRDIGITS" in err
+
     def test_huge_pper_is_refused(self, tmp_path, default_digit_limit):
         # the product of three 4001-digit entries has 12003 digits
         big = "7" * 4001
@@ -408,19 +416,29 @@ class TestDefect2Command:
         assert len(json.loads(out)["rows"]) == 5
 
     @pytest.mark.parametrize(
-        "args,fragment",
+        "args,message",
         [
-            (("defect2", "analyze", "--g", "0"), "--g"),
-            (("defect2", "analyze", "--g", "5", "--max-n", "6"), "--max-n"),
-            (("defect2", "analyze", "--g", "30", "--max-n", "25"), "--max-n"),
-            (("defect2", "analyze", "--g", "3", "--threads", "0"), "--threads"),
+            (("defect2", "analyze", "--g", "0"), "error: g must be >= 1, got 0\n"),
+            (
+                ("defect2", "analyze", "--g", "5", "--max-n", "6"),
+                "error: need 1 <= max_n <= 5 for g=5, got 6\n",
+            ),
+            (
+                ("defect2", "analyze", "--g", "30", "--max-n", "25"),
+                "error: need 1 <= max_n <= 24 for g=30, got 25\n",
+            ),
+            (
+                ("defect2", "analyze", "--g", "3", "--threads", "0"),
+                "error: threads must be >= 1, got 0\n",
+            ),
             (("defect2", "analyze", "--g", "3", "--theta", "pi"), "--theta"),
         ],
+        ids=["args0---g", "args1---max-n", "args2---max-n", "args3---threads", "args4---theta"],
     )
-    def test_validation(self, args, fragment):
+    def test_validation(self, args, message):
         code, _, err = run_cli(*args)
         assert code == cli.EXIT_VALIDATION
-        assert fragment in err
+        assert message in err
 
     def test_csv_and_table_formats(self):
         code, csv_out, _ = run_cli(
@@ -718,6 +736,25 @@ def _pper_table(draw):
     return {"order": order, "rows": rows}
 
 
+@st.composite
+def _defect2_argv(draw):
+    # genera up to far past the int-to-str limit of the coefficients, and
+    # bad, missing or out-of-range values for every option
+    huge = [str(10**6), str(10**200), str(10**1000), "x", ""]
+    groups = [["--g", draw(st.one_of(st.integers(-2, 40).map(str), st.sampled_from(huge)))]]
+    if draw(st.booleans()):
+        groups.append(["--max-n", draw(st.one_of(st.integers(-1, 26).map(str), st.just("x")))])
+    if draw(st.booleans()):
+        groups.append(["--theta", draw(st.sampled_from(["pi4", "3pi4", "both", "pi"]))])
+    if draw(st.integers(0, 2)) == 0:
+        groups.append(["--threads", draw(st.sampled_from(["-1", "0", "1", "2", "x"]))])
+    if draw(st.booleans()):
+        groups.append(["--format", draw(st.sampled_from(["json", "csv", "table", "xml"]))])
+    if draw(st.integers(0, 11)) == 0:
+        groups.pop(draw(st.integers(0, len(groups) - 1)))  # a required option missing
+    return ["defect2", "analyze"] + [arg for group in draw(st.permutations(groups)) for arg in group]
+
+
 # g near _MAX_G on inputs that pass validation, on every run: N_r >= q^r +
 # 1 - 2g q^(r/2), so q >= 2g keeps every count N_r >= 0 for r >= 2, and
 # small traces of mean about 0 keep N_1 >= 0
@@ -728,6 +765,17 @@ _NEAR_MAX_G_COUNTS = ",".join(
 )
 
 
+def _check_exit_code_and_time(argv):
+    started = time.perf_counter()
+    code, out, err = run_cli(*argv)
+    elapsed = time.perf_counter() - started
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_CONSISTENCY, cli.EXIT_USAGE)
+    assert "Traceback" not in err
+    assert elapsed < 3.0, (argv[:6], elapsed)
+    if code != cli.EXIT_OK:
+        assert err
+
+
 class TestArgvFuzz:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.one_of(_lpoly_argv(), _lpoly_argv(), _pper_table()))
@@ -736,19 +784,17 @@ class TestArgvFuzz:
     @example(["lpoly", "from-counts", "--method", "pper", "--q", "1031", "--counts", _NEAR_MAX_G_COUNTS])
     @example(["classnumber", "--q", "1031", "--traces", _NEAR_MAX_G_TRACES + ",0"])
     def test_exit_codes_and_time(self, case):
-        with tempfile.TemporaryDirectory() as tmp:
-            if isinstance(case, dict):
+        if isinstance(case, dict):
+            with tempfile.TemporaryDirectory() as tmp:
                 path = os.path.join(tmp, "table.json")
                 with open(path, "w", encoding="utf-8") as handle:
                     json.dump(case, handle)
-                argv = ["pper", "--file", path]
-            else:
-                argv = case
-            started = time.perf_counter()
-            code, out, err = run_cli(*argv)
-            elapsed = time.perf_counter() - started
-        assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_CONSISTENCY, cli.EXIT_USAGE)
-        assert "Traceback" not in err
-        assert elapsed < 3.0, (argv[:6], elapsed)
-        if code != cli.EXIT_OK:
-            assert err
+                _check_exit_code_and_time(["pper", "--file", path])
+        else:
+            _check_exit_code_and_time(case)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_defect2_argv())
+    @example(["defect2", "analyze", "--g", str(10**4000), "--theta", "pi4"])
+    def test_defect2_exit_codes_and_time(self, argv):
+        _check_exit_code_and_time(argv)

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -359,21 +358,11 @@ class TestConsistencyGuards:
                 values = a_list_theta_recurrence(g, g, theta)
                 assert all(isinstance(v, int) for v in values)
 
-    def test_non_integral_recurrence_weight_raises(self, monkeypatch):
-        real = defect2.c_theta
-
-        def wrong(m, g, theta):
-            if m == 2:
-                return QuadExt(Fraction(1, 3))
-            return real(m, g, theta)
-
-        monkeypatch.setattr(defect2, "c_theta", wrong)
-        with pytest.raises(ConsistencyError, match="weight at i=2 is not an integer"):
-            a_list_theta_recurrence(4, 6, Theta.PI_4)
-
     def test_non_integral_recurrence_raises(self, monkeypatch):
-        # w_1 = 1 and no other weight: 2 a_2 = a_1 = 1
-        monkeypatch.setattr(defect2, "_recurrence_weight", lambda i, g, theta: int(i == 1))
+        # S_1 = 1 and no other S-value: 2 a_2 = a_1 = 1
+        monkeypatch.setattr(
+            defect2, "_s_values", lambda traces, q, n: tuple(int(r == 1) for r in range(1, n + 1))
+        )
         for theta in BOTH:
             with pytest.raises(ConsistencyError, match="a_2 is not an integer"):
                 a_list_theta_recurrence(2, 6, theta)
@@ -406,16 +395,20 @@ class TestPrefixWalk:
                 signs = [classify(c, g, theta) for c in enumerate_compositions(n)]
                 assert tallies[n] == (signs.count(1), signs.count(-1))
 
-    def test_weights_are_the_branch_s_values(self):
-        # both routes' inputs equal S_1.. of the branch's trace vector
+    def test_weights_are_the_branch_s_values(self, monkeypatch):
+        # the pass's S-values from the per-part weights equal the ones the
+        # recurrence reads and S_1.. of the branch's trace vector
+        real = defect2.coeffs_by_recurrence
+        read = []
+        monkeypatch.setattr(defect2, "coeffs_by_recurrence", lambda s: read.append(s.s) or real(s))
         for g in range(1, 41):
             for theta in BOTH:
                 traces = TraceData(2, (theta.trace_value,) * (g - 1) + (0,))
                 s_values = s_from_traces(traces).s
+                a_list_theta_recurrence(g, g, theta)
+                assert read.pop() == s_values
                 n = min(g, ENUMERATION_CAP)
                 assert defect2._pass_weights(n, g, theta) == s_values[:n]
-                recurrence = [defect2._recurrence_weight(i, g, theta) for i in range(1, g + 1)]
-                assert recurrence == list(s_values)
 
     def test_analyze_independent_of_workers(self):
         sequential = analyze(18, threads=1).to_json_dict()
@@ -438,9 +431,9 @@ class TestPrefixWalk:
             count_signs(9, 5, Theta.THREE_PI_4)
 
     def test_wrong_weight_caught_by_trace_route(self, monkeypatch):
-        # the walk and the recurrence both read c_theta, so a wrong weight
-        # (same sign, so the parity check passes) moves them together; the
-        # trace-data route does not use it and must disagree
+        # only the pass reads c_theta, so a wrong weight (same sign, so the
+        # parity check passes) moves it alone; analyze checks the trace-data
+        # route first, which does not use the weight and must disagree
         real = defect2.c_theta
 
         def wrong(m, g, theta):
@@ -451,6 +444,14 @@ class TestPrefixWalk:
         monkeypatch.setattr(defect2, "c_theta", wrong)
         with pytest.raises(ConsistencyError, match="trace route at n=4, g=6"):
             analyze(6)
+
+    def test_wrong_weight_caught_by_recurrence(self, monkeypatch):
+        # the recurrence reads the branch's traces, not c_theta, so the
+        # class-4 weight of the pass alone moves a_4..a_6 of both branches
+        patched = _with_weight(defect2.c_theta, (4,), BOTH, lambda g: QuadExt(-(g - 1)))
+        monkeypatch.setattr(defect2, "c_theta", patched)
+        for theta in BOTH:
+            assert a_list_theta(6, 6, theta) != a_list_theta_recurrence(6, 6, theta)
 
     def test_no_process_outlives_a_call(self):
         analyze(18, threads=2)
@@ -650,11 +651,12 @@ class TestClosedForm:
                 assert defect2._branch_coeffs(2 * g, g, theta) == expected
 
     def test_analyze_is_bounded_in_genus(self):
-        started = time.perf_counter()
-        report = analyze(2000, max_n=3)
-        elapsed = time.perf_counter() - started
-        assert report.oracle_match == {Theta.PI_4: True, Theta.THREE_PI_4: True}
-        assert elapsed < 1.0
+        for g in (2000, 10**6):
+            started = time.perf_counter()
+            report = analyze(g, max_n=3)
+            elapsed = time.perf_counter() - started
+            assert report.oracle_match == {Theta.PI_4: True, Theta.THREE_PI_4: True}
+            assert elapsed < 1.0
 
 
 class TestListApis:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -303,6 +304,18 @@ class TestRationalTables:
         assert pper_by_compositions(matrix) == expected
         assert 2 * (2 * 127) <= parapermanent._SCALED_BITS
         assert _common_denominator(TriangularMatrix(rows[:2])) is not None
+
+    def test_large_denominators_refused_before_full_lcm(self):
+        # 210 distinct odd 14,000-bit denominators at order 20: their full
+        # lcm takes seconds, but the first entry is already past the bound
+        rng = random.Random(20)
+        rows = tuple(
+            tuple(Fraction(1, rng.getrandbits(14_000) | 1 << 13_999 | 1) for _ in range(i))
+            for i in range(1, 21)
+        )
+        started = time.perf_counter()
+        assert _common_denominator(TriangularMatrix(rows)) is None
+        assert time.perf_counter() - started < 0.5
 
     def test_other_scalars_keep_their_type(self):
         matrix = TriangularMatrix(((QuadExt(1, 1),), (QuadExt(2), QuadExt(0, 1))))

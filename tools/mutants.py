@@ -128,7 +128,20 @@ MUTANTS = (
         (
             f"{DEFECT2}::TestCTheta::test_pinned_g5",
             f"{DEFECT2}::TestPrefixWalk::test_weights_are_the_branch_s_values",
+            f"{DEFECT2}::TestPrefixWalk::test_wrong_weight_caught_by_recurrence",
             f"{DEFECT2}::TestAnalyze::test_report_genus_four",
+        ),
+    ),
+    Mutant(
+        "s-values-drop-multiplicity",
+        "zetapoly/lpoly.py",
+        "totals[r] -= count * current",
+        "totals[r] -= current",
+        (
+            f"{LPOLY}::TestInputs::test_s_matches_n",
+            f"{LPOLY}::TestOracle::test_recurrence_equals_product",
+            f"{DEFECT2}::TestPrefixWalk::test_weights_are_the_branch_s_values",
+            f"{DEFECT2}::TestCoefficientRoutes::test_enumeration_equals_recurrence",
         ),
     ),
     Mutant(
