@@ -26,11 +26,19 @@ the product at the keys of a composition of N telescopes to N! times its
 term and the parapermanent of order i is i! a_i; one read-out divides by
 i!.  The three routes share only the S-values.  The _exact
 functions return Fractions; the integer functions raise ConsistencyError
-at the first a_i that is not an integer.  The defect2 module sums a
-defect-2 branch with two of these routes over q = 2: the parapermanent
-route over S-values from the paper's per-part weights, and the
-recurrence over the power sums of the branch's traces, which s_from_traces
-and the defect2 module take from one loop (_s_values).
+at the first a_i that is not an integer.
+
+From trace data the S-values are power sums, S_r = -sum_i p_r(t_i), with
+p_r = t p_{r-1} - q p_{r-2}; since p_r(-t) = (-1)^r p_r(t), one
+recurrence per distinct |t| serves t and -t (_s_values, the one loop
+that s_from_traces and the defect2 module read).  The trace oracle
+multiplies out prod (1 - t_i x + q x^2) only through x^g, the part the
+routes compute; like them it takes the upper half from the functional
+equation (complete), which holds for any such product.
+
+The defect2 module sums a defect-2 branch with two of these routes over
+q = 2: the parapermanent route over S-values from the paper's per-part
+weights, and the recurrence over the power sums of the branch's traces.
 """
 
 from __future__ import annotations
@@ -69,12 +77,12 @@ class SSequence:
 
     def weil_violations(self) -> tuple[int, ...]:
         """Indices r where |S_r| exceeds the Weil bound 2g sqrt(q)^r."""
-        g = self.g
-        return tuple(
-            r
-            for r, value in enumerate(self.s, start=1)
-            if value * value > 4 * g * g * self.q**r
-        )
+        bound, power, violations = 4 * self.g * self.g, 1, []
+        for r, value in enumerate(self.s, start=1):
+            power *= self.q
+            if value * value > bound * power:
+                violations.append(r)
+        return tuple(violations)
 
 
 @dataclass(frozen=True)
@@ -125,14 +133,20 @@ class LPolynomial:
                 raise ValueError(f"a_{i} must be an integer, got {a!r}")
         if self.coeffs[0] != 1:
             raise ValueError(f"a_0 must be 1, got {self.coeffs[0]}")
-        for i in range(self.g):
-            expected = self.q ** (self.g - i) * self.coeffs[i]
+        # q^(g-i) stepped from i = g-1 down; the lowest broken i is reported
+        broken, power = None, 1
+        for i in range(self.g - 1, -1, -1):
+            power *= self.q
+            expected = power * self.coeffs[i]
             actual = self.coeffs[2 * self.g - i]
             if actual != expected:
-                raise ValueError(
-                    f"functional equation broken at i={i}: "
-                    f"a_{2 * self.g - i}={actual}, q^(g-i)*a_{i}={expected}"
-                )
+                broken = i, actual, expected
+        if broken is not None:
+            i, actual, expected = broken
+            raise ValueError(
+                f"functional equation broken at i={i}: "
+                f"a_{2 * self.g - i}={actual}, q^(g-i)*a_{i}={expected}"
+            )
 
     def evaluate(self, t: Union[int, Fraction]) -> Union[int, Fraction]:
         value: Union[int, Fraction] = 0
@@ -186,12 +200,16 @@ def n_from_traces(data: TraceData, r: int) -> int:
 
 def _s_values(traces: Mapping[int, int], q: int, n: int) -> tuple[int, ...]:
     # S_1..S_n = -sum count * p_r(t) over the distinct traces t and their
-    # multiplicities: one power-sum recurrence per distinct trace
+    # multiplicities.  p_r(-t) = (-1)^r p_r(t), so t and -t share one
+    # power-sum recurrence per distinct |t|, weighted by c_t + c_-t at even
+    # r and c_t - c_-t at odd r; t = 0 counts once
     totals = [0] * (n + 1)
-    for t, count in traces.items():
+    for t in {abs(t) for t in traces}:
+        plus, minus = traces.get(t, 0), traces.get(-t, 0) if t else 0
+        weights = (plus + minus, plus - minus)
         previous, current = 2, t
         for r in range(1, n + 1):
-            totals[r] -= count * current
+            totals[r] -= weights[r & 1] * current
             previous, current = current, t * current - q * previous
     return tuple(totals[1:])
 
@@ -335,8 +353,11 @@ def complete(coeffs: Sequence[int], q: int, g: int | None = None) -> LPolynomial
         g = len(half) - 1
     if len(half) != g + 1:
         raise ValueError(f"need a_0..a_{g} ({g + 1} values), got {len(half)}")
-    full = half + [q ** (g - i) * half[i] for i in range(g - 1, -1, -1)]
-    return LPolynomial(q, g, tuple(full))
+    upper, power = [], 1
+    for a in reversed(half[:-1]):
+        power *= q
+        upper.append(power * a)
+    return LPolynomial(q, g, tuple(half + upper))
 
 
 def class_number(lpoly: LPolynomial) -> int:
@@ -382,15 +403,17 @@ def coeffs_from_traces(data: TraceData) -> LPolynomial:
 def oracle_expand(data: TraceData) -> LPolynomial:
     """The L-polynomial as the expanded product of (1 - t_i x + q x^2).
 
-    Independent of the S-value routes; used to arbitrate them.
+    Only a_0..a_g are multiplied out: the upper half of any such product
+    obeys the functional equation, so it comes from complete, as it does
+    for the S-value routes.  Independent of the S-value routes for the
+    a_0..a_g they compute; used to arbitrate them.
     """
-    q = data.q
-    coeffs = [1]
-    for t in data.traces:
-        expanded = [0] * (len(coeffs) + 2)
-        for i, c in enumerate(coeffs):
-            expanded[i] += c
-            expanded[i + 1] -= c * t
-            expanded[i + 2] += c * q
-        coeffs = expanded
-    return LPolynomial(q, data.g, tuple(coeffs))
+    q, g = data.q, data.g
+    half = [1] + [0] * g
+    for k, t in enumerate(data.traces, start=1):
+        # times (1 - t x + q x^2) in place, top down; after k factors the
+        # product has degree 2k
+        for i in range(min(2 * k, g), 1, -1):
+            half[i] += q * half[i - 2] - t * half[i - 1]
+        half[1] -= t
+    return complete(half, q)

@@ -1,9 +1,11 @@
 import math
+import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zetapoly import lpoly, parapermanent
 from zetapoly.errors import ConsistencyError
@@ -50,6 +52,28 @@ def trace_data(q_values=(2, 3, 4, 5, 7, 9), max_g=8):
     )
 
 
+def untruncated_product(q, traces):
+    # every coefficient of prod (1 - t x + q x^2), multiplied out in full
+    coeffs = [1]
+    for t in traces:
+        coeffs = [
+            a - t * b + q * c
+            for a, b, c in zip(coeffs + [0, 0], [0] + coeffs + [0], [0, 0] + coeffs)
+        ]
+    return tuple(coeffs)
+
+
+def per_trace_s_values(traces, q, n):
+    # S_1..S_n with one power-sum recurrence for every key, t and -t apart
+    totals = [0] * n
+    for t, count in traces.items():
+        previous, current = 2, t
+        for r in range(n):
+            totals[r] -= count * current
+            previous, current = current, t * current - q * previous
+    return tuple(totals)
+
+
 class TestInputs:
     def test_s_from_counts(self):
         assert s_from_counts(2, [5]).s == (2,)
@@ -83,6 +107,30 @@ class TestInputs:
         assert n_from_traces(data, 2) == 9
         with pytest.raises(ValueError):
             n_from_traces(data, 0)
+
+    @pytest.mark.parametrize(
+        "traces",
+        [
+            [3, 3, -3, -3, -3, 0, -1, -1, -1, -1],  # ±3 unequal, 0, -1 alone
+            [-2, -2, -2],
+            [0, 0],
+            [2, -2],
+            [],
+        ],
+    )
+    def test_s_values_pair_signs_pinned(self, traces):
+        counts = Counter(traces)
+        for n in (0, 1, 2, 7):
+            expected = per_trace_s_values(counts, 5, n)
+            assert lpoly._s_values(counts, 5, n) == expected
+            assert lpoly._s_values(dict(counts), 5, n) == expected
+
+    @given(st.sampled_from([2, 3, 5, 9]), st.lists(st.integers(-6, 6), max_size=12), st.integers(0, 9))
+    def test_s_values_equal_per_trace_loop(self, q, traces, n):
+        counts = Counter(traces)
+        expected = per_trace_s_values(counts, q, n)
+        assert lpoly._s_values(counts, q, n) == expected
+        assert lpoly._s_values(dict(counts), q, n) == expected
 
     @given(trace_data())
     def test_s_matches_n(self, data):
@@ -245,6 +293,12 @@ class TestLPolynomial:
         assert full.coeffs == (1, 4, 10, 8, 4)
         assert full.g == 2
 
+    def test_complete_small_genus(self):
+        assert complete([1], 7).coeffs == (1,)
+        assert complete([1], 7).g == 0
+        assert complete([1, -3], 7).coeffs == (1, -3, 7)
+        assert complete([1, 5], 2, g=1).coeffs == (1, 5, 2)
+
     def test_complete_validates_length(self):
         with pytest.raises(ValueError):
             complete([1, 4], 2, g=2)
@@ -254,6 +308,24 @@ class TestLPolynomial:
             LPolynomial(2, 1, (1, 2, 3))
         with pytest.raises(ValueError):
             LPolynomial(2, 1, (2, 2, 4))
+
+    @pytest.mark.parametrize(
+        "g, broken, i",
+        [(1, [0], 0), (4, [0], 0), (4, [3], 3), (4, [3, 0], 0), (4, [2, 3], 2)],
+    )
+    def test_functional_equation_message(self, g, broken, i):
+        # a_{2g-j} off by one at each broken j; the lowest one, i, is named
+        q = 3
+        coeffs = list(complete([1] + list(range(2, g + 2)), q).coeffs)
+        for j in broken:
+            coeffs[2 * g - j] += 1
+        expected = q ** (g - i) * coeffs[i]
+        text = (
+            f"functional equation broken at i={i}: "
+            f"a_{2 * g - i}={expected + 1}, q^(g-i)*a_{i}={expected}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            LPolynomial(q, g, tuple(coeffs))
 
     def test_evaluate(self):
         full = complete([1, 2], 2)
@@ -275,6 +347,21 @@ class TestOracle:
     @settings(deadline=None)
     def test_recurrence_equals_product(self, data):
         assert coeffs_from_traces(data).coeffs == oracle_expand(data).coeffs
+
+    def test_genus_one_equals_factor(self):
+        for q in (2, 3, 5, 9):
+            bound = math.isqrt(4 * q)
+            for t in range(-bound, bound + 1):
+                assert oracle_expand(TraceData(q, (t,))).coeffs == (1, -t, q)
+
+    @given(trace_data(max_g=12))
+    @example(TraceData(2, ()))
+    @example(TraceData(7, (-5,)))
+    @example(TraceData(4, (4, -4, 0)))
+    @settings(deadline=None)
+    def test_equals_untruncated_product(self, data):
+        # the upper half that complete supplies is the product's own
+        assert oracle_expand(data).coeffs == untruncated_product(data.q, data.traces)
 
 
 class TestClassNumber:

@@ -135,13 +135,37 @@ MUTANTS = (
     Mutant(
         "s-values-drop-multiplicity",
         "zetapoly/lpoly.py",
-        "totals[r] -= count * current",
-        "totals[r] -= current",
+        "weights = (plus + minus, plus - minus)",
+        "weights = ((plus > 0) + (minus > 0), (plus > 0) - (minus > 0))",
         (
             f"{LPOLY}::TestInputs::test_s_matches_n",
+            f"{LPOLY}::TestInputs::test_s_values_pair_signs_pinned",
             f"{LPOLY}::TestOracle::test_recurrence_equals_product",
             f"{DEFECT2}::TestPrefixWalk::test_weights_are_the_branch_s_values",
             f"{DEFECT2}::TestCoefficientRoutes::test_enumeration_equals_recurrence",
+        ),
+    ),
+    Mutant(
+        "s-values-pair-sign",
+        "zetapoly/lpoly.py",
+        "weights = (plus + minus, plus - minus)",
+        "weights = (plus + minus, plus + minus)",
+        (
+            f"{LPOLY}::TestInputs::test_s_values_pair_signs_pinned",
+            f"{LPOLY}::TestInputs::test_s_values_equal_per_trace_loop",
+            f"{LPOLY}::TestOracle::test_recurrence_equals_product",
+            f"{DEFECT2}::TestPrefixWalk::test_weights_are_the_branch_s_values",
+        ),
+    ),
+    Mutant(
+        "oracle-half-bound",
+        "zetapoly/lpoly.py",
+        "for i in range(min(2 * k, g), 1, -1):",
+        "for i in range(min(2 * k, g - 1), 1, -1):",
+        (
+            f"{LPOLY}::TestOracle::test_pinned_product",
+            f"{LPOLY}::TestOracle::test_equals_untruncated_product",
+            f"{LPOLY}::TestOracle::test_recurrence_equals_product",
         ),
     ),
     Mutant(
