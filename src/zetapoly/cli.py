@@ -52,7 +52,7 @@ run 'zetapoly <command> --help' for options
 
 _MAX_COMPOSITION_N = 62
 
-# --method all runs the composition route (2^g - 1 terms, about 0.1 s at
+# --method all runs the composition route (2^g - 1 terms, 0.03-0.05 s at
 # g=18 and doubling per g) only up to this genus; --method compositions
 # still reaches lpoly.COMPOSITION_CAP
 _ALL_COMPOSITION_MAX_G = 18
@@ -62,8 +62,9 @@ _ALL_COMPOSITION_MAX_G = 18
 # q=999999999989 (Python 3.11, 2 cores)
 _MAX_G = 512
 
-# pper runs the 2^(n-1)-term composition walk: order 20 took 0.3 s on a
-# table of entries +-(1..9)/(1..9) (integer path), and each order doubles it
+# pper runs the 2^(n-1)-term composition walk: order 20 took 0.15-0.23 s
+# on a table of entries +-(1..9)/(1..9) (integer path, both evaluators;
+# Python 3.11, 2 cores), and each order doubles it
 _MAX_PPER_ORDER = 20
 
 # The walk visits 2^order - 1 compositions.  With D the lcm of the entry
@@ -82,7 +83,10 @@ _MAX_PPER_ORDER = 20
 # ones, 4.5 s for order 20 with 256-bit integers, 5.1 s for order 16 with
 # 64-bit prime denominators.  At the budget the tables took 0.2-1.5 s
 # (orders 6-20; 1.5 s for order 10 with 12,654-bit integers).  A Fraction
-# walk of order 18 or more is past it whatever its entries.
+# walk of order 18 or more is past it whatever its entries.  The fit is
+# to the walk that pushed every inner node; the walk that adds the leaves
+# of prefix n-1 in place is faster, so the estimate errs high, and the
+# constants are kept so that pper accepts and refuses the same tables.
 _INTEGER_NODE_S = 3.5e-7
 _INTEGER_WALK_S = 1.2e-11
 _FRACTION_NODE_S = 1e-5

@@ -232,23 +232,27 @@ def _check_range(n: int, g: int, threads: Optional[int]) -> None:
 
 
 def a_n_theta_exact(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> QuadExt:
-    """a_n as an exact Q(sqrt 2) number via the composition sum; n <= cap."""
+    """a_n as an exact Q(sqrt 2) number; n <= cap.
+
+    a_n comes from lpoly's last-row parapermanent route.
+    """
     return QuadExt(a_list_theta(n, g, theta, threads)[n])
 
 
 def a_list_theta(
     max_n: int, g: int, theta: Theta, threads: Optional[int] = None
 ) -> list[int]:
-    """a_0..a_max_n as integers from one composition sum; max_n <= cap.
+    """a_0..a_max_n as integers from one parapermanent pass; max_n <= cap.
 
-    The sum is lpoly's parapermanent route over the branch's S-values.
+    The pass is lpoly's last-row parapermanent route over the branch's
+    S-values.
     """
     _check_range(max_n, g, threads)
     return coeffs_by_parapermanent(SSequence(2, _pass_weights(max_n, g, theta)))
 
 
 def a_n_theta(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> int:
-    """a_n as an integer via the composition sum."""
+    """a_n as an integer via lpoly's last-row parapermanent route."""
     return a_list_theta(n, g, theta, threads)[n]
 
 

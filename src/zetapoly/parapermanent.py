@@ -10,6 +10,8 @@ Two evaluators are kept and must agree.  The composition sum follows the
 definition: one depth-first walk over the compositions of every order <= n,
 where a node is a composition of its prefix sum N carrying the product at
 its keys, so each term costs one multiplication and is added on its own.
+Only nodes with more than one child are pushed: a node at prefix n-1 has
+a single child, a leaf, which is formed and added where the node is.
 Unrolling the sum along the last row instead gives an O(n^2)-multiplication
 recurrence over prefix parapermanents.  It takes an optional denominator
 for each row's diagonal entry: every factorial product of row i carries
@@ -150,6 +152,12 @@ def pper_composition_sums(
     products at its keys; appending a part m multiplies it by fp(N+m, N+1).
     Each node is one term of order N, so the 2**n - 1 terms cost one
     multiplication each, plus O(n^2) calls to fp.
+
+    The root is expanded first, so its children give every order its first
+    term.  Only nodes with more than one child are pushed: a node at prefix
+    n-1 has one child, the leaf fp(n, n) away, so when a node forms its
+    order-(n-1) child it adds that child's leaf and its own order-n leaf to
+    a running total for order n, each formed from its parent's product.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
@@ -157,16 +165,31 @@ def pper_composition_sums(
     keys = [
         [fp(i, prefix + 1) for i in range(prefix + 1, n + 1)] for prefix in range(n + 1)
     ]
-    sums: list[Any] = [one] + [None] * n
-    stack = [(0, one)]
+    sums = [one] + [one * key for key in keys[0]]
+    if n < 2:
+        return sums
+    # children[N] for N <= n-2: the (order, key) pairs of the children that
+    # are pushed, then the keys of the order-(n-1) and order-n children
+    children = [
+        (list(enumerate(row[:-2], start=prefix + 1)), row[-2], row[-1])
+        for prefix, row in enumerate(keys[: n - 1])
+    ]
+    leaf = keys[n - 1][0]
+    penultimate = sums[n - 1]
+    top = sums[n] + penultimate * leaf
+    stack = list(zip(range(1, n - 1), sums[1 : n - 1]))
     while stack:
         prefix, product = stack.pop()
-        for order, key in enumerate(keys[prefix], start=prefix + 1):
+        pushed, penultimate_key, top_key = children[prefix]
+        for order, key in pushed:
             term = product * key
-            total = sums[order]
-            sums[order] = term if total is None else total + term
-            if order < n:
-                stack.append((order, term))
+            sums[order] += term
+            stack.append((order, term))
+        term = product * penultimate_key
+        penultimate += term
+        top += term * leaf + product * top_key
+    sums[n - 1] = penultimate
+    sums[n] = top
     return sums
 
 

@@ -330,7 +330,7 @@ def test_criterion_10_branch_coefficients_match_trace_product():
         10,
         recurrence_ok and enumeration_ok,
         f"branch coefficients from traces (+-2, ..., +-2, 0) match the "
-        f"recurrence for g <= 12 and the composition sums for g <= 14 "
+        f"recurrence for g <= 12 and the last-row parapermanent route for g <= 14 "
         f"({elapsed:.2f}s)",
     )
 
@@ -374,7 +374,7 @@ def test_criterion_12_performance_envelope():
         12,
         recurrence_ok and scan_ok and memory_ok,
         f"a_0..a_100 recurrence in {recurrence_elapsed * 1000:.0f}ms (< 1s); "
-        f"n=24 composition sum by prefix sums in {scan_elapsed:.1f}s "
+        f"n=24 last-row parapermanent route in {scan_elapsed:.1f}s "
         f"(< 300s) with peak-memory growth {grown_kb} KB and child-process peak "
         f"{children_kb} KB (each < 262144 KB)",
     )

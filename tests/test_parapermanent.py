@@ -197,17 +197,26 @@ class TestGenericEvaluators:
             return factorial_product(matrix, i, j)
 
         sums = pper_composition_sums(order, fp, one)
+        assert sums == term_sums(order, fp, one)
         for k in range(order + 1):
-            expected = None
-            for composition in enumerate_compositions(k):
-                term = one
-                previous = 0
-                for current in composition.prefix_sums():
-                    term = term * factorial_product(matrix, current, previous + 1)
-                    previous = current
-                expected = term if expected is None else expected + term
-            assert sums[k] == expected
             assert sums[: k + 1] == pper_composition_sums(k, fp, one)
+
+
+def term_sums(order, fp, one):
+    # the parapermanents of orders 0..order, each composition's term formed
+    # from the factorial products at its keys and added on its own
+    sums = []
+    for k in range(order + 1):
+        expected = None
+        for composition in enumerate_compositions(k):
+            term = one
+            previous = 0
+            for current in composition.prefix_sums():
+                term = term * fp(current, previous + 1)
+                previous = current
+            expected = term if expected is None else expected + term
+        sums.append(expected)
+    return sums
 
 
 def fraction_last_row(rows):
@@ -316,6 +325,44 @@ class TestRationalTables:
         started = time.perf_counter()
         assert _common_denominator(TriangularMatrix(rows)) is None
         assert time.perf_counter() - started < 0.5
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_evaluators_agree_past_scaled_bits(self, order):
+        # distinct odd denominators of 4,100 bits: even one entry is past
+        # the bound, so both evaluators walk Fractions
+        rng = random.Random(order)
+        rows = tuple(
+            tuple(
+                Fraction(rng.randint(-9, 9), rng.getrandbits(4_100) | 1 << 4_099 | 1)
+                for _ in range(i)
+            )
+            for i in range(1, order + 1)
+        )
+        matrix = TriangularMatrix(rows)
+        assert _common_denominator(matrix) is None
+        expected = fraction_last_row(rows)
+        assert pper_by_last_row(matrix) == expected
+        assert pper_by_compositions(matrix) == expected
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_evaluators_agree_over_quadext(self, order):
+        rng = random.Random(order)
+        matrix = TriangularMatrix(
+            tuple(
+                tuple(
+                    QuadExt(
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                    )
+                    for _ in range(i)
+                )
+                for i in range(1, order + 1)
+            )
+        )
+        one = QuadExt.one()
+        by_rows = pper_by_last_row(matrix, one)
+        assert isinstance(by_rows, QuadExt)
+        assert by_rows == pper_by_compositions(matrix, one)
 
     def test_other_scalars_keep_their_type(self):
         matrix = TriangularMatrix(((QuadExt(1, 1),), (QuadExt(2), QuadExt(0, 1))))
@@ -454,6 +501,18 @@ class TestOperationScaling:
                 lambda matrix, _: _factorial_product_table(matrix), order
             )
             assert self._mults(pper_by_compositions, order) == mults + table_mults
+
+    @pytest.mark.parametrize("order", range(14))
+    def test_walk_forms_each_term_once(self, order):
+        # one multiplication per composition of each order 1..order, and
+        # every sum equal to its terms added one by one; orders 0 and 1
+        # push nothing, and order 2 leaves the stack empty after the root
+        table = _factorial_product_table(_counting_matrix(order, order))
+        CountingScalar.mults = 0
+        sums = pper_composition_sums(order, lambda i, j: table[i][j], CountingScalar(1))
+        assert CountingScalar.mults == (1 << order) - 1
+        expected = term_sums(order, lambda i, j: table[i][j].value, Fraction(1))
+        assert [total.value for total in sums] == expected
 
     def test_both_agree_while_counting(self):
         matrix = _counting_matrix(9, 3)

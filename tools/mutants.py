@@ -179,6 +179,28 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "walk-drops-folded-leaf",
+        "zetapoly/parapermanent.py",
+        "top += term * leaf + product * top_key",
+        "top += product * top_key",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestGenericEvaluators::test_composition_sums_match_definition",
+            f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
+        ),
+    ),
+    Mutant(
+        "walk-top-key-wrong-slot",
+        "zetapoly/parapermanent.py",
+        "row[-2], row[-1])",
+        "row[-2], row[-2])",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestGenericEvaluators::test_composition_sums_match_definition",
+            f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
+        ),
+    ),
+    Mutant(
         "common-denominator-power",
         "zetapoly/parapermanent.py",
         "entry.numerator * (denominator // entry.denominator) for entry in row",
