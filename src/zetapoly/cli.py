@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Thin adapter only: every command validates its inputs, calls the library,
-and prints one deterministic report in the requested format.  No arithmetic
-beyond input validation lives here.
+Thin adapter only: every command parses its inputs, applies its own time
+and size bounds, calls the library, whose input checks exit 1 with their
+own text, and prints one deterministic report in the requested format.  No
+arithmetic beyond input validation lives here.
 
 Exit codes: 0 success, 1 invalid input, 2 failed internal consistency
 check, 64 unknown command.
@@ -18,7 +19,7 @@ import re
 import sys
 import warnings
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, TextIO, Union
+from typing import Any, Callable, Optional, Sequence, TextIO, TypeVar, Union
 
 from . import defect2, lpoly
 from .arith import parse_rational
@@ -26,7 +27,7 @@ from .compositions import iter_parts
 from .errors import ConsistencyError, ValidationError, describe
 from .parapermanent import (
     _SCALED_BITS,
-    matrix_from_entries,
+    TriangularMatrix,
     pper_by_compositions,
     pper_by_last_row,
 )
@@ -54,7 +55,7 @@ _MAX_COMPOSITION_N = 62
 
 # --method all runs the composition route (2^g - 1 terms, 0.03-0.05 s at
 # g=18 and doubling per g) only up to this genus; --method compositions
-# still reaches lpoly.COMPOSITION_CAP
+# still reaches _MAX_WALK_ORDER
 _ALL_COMPOSITION_MAX_G = 18
 
 # lpoly and classnumber run O(g^2) big-integer routes: every command took
@@ -62,10 +63,15 @@ _ALL_COMPOSITION_MAX_G = 18
 # q=999999999989 (Python 3.11, 2 cores)
 _MAX_G = 512
 
-# pper runs the 2^(n-1)-term composition walk: order 20 took 0.15-0.23 s
-# on a table of entries +-(1..9)/(1..9) (integer path, both evaluators;
-# Python 3.11, 2 cores), and each order doubles it
-_MAX_PPER_ORDER = 20
+# defect2 analyze's rows stop at n = 24, as they always have: the library
+# takes any max_n <= g, and 24 rows keep every accepted command's output
+_MAX_DEFECT2_N = 24
+
+# every composition walk (pper --file: 2^(n-1) terms; lpoly --method
+# compositions: 2^g - 1) stops at this order or genus: pper order 20 took
+# 0.15-0.23 s on entries +-(1..9)/(1..9), lpoly g=22 0.80 s (Python 3.11,
+# 2 cores), and each order doubles it
+_MAX_WALK_ORDER = 20
 
 # The walk visits 2^order - 1 compositions.  With D the lcm of the entry
 # denominators and n the bits of the largest numerator, a table with
@@ -99,6 +105,8 @@ _KARATSUBA = math.log2(3)
 _MAX_VALIDATED_Q = 10**12
 
 _Handler = Callable[[list[str], TextIO, TextIO], int]
+
+_T = TypeVar("_T")
 
 
 # a comma-separated list of integers that starts with "-", e.g. -2,-2
@@ -172,16 +180,29 @@ def _validate_q(q: int, skip_prime_power: bool) -> None:
         )
 
 
+def _library_input(call: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
+    # the library's own input check: its ValueError exits 1 with its text.
+    # Only such calls are wrapped; one from inside a route is a bug.
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+
+
+def _digit_limit_error() -> ValidationError:
+    return ValidationError(
+        f"an output integer has more than {sys.get_int_max_str_digits()} "
+        "digits, Python's int-to-str limit (raise it with "
+        "PYTHONINTMAXSTRDIGITS)"
+    )
+
+
 def _decimal(value: Union[int, Fraction]) -> str:
     try:
         return str(value)
     except ValueError:
         # only raised past the interpreter's int-to-str digit limit
-        raise ValidationError(
-            f"an output integer has more than {sys.get_int_max_str_digits()} "
-            "digits, Python's int-to-str limit (raise it with "
-            "PYTHONINTMAXSTRDIGITS)"
-        ) from None
+        raise _digit_limit_error() from None
 
 
 def _check_genus(label: str, values: list[int]) -> None:
@@ -244,9 +265,9 @@ def _half_coefficients(s: lpoly.SSequence, method: str) -> tuple[list[int], list
     if method == "pper":
         return lpoly.coeffs_by_parapermanent(s), ["pper"]
     if method == "compositions":
-        if s.g > lpoly.COMPOSITION_CAP:
+        if s.g > _MAX_WALK_ORDER:
             raise ValidationError(
-                f"--method compositions needs g <= {lpoly.COMPOSITION_CAP}, got g={s.g}"
+                f"--method compositions needs g <= {_MAX_WALK_ORDER}, got g={s.g}"
             )
         return lpoly.coeffs_by_compositions(s), ["compositions"]
     by_recurrence = lpoly.coeffs_by_recurrence(s)
@@ -270,12 +291,9 @@ def _half_coefficients(s: lpoly.SSequence, method: str) -> tuple[list[int], list
 
 def _s_from_counts_checked(q: int, counts: list[int], err: TextIO) -> lpoly.SSequence:
     _check_genus("--counts", counts)
-    for i, n_r in enumerate(counts, start=1):
-        if n_r < 0:
-            raise ValidationError(f"--counts[{i}] must be >= 0, got {n_r}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        s = lpoly.s_from_counts(q, counts)
+        s = _library_input(lpoly.s_from_counts, q, counts)
     for item in caught:
         print(f"warning: {item.message}", file=err)
     return s
@@ -283,12 +301,7 @@ def _s_from_counts_checked(q: int, counts: list[int], err: TextIO) -> lpoly.SSeq
 
 def _traces_checked(q: int, traces: list[int]) -> lpoly.TraceData:
     _check_genus("--traces", traces)
-    for i, t in enumerate(traces, start=1):
-        if t * t > 4 * q:
-            raise ValidationError(
-                f"--traces[{i}] violates t^2 <= 4q: t={t}, q={q}"
-            )
-    return lpoly.TraceData(q, tuple(traces))
+    return _library_input(lpoly.TraceData, q, tuple(traces))
 
 
 def _lpoly_payload(
@@ -469,6 +482,19 @@ def _emit_defect2(report: defect2.Defect2Report, fmt: str, out: TextIO) -> None:
         out.write(rendered.rstrip() + "\n")
 
 
+def _refuse_huge_defect2(g: int, max_n: int) -> None:
+    # both branches have |a_n| >= C(g-1, n) 2^n for n <= g-1 (every term of
+    # (1 + 2t + 2t^2)^(g-1) (1 + 2t^2) is nonnegative), so a report past the
+    # int-to-str limit is refused before any route runs; the library
+    # refuses an out-of-range max_n itself
+    limit = sys.get_int_max_str_digits()
+    if not limit or not 1 <= max_n <= g:
+        return
+    n = min(max_n, g - 1)
+    if math.comb(g - 1, n) << n >= 10**limit:
+        raise _digit_limit_error()
+
+
 def _cmd_defect2_analyze(args: list[str], out: TextIO, err: TextIO) -> int:
     parser = _Parser(prog="zetapoly defect2 analyze", add_help=True)
     parser.add_argument("--g", required=True)
@@ -484,14 +510,16 @@ def _cmd_defect2_analyze(args: list[str], out: TextIO, err: TextIO) -> int:
     g = _int_option("--g", ns.g)
     max_n = None if ns.max_n is None else _int_option("--max-n", ns.max_n)
     threads = None if ns.threads is None else _int_option("--threads", ns.threads)
+    if max_n is None:
+        max_n = min(g, _MAX_DEFECT2_N)
+    elif max_n > _MAX_DEFECT2_N:
+        raise ValidationError(f"--max-n is capped at {_MAX_DEFECT2_N}, got {max_n}")
+    _refuse_huge_defect2(g, max_n)
     if ns.theta == "both":
         thetas: Optional[tuple[defect2.Theta, ...]] = None
     else:
         thetas = (defect2.Theta(ns.theta),)
-    try:
-        report = defect2.analyze(g, max_n=max_n, thetas=thetas, threads=threads)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    report = _library_input(defect2.analyze, g, max_n=max_n, thetas=thetas, threads=threads)
     _emit_defect2(report, ns.format, out)
     return EXIT_OK
 
@@ -604,9 +632,9 @@ def _cmd_pper(args: list[str], out: TextIO, err: TextIO) -> int:
     _add_format_option(parser)
     ns = parser.parse_args(args)
     rows = _load_matrix_file(ns.file)
-    if len(rows) > _MAX_PPER_ORDER:
+    if len(rows) > _MAX_WALK_ORDER:
         raise ValidationError(
-            f"table order capped at {_MAX_PPER_ORDER}, got {len(rows)}"
+            f"table order capped at {_MAX_WALK_ORDER}, got {len(rows)}"
         )
     seconds = _pper_walk_seconds(rows)
     if seconds > _MAX_PPER_SECONDS:
@@ -614,7 +642,7 @@ def _cmd_pper(args: list[str], out: TextIO, err: TextIO) -> int:
             f"table too large to walk: its composition walk is estimated at "
             f"{seconds:.3g} s or more, past the {_MAX_PPER_SECONDS} s budget"
         )
-    matrix = matrix_from_entries(rows)
+    matrix = TriangularMatrix(tuple(rows))
     by_rows = pper_by_last_row(matrix)
     by_sums = pper_by_compositions(matrix)
     if by_rows != by_sums:

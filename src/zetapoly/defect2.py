@@ -30,8 +30,9 @@ parapermanents as well: over the table of the parts' signs each term is
 its own sign, so the sum is P+ - P-, and over their absolute values it is
 P+ + P-.  A call for both branches sums each branch's own S-values.
 cr_theta stays the paper's term formula and the tests' check on the pass;
-it never feeds it.  The entry points' threads= is validated (>= 1) and
-otherwise unused: everything runs in the calling process.
+it never feeds it.  Nothing lists compositions, so no entry point caps n
+below g.  The entry points' threads= is validated (>= 1) and otherwise
+unused: everything runs in the calling process.
 
 The recurrence n * a_n = sum_m S_m * a_(n-m) is lpoly's recurrence over
 q = 2 (a_list_theta_recurrence).  The two stay the pair of routes that
@@ -65,8 +66,6 @@ from .compositions import Composition
 from .errors import ConsistencyError, describe
 from .lpoly import SSequence, _s_values, coeffs_by_parapermanent, coeffs_by_recurrence
 from .parapermanent import pper_prefixes
-
-ENUMERATION_CAP = 24
 
 
 class Theta(enum.Enum):
@@ -213,12 +212,8 @@ def _symmetry_verdicts(weights: Sequence[int], weights3: Sequence[int]) -> list[
     return [n < first_break for n in range(len(weights) + 1)]
 
 
-def _check_pass(max_n: int, threads: Optional[int]) -> None:
-    if max_n > ENUMERATION_CAP:
-        raise ValueError(
-            f"composition enumeration capped at n <= {ENUMERATION_CAP}, got n={max_n}"
-        )
-    # threads stays in the signatures for their callers; the pass runs in
+def _check_threads(threads: Optional[int]) -> None:
+    # threads stays in the signatures for their callers; everything runs in
     # this process, so it changes neither the results nor the processes
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -228,11 +223,11 @@ def _check_range(n: int, g: int, threads: Optional[int]) -> None:
     # the entry points that read a_1..a_n need 1 <= n <= g
     if not 1 <= n <= g:
         raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
-    _check_pass(n, threads)
+    _check_threads(threads)
 
 
 def a_n_theta_exact(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> QuadExt:
-    """a_n as an exact Q(sqrt 2) number; n <= cap.
+    """a_n as an exact Q(sqrt 2) number; 1 <= n <= g.
 
     a_n comes from lpoly's last-row parapermanent route.
     """
@@ -242,7 +237,7 @@ def a_n_theta_exact(n: int, g: int, theta: Theta, threads: Optional[int] = None)
 def a_list_theta(
     max_n: int, g: int, theta: Theta, threads: Optional[int] = None
 ) -> list[int]:
-    """a_0..a_max_n as integers from one parapermanent pass; max_n <= cap.
+    """a_0..a_max_n as integers from one parapermanent pass; 1 <= max_n <= g.
 
     The pass is lpoly's last-row parapermanent route over the branch's
     S-values.
@@ -262,7 +257,7 @@ def a_list_theta_recurrence(n_max: int, g: int, theta: Theta) -> list[int]:
     S_1..S_{n_max} are the power sums of the branch's traces, g - 1 copies
     of theta.trace_value and one 0, in plain integers; they read no
     c_theta, so a wrong weight there splits the parapermanent route from
-    this one.  Not capped by the enumeration cap.
+    this one.
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
@@ -273,14 +268,14 @@ def a_list_theta_recurrence(n_max: int, g: int, theta: Theta) -> list[int]:
 
 
 def a_n_theta_recurrence(n: int, g: int, theta: Theta) -> int:
-    """a_n via the linear recurrence; n <= g, no enumeration cap."""
+    """a_n via the linear recurrence; n <= g."""
     return a_list_theta_recurrence(n, g, theta)[n]
 
 
 def sign_tallies(
     max_n: int, g: int, theta: Theta, threads: Optional[int] = None
 ) -> list[tuple[int, int]]:
-    """(P+, P-) for every n <= max_n; max_n <= cap.
+    """(P+, P-) for every n <= max_n; max_n >= 1, not bounded by g.
 
     Entry n counts the compositions of n whose terms are positive and
     negative; entry 0 is the empty composition, whose term a_0 = 1 is
@@ -293,7 +288,7 @@ def sign_tallies(
         raise ValueError(f"sign counting needs g > 2, got g={g}")
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    _check_pass(max_n, threads)
+    _check_threads(threads)
     return _tallies(_pass_weights(max_n, g, theta))
 
 
@@ -515,9 +510,9 @@ def analyze(
 ) -> Defect2Report:
     """Full defect-2 coefficient report for one genus.
 
-    Each selected branch's S-values give its a_1..a_max_n by lpoly's
-    parapermanent route and its term sign tallies (g > 2) as
-    parapermanents of their signs.  Row by row it checks
+    Each selected branch's S-values give its a_1..a_max_n (max_n in
+    1..g, g by default) by lpoly's parapermanent route and its term sign
+    tallies (g > 2) as parapermanents of their signs.  Row by row it checks
     the termwise symmetry (both branches only), the sign-tally claims and
     the sign/growth claims, and it cross-checks the coefficients against
     both the branch's trace product in closed form and the linear
@@ -527,11 +522,9 @@ def analyze(
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
-    cap = min(g, ENUMERATION_CAP)
-    if max_n is None:
-        max_n = cap
-    if not 1 <= max_n <= cap:
-        raise ValueError(f"need 1 <= max_n <= {cap} for g={g}, got {max_n}")
+    max_n = g if max_n is None else max_n
+    if not 1 <= max_n <= g:
+        raise ValueError(f"need 1 <= max_n <= {g} for g={g}, got {max_n}")
     if thetas is None:
         selected = _THETAS
     else:
@@ -539,7 +532,7 @@ def analyze(
         if not selected:
             raise ValueError("no branch selected")
 
-    _check_pass(max_n, threads)
+    _check_threads(threads)
     weights = {theta: _pass_weights(max_n, g, theta) for theta in selected}
     symmetric: Optional[list[bool]] = None
     if len(selected) == 2:

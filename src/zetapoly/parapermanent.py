@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional
 
 FactorialProduct = Callable[[int, int], Any]
 
@@ -251,8 +251,3 @@ def pper_by_last_row(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:
 def pper_by_compositions(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:
     """Parapermanent of the table by direct composition enumeration."""
     return _evaluate(pper_composition_sums, matrix, one)
-
-
-def matrix_from_entries(rows: Sequence[Sequence[Any]]) -> TriangularMatrix:
-    """Build a TriangularMatrix, validating the triangular shape."""
-    return TriangularMatrix(tuple(tuple(row) for row in rows))

@@ -153,7 +153,7 @@ def test_criterion_04_parapermanent_fixture_and_evaluators():
     fixture_ok = True
     for _ in range(25):
         rows = [[entry() for _ in range(i + 1)] for i in range(3)]
-        matrix = parapermanent.matrix_from_entries(rows)
+        matrix = parapermanent.TriangularMatrix(tuple(rows))
         (b11,), (b21, b22), (b31, b32, b33) = rows
         expected = (
             b31 * b32 * b33
@@ -167,7 +167,7 @@ def test_criterion_04_parapermanent_fixture_and_evaluators():
     for order in range(11):
         for _ in range(5):
             rows = [[entry() for _ in range(i + 1)] for i in range(order)]
-            matrix = parapermanent.matrix_from_entries(rows)
+            matrix = parapermanent.TriangularMatrix(tuple(rows))
             if parapermanent.pper_by_last_row(matrix) != parapermanent.pper_by_compositions(matrix):
                 evaluators_ok = False
     _emit(

@@ -163,16 +163,46 @@ class TestLPolyCommand:
             (("lpoly", "from-counts", "--q", "6", "--counts", "5"), "prime power"),
             (("lpoly", "from-counts", "--q", "x", "--counts", "5"), "--q"),
             (("lpoly", "from-counts", "--q", "2", "--counts", ""), "--counts"),
-            (("lpoly", "from-counts", "--q", "2", "--counts", "3,-1"), "--counts[2]"),
+            (
+                ("lpoly", "from-counts", "--q", "2", "--counts", "3,-1"),
+                "error: N_2 must be a nonnegative integer, got -1\n",
+            ),
             (("lpoly", "from-counts", "--q", "2", "--counts", "3,zz"), "--counts[2]"),
-            (("lpoly", "from-traces", "--q", "2", "--traces", "5"), "--traces[1]"),
+            (
+                ("lpoly", "from-traces", "--q", "2", "--traces", "5"),
+                "error: trace 1 violates t^2 <= 4q: t=5, q=2\n",
+            ),
             (("lpoly", "from-counts", "--counts", "5"), "--q"),
+        ],
+        ids=[
+            "args0---q",
+            "args1-prime power",
+            "args2---q",
+            "args3---counts",
+            "args4---counts[2]",
+            "args5---counts[2]",
+            "args6---traces[1]",
+            "args7---q",
         ],
     )
     def test_validation_failures(self, args, fragment):
         code, _, err = run_cli(*args)
         assert code == cli.EXIT_VALIDATION
         assert fragment in err
+
+    def test_composition_method_bounded_by_walk_order(self):
+        # the composition walk doubles per g; above _MAX_WALK_ORDER the
+        # method is refused before any route runs
+        assert cli._MAX_WALK_ORDER == 20
+        for g, code in ((20, cli.EXIT_OK), (21, cli.EXIT_VALIDATION)):
+            started = time.perf_counter()
+            result = run_cli(
+                "lpoly", "from-traces", "--q", "2", "--traces", ",".join(["1"] * g),
+                "--method", "compositions",
+            )
+            assert time.perf_counter() - started < 1.0
+            assert result[0] == code
+        assert result[1:] == ("", "error: --method compositions needs g <= 20, got g=21\n")
 
     def test_no_validate_skips_prime_power(self):
         code, out, _ = run_cli(
@@ -316,6 +346,28 @@ class TestOutputLimits:
         assert "4300 digits" in err
         assert "PYTHONINTMAXSTRDIGITS" in err
 
+    def test_huge_defect2_report_refused_before_any_route(self, default_digit_limit):
+        # C(g-1, 24) 2^24 bounds |a_24| from below, so the report is refused
+        # before the routes that took 1.1-1.9 s at this genus run
+        started = time.perf_counter()
+        code, out, err = run_cli("defect2", "analyze", "--g", str(10**4000))
+        assert time.perf_counter() - started < 0.2
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == f"error: {cli._digit_limit_error()}\n"
+
+    def test_no_digit_limit_skips_defect2_bound(self):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int-to-str digit limit")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, _ = run_cli("defect2", "analyze", "--g", str(10**200), "--max-n", "2")
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["rows"][0]["a_3pi4"] == str(2 * 10**200 - 2)
+
     def test_huge_pper_is_refused(self, tmp_path, default_digit_limit):
         # the product of three 4001-digit entries has 12003 digits
         big = "7" * 4001
@@ -425,7 +477,7 @@ class TestDefect2Command:
             ),
             (
                 ("defect2", "analyze", "--g", "30", "--max-n", "25"),
-                "error: need 1 <= max_n <= 24 for g=30, got 25\n",
+                "error: --max-n is capped at 24, got 25\n",
             ),
             (
                 ("defect2", "analyze", "--g", "3", "--threads", "0"),
@@ -451,6 +503,41 @@ class TestDefect2Command:
         )
         assert code == cli.EXIT_OK
         assert "theorem_mode  proven" in table_out
+
+    def test_rows_stop_at_24_golden(self):
+        # the library takes any max_n <= g; the command keeps its 24 rows
+        expected = (
+            "n,a_pi4,a_3pi4,p_plus_pi4,p_minus_pi4,delta_pi4,p_plus_3pi4,p_minus_3pi4,delta_3pi4,check_symmetry,check_tallies,check_signs\n"
+            "1,-58,58,0,1,1,1,0,1,true,,conjecture\n"
+            "2,1684,1684,2,0,2,2,0,2,true,true,conjecture\n"
+            "3,-32596,32596,1,3,2,3,1,2,true,true,conjecture\n"
+            "4,472700,472700,6,2,4,6,2,4,true,true,conjecture\n"
+            "5,-5472880,5472880,6,10,4,10,6,4,true,true,conjecture\n"
+            "6,52650080,52650080,20,12,8,20,12,8,true,true,conjecture\n"
+            "7,-432525024,432525024,27,37,10,37,27,10,true,true,conjecture\n"
+            "8,3095071632,3095071632,73,55,18,73,55,18,true,true,conjecture\n"
+            "9,-19583816928,19583816928,116,140,24,140,116,24,true,true,conjecture\n"
+            "10,110861380032,110861380032,277,235,42,277,235,42,true,true,conjecture\n"
+            "11,-566746814400,566746814400,483,541,58,541,483,58,true,true,conjecture\n"
+            "12,2636578875840,2636578875840,1072,976,96,1072,976,96,true,true,conjecture\n"
+            "13,-11232607249920,11232607249920,1980,2116,136,2116,1980,136,true,true,conjecture\n"
+            "14,44056366586880,44056366586880,4206,3986,220,4206,3986,220,true,true,conjecture\n"
+            "15,-159798044052480,159798044052480,8033,8351,318,8351,8033,318,true,true,conjecture\n"
+            "16,538057722574080,538057722574080,16637,16131,506,16637,16131,506,true,true,conjecture\n"
+            "17,-1687349795351040,1687349795351040,32396,33140,744,33140,32396,744,true,true,conjecture\n"
+            "18,4942281879106560,4942281879106560,66121,64951,1170,66121,64951,1170,true,true,conjecture\n"
+            "19,-13553657999078400,13553657999078400,130203,131941,1738,131941,130203,1738,true,true,conjecture\n"
+            "20,34874621894568960,34874621894568960,263498,260790,2708,263498,260790,2708,true,true,conjecture\n"
+            "21,-84348903265505280,84348903265505280,522262,526314,4052,526314,522262,4052,true,true,conjecture\n"
+            "22,192065739439841280,192065739439841280,1051712,1045440,6272,1051712,1045440,6272,true,true,conjecture\n"
+            "23,-412294093257646080,412294093257646080,2092435,2101869,9434,2101869,2092435,9434,true,true,conjecture\n"
+            "24,835313683954913280,835313683954913280,4201573,4187035,14538,4201573,4187035,14538,true,true,conjecture\n"
+        )
+        assert run_cli("defect2", "analyze", "--g", "30", "--format", "csv") == (
+            cli.EXIT_OK,
+            expected,
+            "",
+        )
 
     def test_deterministic_output(self):
         first = run_cli("defect2", "analyze", "--g", "5")
@@ -557,18 +644,18 @@ class TestPperCommand:
             assert run_cli("pper", "--file", path, "--format", fmt) == (cli.EXIT_OK, expected, "")
 
     def test_order_bound_refused_up_front(self, tmp_path):
-        order = cli._MAX_PPER_ORDER + 1
+        order = cli._MAX_WALK_ORDER + 1
         path = self.write(tmp_path, {"order": order, "rows": [["1/3"] * i for i in range(1, order + 1)]})
         started = time.perf_counter()
         code, out, err = run_cli("pper", "--file", path)
         assert time.perf_counter() - started < 1.0
         assert code == cli.EXIT_VALIDATION
         assert out == ""
-        assert f"table order capped at {cli._MAX_PPER_ORDER}, got {order}" in err
+        assert f"table order capped at {cli._MAX_WALK_ORDER}, got {order}" in err
 
     def test_order_bound_allows_20(self, tmp_path):
         # all-ones table: the parapermanent counts the 2^19 compositions of 20
-        assert cli._MAX_PPER_ORDER == 20
+        assert cli._MAX_WALK_ORDER == 20
         path = self.write(tmp_path, {"order": 20, "rows": [[1] * i for i in range(1, 21)]})
         code, out, _ = run_cli("pper", "--file", path)
         assert code == cli.EXIT_OK
@@ -669,7 +756,7 @@ class TestPperCommand:
 
 
 # argv fuzzing: values that parse and values that do not, lists from empty
-# to just past _MAX_G, and pper tables from empty to past _MAX_PPER_ORDER
+# to just past _MAX_G, and pper tables from empty to past _MAX_WALK_ORDER
 _SMALL_Q = st.sampled_from(["2", "3", "4", "5", "9"])
 _ANY_Q = st.one_of(_SMALL_Q, st.sampled_from(["4093", "1", "6", "-3", "x", "1e3", ""]))
 _BAD_VALUE = st.sampled_from(["", "x", "1.5", "--", "-"])

@@ -12,7 +12,6 @@ from zetapoly import defect2
 from zetapoly.arith import QuadExt, quad_sign
 from zetapoly.compositions import Composition, enumerate_compositions
 from zetapoly.defect2 import (
-    ENUMERATION_CAP,
     Theta,
     a_list_theta,
     a_list_theta_recurrence,
@@ -154,7 +153,7 @@ class TestCoefficientRoutes:
         with pytest.raises(ValueError):
             a_n_theta(6, 5, Theta.PI_4)
         with pytest.raises(ValueError):
-            a_n_theta(ENUMERATION_CAP + 1, 40, Theta.PI_4)
+            a_n_theta(41, 40, Theta.PI_4)
         with pytest.raises(ValueError):
             a_list_theta_recurrence(5, 4, Theta.PI_4)
         with pytest.raises(ValueError):
@@ -189,10 +188,10 @@ class TestSignClassification:
                 assert count_signs(n, 7, theta) == (plus, minus)
 
     def test_tally_totals(self):
-        # every composition of every n up to the cap is tallied once, and the
+        # every composition of every n up to 24 is tallied once, and the
         # coefficients there agree with the closed form and the recurrence
         started = time.perf_counter()
-        cap = ENUMERATION_CAP
+        cap = 24
         for theta in BOTH:
             for g in (3, 5, cap):
                 totals = [plus + minus for plus, minus in sign_tallies(cap, g, theta)]
@@ -407,8 +406,7 @@ class TestPrefixWalk:
                 s_values = s_from_traces(traces).s
                 a_list_theta_recurrence(g, g, theta)
                 assert read.pop() == s_values
-                n = min(g, ENUMERATION_CAP)
-                assert defect2._pass_weights(n, g, theta) == s_values[:n]
+                assert defect2._pass_weights(g, g, theta) == s_values
 
     def test_analyze_independent_of_workers(self):
         sequential = analyze(18, threads=1).to_json_dict()
@@ -678,10 +676,37 @@ class TestListApis:
         with pytest.raises(ValueError):
             a_list_theta(6, 5, Theta.PI_4)
         with pytest.raises(ValueError):
-            a_list_theta(ENUMERATION_CAP + 1, 30, Theta.PI_4)
+            a_list_theta(31, 30, Theta.PI_4)
         with pytest.raises(ValueError):
             sign_tallies(4, 2, Theta.PI_4)
         with pytest.raises(ValueError):
             sign_tallies(0, 5, Theta.PI_4)
         with pytest.raises(ValueError):
-            sign_tallies(ENUMERATION_CAP + 1, 5, Theta.PI_4)
+            sign_tallies(2, 5, Theta.PI_4, threads=0)
+
+
+class TestPastTwentyFour:
+    # nothing enumerates compositions, so the entry points take any n <= g
+    # (sign_tallies any n at all) at O(n^2) big-integer steps
+    def test_coefficients_at_one_hundred(self):
+        for theta in BOTH:
+            values = a_list_theta(100, 100, theta)
+            assert values == defect2._branch_coeffs(100, 100, theta)
+            assert values == a_list_theta_recurrence(100, 100, theta)
+
+    def test_tally_totals_to_two_hundred(self):
+        for theta in BOTH:
+            totals = [plus + minus for plus, minus in sign_tallies(200, 5, theta)]
+            assert totals[1:] == [1 << (n - 1) for n in range(1, 201)]
+
+    def test_symmetry_at_sixty(self):
+        assert verify_symmetry(60, 60)
+
+    def test_analyze_defaults_to_every_n(self):
+        report = analyze(40)
+        assert report.max_n == 40
+        assert [row.n for row in report.rows] == list(range(1, 41))
+        for theta in BOTH:
+            expected = a_list_theta_recurrence(40, 40, theta)
+            assert expected == defect2._branch_coeffs(40, 40, theta)
+            assert [row.cells[theta].a for row in report.rows] == expected[1:]

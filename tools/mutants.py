@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
+CLI = "tests/test_cli.py"
 DEFECT2 = "tests/test_defect2.py"
 LPOLY = "tests/test_lpoly.py"
 PPER = "tests/test_parapermanent.py"
@@ -210,6 +211,24 @@ MUTANTS = (
             f"{PPER}::TestRationalTables",
             f"{LPOLY}::TestCoefficients::test_literal_matrix_matches",
         ),
+    ),
+    Mutant(
+        "range-check-excludes-g",
+        "zetapoly/defect2.py",
+        "if not 1 <= n <= g:",
+        "if not 1 <= n < g:",
+        (
+            f"{DEFECT2}::TestPastTwentyFour::test_coefficients_at_one_hundred",
+            f"{DEFECT2}::TestSymmetry::test_holds",
+            f"{DEFECT2}::TestListApis::test_coefficients_equal_per_n_calls",
+        ),
+    ),
+    Mutant(
+        "walk-bound-off-by-one",
+        "zetapoly/cli.py",
+        "if s.g > _MAX_WALK_ORDER:",
+        "if s.g > _MAX_WALK_ORDER + 1:",
+        (f"{CLI}::TestLPolyCommand::test_composition_method_bounded_by_walk_order",),
     ),
 )
 
