@@ -53,7 +53,7 @@ run 'zetapoly <command> --help' for options
 
 _MAX_COMPOSITION_N = 62
 
-# --method all runs the composition route (2^g - 1 terms, 0.03-0.05 s at
+# --method all runs the composition route (2^g - 1 terms, 0.015-0.04 s at
 # g=18 and doubling per g) only up to this genus; --method compositions
 # still reaches _MAX_WALK_ORDER
 _ALL_COMPOSITION_MAX_G = 18
@@ -69,8 +69,9 @@ _MAX_DEFECT2_N = 24
 
 # every composition walk (pper --file: 2^(n-1) terms; lpoly --method
 # compositions: 2^g - 1) stops at this order or genus: pper order 20 took
-# 0.15-0.23 s on entries +-(1..9)/(1..9), lpoly g=22 0.80 s (Python 3.11,
-# 2 cores), and each order doubles it
+# 0.12-0.17 s on entries +-(1..9)/(1..9), lpoly g=20 0.12-0.16 s and the
+# library's composition route at g=22 0.47-0.61 s (Python 3.11, 2 cores),
+# and each order doubles it
 _MAX_WALK_ORDER = 20
 
 # The walk visits 2^order - 1 compositions.  With D the lcm of the entry
@@ -90,9 +91,11 @@ _MAX_WALK_ORDER = 20
 # 64-bit prime denominators.  At the budget the tables took 0.2-1.5 s
 # (orders 6-20; 1.5 s for order 10 with 12,654-bit integers).  A Fraction
 # walk of order 18 or more is past it whatever its entries.  The fit is
-# to the walk that pushed every inner node; the walk that adds the leaves
-# of prefix n-1 in place is faster, so the estimate errs high, and the
-# constants are kept so that pper accepts and refuses the same tables.
+# to a walk that pushed every inner node; the walk that expands the nodes
+# at prefixes n-2 and n-1 in place is faster, so the estimate errs high
+# (an order-20 table of 80-bit numerators over 1..9: 2.25 s estimated,
+# both evaluators 0.58-0.81 s), and the constants are kept so that pper
+# accepts and refuses the same tables.
 _INTEGER_NODE_S = 3.5e-7
 _INTEGER_WALK_S = 1.2e-11
 _FRACTION_NODE_S = 1e-5
@@ -486,7 +489,7 @@ def _refuse_huge_defect2(g: int, max_n: int) -> None:
     # both branches have |a_n| >= C(g-1, n) 2^n for n <= g-1 (every term of
     # (1 + 2t + 2t^2)^(g-1) (1 + 2t^2) is nonnegative), so a report past the
     # int-to-str limit is refused before any route runs; the library
-    # refuses an out-of-range max_n itself
+    # refuses a bad g and a max_n past g itself
     limit = sys.get_int_max_str_digits()
     if not limit or not 1 <= max_n <= g:
         return
@@ -514,6 +517,12 @@ def _cmd_defect2_analyze(args: list[str], out: TextIO, err: TextIO) -> int:
         max_n = min(g, _MAX_DEFECT2_N)
     elif max_n > _MAX_DEFECT2_N:
         raise ValidationError(f"--max-n is capped at {_MAX_DEFECT2_N}, got {max_n}")
+    elif max_n < 1 and g >= 1:
+        # the library's wording, with the command's own upper end; a bad g
+        # is left to the library's check
+        raise ValidationError(
+            f"need 1 <= max_n <= {min(g, _MAX_DEFECT2_N)} for g={g}, got {max_n}"
+        )
     _refuse_huge_defect2(g, max_n)
     if ns.theta == "both":
         thetas: Optional[tuple[defect2.Theta, ...]] = None

@@ -10,8 +10,9 @@ Two evaluators are kept and must agree.  The composition sum follows the
 definition: one depth-first walk over the compositions of every order <= n,
 where a node is a composition of its prefix sum N carrying the product at
 its keys, so each term costs one multiplication and is added on its own.
-Only nodes with more than one child are pushed: a node at prefix n-1 has
-a single child, a leaf, which is formed and added where the node is.
+Only nodes with three or more children are pushed: a node at prefix n-1
+has a single child, a leaf, and a node at prefix n-2 has two, so both
+levels are formed and added where their parent forms them.
 Unrolling the sum along the last row instead gives an O(n^2)-multiplication
 recurrence over prefix parapermanents.  It takes an optional denominator
 for each row's diagonal entry: every factorial product of row i carries
@@ -154,10 +155,15 @@ def pper_composition_sums(
     multiplication each, plus O(n^2) calls to fp.
 
     The root is expanded first, so its children give every order its first
-    term.  Only nodes with more than one child are pushed: a node at prefix
-    n-1 has one child, the leaf fp(n, n) away, so when a node forms its
-    order-(n-1) child it adds that child's leaf and its own order-n leaf to
-    a running total for order n, each formed from its parent's product.
+    term.  Only nodes with three or more children are pushed; the last two
+    levels are expanded where their parent forms them.  A node at prefix
+    n-1 has one child, the leaf fp(n, n) away, and a node at prefix n-2
+    has two: order n-1, whose own leaf is at order n, and order n.  So
+    when a node forms its order-(n-2) child it adds that child, its
+    order-(n-1) child and their two order-n terms to running totals for
+    orders n-2, n-1 and n; its own order-(n-1) child, that child's leaf and
+    its own order-n child go there too.  Every term is still formed from
+    its parent's product.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
@@ -168,27 +174,41 @@ def pper_composition_sums(
     sums = [one] + [one * key for key in keys[0]]
     if n < 2:
         return sums
-    # children[N] for N <= n-2: the (order, key) pairs of the children that
-    # are pushed, then the keys of the order-(n-1) and order-n children
-    children = [
-        (list(enumerate(row[:-2], start=prefix + 1)), row[-2], row[-1])
-        for prefix, row in enumerate(keys[: n - 1])
-    ]
     leaf = keys[n - 1][0]
-    penultimate = sums[n - 1]
-    top = sums[n] + penultimate * leaf
-    stack = list(zip(range(1, n - 1), sums[1 : n - 1]))
+    if n == 2:
+        sums[2] += sums[1] * leaf
+        return sums
+    # children[N] for N <= n-3: the (order, key) pairs of the children that
+    # are pushed, then the keys of the order-(n-2), order-(n-1) and order-n
+    # children
+    children = [
+        (list(enumerate(row[:-3], start=prefix + 1)), row[-3], row[-2], row[-1])
+        for prefix, row in enumerate(keys[: n - 2])
+    ]
+    # a prefix-(n-2) node's children: order n-1, then order n
+    inner, outer = keys[n - 2]
+    low = sums[n - 2]
+    child = low * inner
+    middle = sums[n - 1] + child
+    top = sums[n] + sums[n - 1] * leaf + child * leaf + low * outer
+    stack = list(zip(range(1, n - 2), sums[1 : n - 2]))
     while stack:
         prefix, product = stack.pop()
-        pushed, penultimate_key, top_key = children[prefix]
+        pushed, low_key, middle_key, top_key = children[prefix]
         for order, key in pushed:
             term = product * key
             sums[order] += term
             stack.append((order, term))
-        term = product * penultimate_key
-        penultimate += term
+        term = product * low_key
+        child = term * inner
+        low += term
+        middle += child
+        top += child * leaf + term * outer
+        term = product * middle_key
+        middle += term
         top += term * leaf + product * top_key
-    sums[n - 1] = penultimate
+    sums[n - 2] = low
+    sums[n - 1] = middle
     sums[n] = top
     return sums
 

@@ -484,8 +484,24 @@ class TestDefect2Command:
                 "error: threads must be >= 1, got 0\n",
             ),
             (("defect2", "analyze", "--g", "3", "--theta", "pi"), "--theta"),
+            (
+                ("defect2", "analyze", "--g", "30", "--max-n", "0"),
+                "error: need 1 <= max_n <= 24 for g=30, got 0\n",
+            ),
+            (
+                ("defect2", "analyze", "--g", "30", "--max-n", "-3"),
+                "error: need 1 <= max_n <= 24 for g=30, got -3\n",
+            ),
         ],
-        ids=["args0---g", "args1---max-n", "args2---max-n", "args3---threads", "args4---theta"],
+        ids=[
+            "args0---g",
+            "args1---max-n",
+            "args2---max-n",
+            "args3---threads",
+            "args4---theta",
+            "args5---max-n-zero",
+            "args6---max-n-negative",
+        ],
     )
     def test_validation(self, args, message):
         code, _, err = run_cli(*args)

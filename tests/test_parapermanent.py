@@ -505,14 +505,37 @@ class TestOperationScaling:
     @pytest.mark.parametrize("order", range(14))
     def test_walk_forms_each_term_once(self, order):
         # one multiplication per composition of each order 1..order, and
-        # every sum equal to its terms added one by one; orders 0 and 1
-        # push nothing, and order 2 leaves the stack empty after the root
+        # every sum equal to its terms added one by one; orders <= 3 leave
+        # the stack empty after the root (orders <= 2 never build it)
         table = _factorial_product_table(_counting_matrix(order, order))
         CountingScalar.mults = 0
         sums = pper_composition_sums(order, lambda i, j: table[i][j], CountingScalar(1))
         assert CountingScalar.mults == (1 << order) - 1
         expected = term_sums(order, lambda i, j: table[i][j].value, Fraction(1))
         assert [total.value for total in sums] == expected
+
+    @pytest.mark.parametrize("order", range(10))
+    def test_walk_over_integers_with_zero_and_negative_keys(self, order):
+        # entries in -3..3, with the diagonal entries (n-2, n-2) and
+        # (n-1, n-1) set to zero: every order-(n-2) term and the key from
+        # prefix n-2 to order n-1 are then zero, and the folded levels
+        # must still add, and multiply, every term
+        rng = random.Random(order)
+        rows = [[rng.randint(-3, 3) for _ in range(i)] for i in range(1, order + 1)]
+        for i in (order - 2, order - 1):
+            if i >= 1:
+                rows[i - 1][i - 1] = 0
+        table = _factorial_product_table(TriangularMatrix(tuple(map(tuple, rows))))
+        sums = pper_composition_sums(order, lambda i, j: table[i][j], 1)
+        assert sums == term_sums(order, lambda i, j: table[i][j], 1)
+        if order >= 3:
+            assert sums[order - 2] == sums[order - 1] == 0
+        counting = _factorial_product_table(
+            TriangularMatrix(tuple(tuple(map(CountingScalar, row)) for row in rows))
+        )
+        CountingScalar.mults = 0
+        pper_composition_sums(order, lambda i, j: counting[i][j], CountingScalar(1))
+        assert CountingScalar.mults == (1 << order) - 1
 
     def test_both_agree_while_counting(self):
         matrix = _counting_matrix(9, 3)

@@ -186,6 +186,7 @@ MUTANTS = (
         "top += product * top_key",
         (
             f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestOperationScaling::test_walk_over_integers_with_zero_and_negative_keys",
             f"{PPER}::TestGenericEvaluators::test_composition_sums_match_definition",
             f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
         ),
@@ -193,10 +194,22 @@ MUTANTS = (
     Mutant(
         "walk-top-key-wrong-slot",
         "zetapoly/parapermanent.py",
-        "row[-2], row[-1])",
-        "row[-2], row[-2])",
+        "row[-3], row[-2], row[-1])",
+        "row[-3], row[-2], row[-2])",
         (
             f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestGenericEvaluators::test_composition_sums_match_definition",
+            f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
+        ),
+    ),
+    Mutant(
+        "walk-drops-second-level-top-term",
+        "zetapoly/parapermanent.py",
+        "top += child * leaf + term * outer",
+        "top += child * leaf",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestOperationScaling::test_walk_over_integers_with_zero_and_negative_keys",
             f"{PPER}::TestGenericEvaluators::test_composition_sums_match_definition",
             f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
         ),
