@@ -5,6 +5,13 @@ and size bounds, calls the library, whose input checks exit 1 with their
 own text, and prints one deterministic report in the requested format.  No
 arithmetic beyond input validation lives here.
 
+The field commands (lpoly from-counts, lpoly from-traces, classnumber)
+share one option builder, one reader of --q and the counts or traces, and
+one check that raises every S-value route disagreement.  A report integer
+past the int-to-str limit exits 1 before any route runs wherever the input
+fixes a printed value (_refuse_unprintable), else when it is printed;
+counts input runs the recurrence first, so a non-integral a_i exits 2.
+
 Exit codes: 0 success, 1 invalid input, 2 failed internal consistency
 check, 64 unknown command.
 """
@@ -200,19 +207,20 @@ def _digit_limit_error() -> ValidationError:
     )
 
 
+def _refuse_unprintable(value: int) -> None:
+    # a value the report will print, refused before the routes that would
+    # print it run; nothing to refuse without a limit
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(value) >= 10**limit:
+        raise _digit_limit_error()
+
+
 def _decimal(value: Union[int, Fraction]) -> str:
     try:
         return str(value)
     except ValueError:
         # only raised past the interpreter's int-to-str digit limit
         raise _digit_limit_error() from None
-
-
-def _check_genus(label: str, values: list[int]) -> None:
-    if len(values) > _MAX_G:
-        raise ValidationError(
-            f"{label} takes at most {_MAX_G} values (g <= {_MAX_G}), got {len(values)}"
-        )
 
 
 def _json_bool(value: object) -> str:
@@ -254,12 +262,51 @@ def _add_format_option(parser: _Parser) -> None:
     )
 
 
-def _parse_method(parser: _Parser) -> None:
-    parser.add_argument(
-        "--method",
-        choices=("recurrence", "pper", "compositions", "all"),
-        default="all",
-    )
+def _field_parser(prog: str, *sources: str) -> _Parser:
+    # the field commands' options: --q, the source list(s), --no-validate;
+    # a lone source is required, and of two the reader takes exactly one
+    parser = _Parser(prog=prog, add_help=True)
+    parser.add_argument("--q", required=True)
+    for source in sources:
+        parser.add_argument(source, required=len(sources) == 1)
+    parser.add_argument("--no-validate", action="store_true")
+    return parser
+
+
+def _read_field(
+    ns: argparse.Namespace, err: TextIO
+) -> Union[lpoly.SSequence, lpoly.TraceData]:
+    # q, then exactly one of the counts or the traces, capped at _MAX_G
+    # values and checked by the library; counts print their Weil warnings
+    q = _int_option("--q", ns.q)
+    _validate_q(q, ns.no_validate)
+    counts, traces = getattr(ns, "counts", None), getattr(ns, "traces", None)
+    if (counts is None) == (traces is None):
+        raise ValidationError("exactly one of --counts or --traces is required")
+    label, text = ("--counts", counts) if traces is None else ("--traces", traces)
+    values = _int_list_option(label, text)
+    if len(values) > _MAX_G:
+        raise ValidationError(
+            f"{label} takes at most {_MAX_G} values (g <= {_MAX_G}), got {len(values)}"
+        )
+    if traces is not None:
+        return _library_input(lpoly.TraceData, q, tuple(values))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = _library_input(lpoly.s_from_counts, q, values)
+    for item in caught:
+        print(f"warning: {item.message}", file=err)
+    return s
+
+
+def _check_routes(claim: str, s: lpoly.SSequence, value: Any, expected: Any) -> None:
+    # one S-value cross-check; the message, which describes every S-value,
+    # is built only on a mismatch
+    if value != expected:
+        raise ConsistencyError(
+            f"{claim} for q={s.q}, S={describe(list(s.s))}: "
+            f"{describe(value)} vs {describe(expected)}"
+        )
 
 
 def _half_coefficients(s: lpoly.SSequence, method: str) -> tuple[list[int], list[str]]:
@@ -268,101 +315,59 @@ def _half_coefficients(s: lpoly.SSequence, method: str) -> tuple[list[int], list
     if method == "pper":
         return lpoly.coeffs_by_parapermanent(s), ["pper"]
     if method == "compositions":
-        if s.g > _MAX_WALK_ORDER:
-            raise ValidationError(
-                f"--method compositions needs g <= {_MAX_WALK_ORDER}, got g={s.g}"
-            )
         return lpoly.coeffs_by_compositions(s), ["compositions"]
     by_recurrence = lpoly.coeffs_by_recurrence(s)
     by_pper = lpoly.coeffs_by_parapermanent(s)
-    methods = ["recurrence", "pper"]
-    if by_pper != by_recurrence:
-        raise ConsistencyError(
-            f"recurrence and parapermanent disagree for q={s.q}, "
-            f"S={describe(list(s.s))}: {describe(by_recurrence)} vs {describe(by_pper)}"
-        )
-    if s.g <= _ALL_COMPOSITION_MAX_G:
-        by_compositions = lpoly.coeffs_by_compositions(s)
-        methods.append("compositions")
-        if by_compositions != by_recurrence:
-            raise ConsistencyError(
-                f"composition sum disagrees for q={s.q}, S={describe(list(s.s))}: "
-                f"{describe(by_recurrence)} vs {describe(by_compositions)}"
+    _check_routes("recurrence and parapermanent disagree", s, by_recurrence, by_pper)
+    if s.g > _ALL_COMPOSITION_MAX_G:
+        return by_recurrence, ["recurrence", "pper"]
+    by_compositions = lpoly.coeffs_by_compositions(s)
+    _check_routes("composition sum disagrees", s, by_recurrence, by_compositions)
+    return by_recurrence, ["recurrence", "pper", "compositions"]
+
+
+def _lpoly_command(source: str) -> _Handler:
+    # lpoly from-counts or from-traces; traces are also checked against
+    # their expanded product, and their a_2g = q^g is printed whatever the
+    # method, so a q^g past the int-to-str limit is refused up front
+    def handler(args: list[str], out: TextIO, err: TextIO) -> int:
+        parser = _field_parser(f"zetapoly lpoly from-{source}", f"--{source}")
+        choices = ("recurrence", "pper", "compositions", "all")
+        parser.add_argument("--method", choices=choices, default="all")
+        _add_format_option(parser)
+        ns = parser.parse_args(args)
+        field = _read_field(ns, err)
+        # before the refusal of q^g, so such an input keeps this message
+        if ns.method == "compositions" and field.g > _MAX_WALK_ORDER:
+            raise ValidationError(
+                f"--method compositions needs g <= {_MAX_WALK_ORDER}, got g={field.g}"
             )
-    return by_recurrence, methods
+        oracle = None
+        if isinstance(field, lpoly.TraceData):
+            _refuse_unprintable(field.q**field.g)
+            s, oracle = lpoly.s_from_traces(field), lpoly.oracle_expand(field)
+        else:
+            s = field
+        half, methods = _half_coefficients(s, ns.method)
+        full = lpoly.complete(half, s.q)
+        if oracle is not None:
+            claim = "S-value routes disagree with the trace product"
+            _check_routes(claim, s, list(full.coeffs), list(oracle.coeffs))
+        payload = {
+            "q": s.q,
+            "g": s.g,
+            "method": ns.method,
+            "methods_run": methods,
+            "s": [_decimal(value) for value in s.s],
+            "coeffs": [_decimal(value) for value in full.coeffs],
+            "h": _decimal(lpoly.class_number(full)),
+            "methods_agree": True,
+            "oracle_agrees": None if oracle is None else True,
+        }
+        _emit_pairs(payload, ns.format, out)
+        return EXIT_OK
 
-
-def _s_from_counts_checked(q: int, counts: list[int], err: TextIO) -> lpoly.SSequence:
-    _check_genus("--counts", counts)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        s = _library_input(lpoly.s_from_counts, q, counts)
-    for item in caught:
-        print(f"warning: {item.message}", file=err)
-    return s
-
-
-def _traces_checked(q: int, traces: list[int]) -> lpoly.TraceData:
-    _check_genus("--traces", traces)
-    return _library_input(lpoly.TraceData, q, tuple(traces))
-
-
-def _lpoly_payload(
-    s: lpoly.SSequence, method: str, oracle: Optional[lpoly.LPolynomial]
-) -> dict:
-    half, methods = _half_coefficients(s, method)
-    full = lpoly.complete(half, s.q)
-    if oracle is not None and full.coeffs != oracle.coeffs:
-        raise ConsistencyError(
-            f"S-value routes disagree with the trace product for q={s.q}, "
-            f"S={describe(list(s.s))}: {describe(list(full.coeffs))} vs "
-            f"{describe(list(oracle.coeffs))}"
-        )
-    return {
-        "q": s.q,
-        "g": s.g,
-        "method": method,
-        "methods_run": methods,
-        "s": [_decimal(value) for value in s.s],
-        "coeffs": [_decimal(value) for value in full.coeffs],
-        "h": _decimal(lpoly.class_number(full)),
-        "methods_agree": True,
-        "oracle_agrees": None if oracle is None else True,
-    }
-
-
-def _cmd_lpoly_from_counts(args: list[str], out: TextIO, err: TextIO) -> int:
-    parser = _Parser(prog="zetapoly lpoly from-counts", add_help=True)
-    parser.add_argument("--q", required=True)
-    parser.add_argument("--counts", required=True)
-    parser.add_argument("--no-validate", action="store_true")
-    _parse_method(parser)
-    _add_format_option(parser)
-    ns = parser.parse_args(args)
-    q = _int_option("--q", ns.q)
-    _validate_q(q, ns.no_validate)
-    counts = _int_list_option("--counts", ns.counts)
-    s = _s_from_counts_checked(q, counts, err)
-    _emit_pairs(_lpoly_payload(s, ns.method, None), ns.format, out)
-    return EXIT_OK
-
-
-def _cmd_lpoly_from_traces(args: list[str], out: TextIO, err: TextIO) -> int:
-    parser = _Parser(prog="zetapoly lpoly from-traces", add_help=True)
-    parser.add_argument("--q", required=True)
-    parser.add_argument("--traces", required=True)
-    parser.add_argument("--no-validate", action="store_true")
-    _parse_method(parser)
-    _add_format_option(parser)
-    ns = parser.parse_args(args)
-    q = _int_option("--q", ns.q)
-    _validate_q(q, ns.no_validate)
-    traces = _int_list_option("--traces", ns.traces)
-    data = _traces_checked(q, traces)
-    s = lpoly.s_from_traces(data)
-    oracle = lpoly.oracle_expand(data)
-    _emit_pairs(_lpoly_payload(s, ns.method, oracle), ns.format, out)
-    return EXIT_OK
+    return handler
 
 
 def _subcommands(command: str, usage: str, handlers: dict[str, _Handler]) -> _Handler:
@@ -385,40 +390,29 @@ def _subcommands(command: str, usage: str, handlers: dict[str, _Handler]) -> _Ha
 
 
 def _cmd_classnumber(args: list[str], out: TextIO, err: TextIO) -> int:
-    parser = _Parser(prog="zetapoly classnumber", add_help=True)
-    parser.add_argument("--q", required=True)
-    parser.add_argument("--counts")
-    parser.add_argument("--traces")
-    parser.add_argument("--no-validate", action="store_true")
+    parser = _field_parser("zetapoly classnumber", "--counts", "--traces")
     _add_format_option(parser)
     ns = parser.parse_args(args)
-    q = _int_option("--q", ns.q)
-    _validate_q(q, ns.no_validate)
-    if (ns.counts is None) == (ns.traces is None):
-        raise ValidationError("exactly one of --counts or --traces is required")
-    data = None
-    if ns.counts is not None:
-        s = _s_from_counts_checked(q, _int_list_option("--counts", ns.counts), err)
+    field = _read_field(ns, err)
+    h_product = None
+    if isinstance(field, lpoly.TraceData):
+        # h = prod(q + 1 - t_i) is printed, so it is refused up front
+        h_product = lpoly.class_number_from_traces(field)
+        _refuse_unprintable(h_product)
+        s = lpoly.s_from_traces(field)
     else:
-        data = _traces_checked(q, _int_list_option("--traces", ns.traces))
-        s = lpoly.s_from_traces(data)
+        s = field
     full = lpoly.complete(lpoly.coeffs_by_recurrence(s), s.q)
     h = lpoly.class_number(full)
-    if data is not None:
-        h_product = lpoly.class_number_from_traces(data)
-        if h != h_product:
-            raise ConsistencyError(
-                f"L(1) disagrees with the trace product prod(q + 1 - t_i) for "
-                f"q={s.q}, traces={describe(list(data.traces))}: {describe(h)} vs "
-                f"{describe(h_product)}"
-            )
+    if h_product is not None and h != h_product:
+        raise ConsistencyError(
+            f"L(1) disagrees with the trace product prod(q + 1 - t_i) for "
+            f"q={s.q}, traces={describe(list(field.traces))}: {describe(h)} vs "
+            f"{describe(h_product)}"
+        )
     # the formula reads the parapermanent route, not the recurrence
     h_formula = lpoly.class_number_formula(s)
-    if h != h_formula:
-        raise ConsistencyError(
-            f"L(1) and the direct formula disagree for q={s.q}, "
-            f"S={describe(list(s.s))}: {describe(h)} vs {describe(h_formula)}"
-        )
+    _check_routes("L(1) and the direct formula disagree", s, h, h_formula)
     payload = {
         "q": s.q,
         "g": s.g,
@@ -490,12 +484,9 @@ def _refuse_huge_defect2(g: int, max_n: int) -> None:
     # (1 + 2t + 2t^2)^(g-1) (1 + 2t^2) is nonnegative), so a report past the
     # int-to-str limit is refused before any route runs; the library
     # refuses a bad g and a max_n past g itself
-    limit = sys.get_int_max_str_digits()
-    if not limit or not 1 <= max_n <= g:
-        return
-    n = min(max_n, g - 1)
-    if math.comb(g - 1, n) << n >= 10**limit:
-        raise _digit_limit_error()
+    if 1 <= max_n <= g:
+        n = min(max_n, g - 1)
+        _refuse_unprintable(math.comb(g - 1, n) << n)
 
 
 def _cmd_defect2_analyze(args: list[str], out: TextIO, err: TextIO) -> int:
@@ -674,7 +665,7 @@ _COMMANDS: dict[str, _Handler] = {
     "lpoly": _subcommands(
         "lpoly",
         "usage: zetapoly lpoly {from-counts,from-traces} ...\n",
-        {"from-counts": _cmd_lpoly_from_counts, "from-traces": _cmd_lpoly_from_traces},
+        {"from-counts": _lpoly_command("counts"), "from-traces": _lpoly_command("traces")},
     ),
     "classnumber": _cmd_classnumber,
     "defect2": _subcommands(

@@ -15,7 +15,7 @@ as n has parity, so every term is rational.
 
 That sum is the paper's parapermanent formula for a_n over the branch's
 S-values S_m = F(m) = -2 * 2^(m/2) * C_theta(m), an integer for every m
-(_cnum_table refuses a weight of any other shape).  A term is
+(_pass_weights refuses a weight of any other shape).  A term is
 CR_theta = prod_s F(m_s) / N_s, and F(m_s) / N_s is lpoly's factorial
 product S_{i+1-j}/i at the part's key (i = N_s, j = N_(s-1) + 1).  So one
 branch's sums are lpoly.coeffs_by_parapermanent over its S-values, one
@@ -37,7 +37,7 @@ unused: everything runs in the calling process.
 The recurrence n * a_n = sum_m S_m * a_(n-m) is lpoly's recurrence over
 q = 2 (a_list_theta_recurrence).  The two stay the pair of routes that
 lpoly cross-checks, sharing no loop, and they derive their S-values
-separately: the pass from the per-part weights (_cnum_table), the
+separately: the pass from the per-part weights (_pass_weights), the
 recurrence as the power sums of the branch's traces, g - 1 copies of +-2
 and one 0, in lpoly's _s_values, the loop behind s_from_traces.  Only the
 pass reads c_theta, so a wrong weight splits it from the recurrence.  The
@@ -144,38 +144,30 @@ def classify(composition: Composition, g: int, theta: Theta) -> int:
     return -1 if parity else 1
 
 
-def _cnum_table(n: int, g: int, theta: Theta) -> list[int]:
-    # integer content of C_theta: for odd m the weight is table[m]*sqrt(2)/2,
-    # for even m it is table[m] itself.  Any other shape would leave a sqrt(2)
-    # or a fraction that the pass's integers cannot hold, so it raises.
-    table = [0]
-    for m in range(1, n + 1):
-        weight = c_theta(m, g, theta)
-        if m % 2:
-            content, stray, shape = 2 * weight.irr, weight.rat, "an integer times sqrt(2)/2"
-        else:
-            content, stray, shape = weight.rat, weight.irr, "an integer"
-        if stray != 0 or content.denominator != 1:
-            raise ConsistencyError(
-                f"C_theta({m}) = {weight} for g={g}, theta={theta.value} is not {shape}"
-            )
-        table.append(content.numerator)
-    return table
-
-
 def _pass_weights(max_n: int, g: int, theta: Theta) -> tuple[int, ...]:
     # F(1..max_n), the branch's S-values: appending the part m to a
     # composition of N multiplies its CR_theta by F(m) / (N + m), where
-    # F(m) = -2 * 2^(m/2) * C_theta(m) = -cnum[m] * 2^(m//2 + 1).  The
-    # prefix sums are positive, so a term's sign is the product of
-    # its parts' signs of F(m), and the parity-class rule (claimed for
-    # g > 2) holds for every term exactly when it holds for every part of
-    # nonzero weight (zero weights occur only for g <= 2).
-    cnum = _cnum_table(max_n, g, theta)
+    # F(m) = -2 * 2^(m/2) * C_theta(m).  For odd m the weight is content *
+    # sqrt(2)/2, for even m it is content itself, so F(m) = -content *
+    # 2^(m//2 + 1); any other shape would leave a sqrt(2) or a fraction that
+    # the pass's integers cannot hold, so it raises.  The prefix sums are
+    # positive, so a term's sign is the product of its parts' signs of F(m),
+    # and the parity-class rule (claimed for g > 2) holds for every term
+    # exactly when it holds for every part of nonzero weight (zero weights
+    # occur only for g <= 2).
     classes = _PARITY_CLASSES[theta]
     weights = []
     for m in range(1, max_n + 1):
-        weight = -cnum[m] << (m // 2 + 1)
+        c = c_theta(m, g, theta)
+        if m % 2:
+            content, stray, shape = 2 * c.irr, c.rat, "an integer times sqrt(2)/2"
+        else:
+            content, stray, shape = c.rat, c.irr, "an integer"
+        if stray != 0 or content.denominator != 1:
+            raise ConsistencyError(
+                f"C_theta({m}) = {c} for g={g}, theta={theta.value} is not {shape}"
+            )
+        weight = -content.numerator << (m // 2 + 1)
         if g > 2 and weight and (weight < 0) is not (residue_class(m) in classes):
             raise ConsistencyError(
                 f"a term of a_{m} has the sign opposite to the parity-class rule"

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 import json
@@ -8,6 +9,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +23,22 @@ def run_cli(*args):
     err = io.StringIO()
     code = cli.run(list(args), stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def forbid_routes(monkeypatch):
+    # every S-value derivation and route of the field commands fails if run
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a route ran before the refusal")
+
+    for name in (
+        "s_from_traces",
+        "oracle_expand",
+        "coeffs_by_recurrence",
+        "coeffs_by_parapermanent",
+        "coeffs_by_compositions",
+        "class_number_formula",
+    ):
+        monkeypatch.setattr(cli.lpoly, name, forbidden)
 
 
 class TestDispatch:
@@ -173,6 +191,15 @@ class TestLPolyCommand:
                 "error: trace 1 violates t^2 <= 4q: t=5, q=2\n",
             ),
             (("lpoly", "from-counts", "--counts", "5"), "--q"),
+            # an empty --traces is a given source, not a missing one
+            (
+                ("lpoly", "from-traces", "--q", "2", "--traces", ""),
+                "error: --traces must be a comma-separated list of integers\n",
+            ),
+            (
+                ("classnumber", "--q", "2", "--traces", ""),
+                "error: --traces must be a comma-separated list of integers\n",
+            ),
         ],
         ids=[
             "args0---q",
@@ -183,6 +210,8 @@ class TestLPolyCommand:
             "args5---counts[2]",
             "args6---traces[1]",
             "args7---q",
+            "empty-traces-lpoly",
+            "empty-traces-classnumber",
         ],
     )
     def test_validation_failures(self, args, fragment):
@@ -231,6 +260,65 @@ class TestLPolyCommand:
         )
         assert code == cli.EXIT_OK
         assert "coeffs" in out
+
+    @pytest.mark.parametrize(
+        "route,line",
+        [
+            (
+                "coeffs_by_parapermanent",
+                "recurrence and parapermanent disagree for q=2, S=[4, 0]: "
+                "[1, 4, 8] vs [1, 4, 9]",
+            ),
+            (
+                "coeffs_by_compositions",
+                "composition sum disagrees for q=2, S=[4, 0]: [1, 4, 8] vs [1, 4, 9]",
+            ),
+            (
+                "oracle_expand",
+                "S-value routes disagree with the trace product for q=2, S=[4, 0]: "
+                "[1, 4, 8, 8, 4] vs [1, 4, 9, 8, 4]",
+            ),
+        ],
+    )
+    def test_route_disagreement_pinned(self, monkeypatch, route, line):
+        # one route's a_2 off by one: --method all checks the recurrence
+        # against each of the other routes and the trace product
+        real = getattr(cli.lpoly, route)
+
+        def wrong(arg):
+            if route == "oracle_expand":
+                coeffs = list(real(arg).coeffs[: arg.g + 1])
+                coeffs[2] += 1
+                return cli.lpoly.complete(coeffs, arg.q)
+            values = real(arg)
+            values[2] += 1
+            return values
+
+        monkeypatch.setattr(cli.lpoly, route, wrong)
+        code, out, err = run_cli("lpoly", "from-traces", "--q", "2", "--traces", "-2,-2")
+        assert (code, out, err) == (cli.EXIT_CONSISTENCY, "", f"consistency failure: {line}\n")
+
+
+class TestFieldCommandGolden:
+    # (exit, stdout, stderr) of lpoly from-counts, lpoly from-traces and
+    # classnumber from both sources in every format, Weil warnings and each
+    # --help, pinned byte for byte
+    CASES = json.loads(
+        (Path(__file__).parent / "golden" / "field_commands.json").read_text(encoding="utf-8")
+    )
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]))
+    def test_output_unchanged(self, monkeypatch, case):
+        # argparse prints --help to sys.stdout, wrapped to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(case["argv"], out, err)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            case["exit"],
+            case["stdout"],
+            case["stderr"],
+        )
 
 
 class TestClassNumberCommand:
@@ -319,6 +407,51 @@ class TestOutputLimits:
         assert out == ""
         assert "4300 digits" in err
         assert "PYTHONINTMAXSTRDIGITS" in err
+
+    @pytest.mark.parametrize("command", [("lpoly", "from-traces"), ("classnumber",)])
+    def test_huge_trace_output_refused_before_any_route(
+        self, monkeypatch, command, default_digit_limit
+    ):
+        # 512 traces at q = 999999999989: a_2g = q^g and h = prod(q + 1 - t_i)
+        # each have more than 4300 digits, so both are refused before the
+        # routes, which took 4.4-5.2 s to reach the same refusal
+        q = 999999999989
+        rng = random.Random(1)
+        bound = math.isqrt(4 * q)
+        traces = ",".join(str(rng.randint(-bound, bound)) for _ in range(cli._MAX_G))
+        forbid_routes(monkeypatch)
+        started = time.perf_counter()
+        result = run_cli(*command, "--q", str(q), "--traces", traces)
+        assert time.perf_counter() - started < 1.0
+        assert result == (cli.EXIT_VALIDATION, "", f"error: {cli._digit_limit_error()}\n")
+
+    def test_walk_order_named_before_digit_limit(self, default_digit_limit):
+        # q^g = 10^7500 past the limit, but g = 25 is past the walk's bound
+        # too, and that refusal comes first
+        zeros = ",".join(["0"] * 25)
+        result = run_cli(
+            "lpoly", "from-traces", "--q", str(10**300), "--traces", zeros,
+            "--method", "compositions", "--no-validate",
+        )
+        message = "error: --method compositions needs g <= 20, got g=25\n"
+        assert result == (cli.EXIT_VALIDATION, "", message)
+
+    def test_trace_output_refusal_boundary(self, monkeypatch, default_digit_limit):
+        # 10^4300 has 4301 digits, one past the limit: q^g at q = 10^43 and
+        # h = (q + 1)^g at q = 10^43 - 1, with 100 zero traces.  At q =
+        # 10^43 - 1 with 100 traces of isqrt(4q) both commands print their
+        # report.
+        zeros = ",".join(["0"] * 100)
+        below = 10**43 - 1
+        top = ",".join([str(math.isqrt(4 * below))] * 100)
+        for command in (("lpoly", "from-traces"), ("classnumber",)):
+            code, out, _ = run_cli(*command, "--q", str(below), "--traces", top, "--no-validate")
+            assert code == cli.EXIT_OK
+            assert json.loads(out)["g"] == 100
+        forbid_routes(monkeypatch)
+        for command, q in ((("lpoly", "from-traces"), 10**43), (("classnumber",), below)):
+            result = run_cli(*command, "--q", str(q), "--traces", zeros, "--no-validate")
+            assert result == (cli.EXIT_VALIDATION, "", f"error: {cli._digit_limit_error()}\n")
 
     @pytest.mark.parametrize(
         "args",

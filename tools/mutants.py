@@ -70,8 +70,8 @@ MUTANTS = (
     Mutant(
         "weight-power-halved",
         "zetapoly/defect2.py",
-        "weight = -cnum[m] << (m // 2 + 1)",
-        "weight = -cnum[m] << (m // 2)",
+        "weight = -content.numerator << (m // 2 + 1)",
+        "weight = -content.numerator << (m // 2)",
         (
             f"{DEFECT2}::TestPrefixWalk::test_sums_equal_term_sums",
             f"{DEFECT2}::TestPrefixWalk::test_weights_are_the_branch_s_values",
@@ -239,9 +239,27 @@ MUTANTS = (
     Mutant(
         "walk-bound-off-by-one",
         "zetapoly/cli.py",
-        "if s.g > _MAX_WALK_ORDER:",
-        "if s.g > _MAX_WALK_ORDER + 1:",
+        "and field.g > _MAX_WALK_ORDER:",
+        "and field.g > _MAX_WALK_ORDER + 1:",
         (f"{CLI}::TestLPolyCommand::test_composition_method_bounded_by_walk_order",),
+    ),
+    Mutant(
+        "route-check-compares-value-to-itself",
+        "zetapoly/cli.py",
+        "if value != expected:",
+        "if value != value:",
+        (
+            f"{CLI}::TestLPolyCommand::test_route_disagreement_pinned",
+            f"{CLI}::TestClassNumberCommand::test_wrong_recurrence_caught_by_direct_formula",
+            f"{CLI}::TestClassNumberCommand::test_consistency_failure_exit_code",
+        ),
+    ),
+    Mutant(
+        "unprintable-bound-exclusive",
+        "zetapoly/cli.py",
+        "abs(value) >= 10**limit",
+        "abs(value) > 10**limit",
+        (f"{CLI}::TestOutputLimits::test_trace_output_refusal_boundary",),
     ),
 )
 
