@@ -33,8 +33,8 @@ from .arith import parse_rational
 from .compositions import iter_parts
 from .errors import ConsistencyError, ValidationError, describe
 from .parapermanent import (
-    _SCALED_BITS,
     TriangularMatrix,
+    column_denominators,
     pper_by_compositions,
     pper_by_last_row,
 )
@@ -81,32 +81,25 @@ _MAX_DEFECT2_N = 24
 # and each order doubles it
 _MAX_WALK_ORDER = 20
 
-# The walk visits 2^order - 1 compositions.  With D the lcm of the entry
-# denominators and n the bits of the largest numerator, a table with
-# order * bits(D) <= parapermanent._SCALED_BITS walks integers of at most
-# order * (bits(D) + n) bits, and multiplying b-bit integers costs about
-# b^log2(3) (Karatsuba); any other table walks Fractions, and each term, of
-# at most order * (d + n) bits with d the bits of the largest denominator,
-# meets gcds against running sums of up to order * (bits(D) + n) bits.
-# Seconds per walked composition, and per composition and unit of that
-# cost, fitted to the slowest of tables of orders 4-20 built to sit at
-# the budget (large numerators; distinct 2- to 14,000-bit denominators;
-# one shared large denominator; both at once) and to tables past it
-# (Python 3.11, 2 cores).  Past the budget: 13.9 s for an order-20 table
-# of distinct 12-bit prime denominators, 2.7 s for order 18 with 10-bit
-# ones, 4.5 s for order 20 with 256-bit integers, 5.1 s for order 16 with
-# 64-bit prime denominators.  At the budget the tables took 0.2-1.5 s
-# (orders 6-20; 1.5 s for order 10 with 12,654-bit integers).  A Fraction
-# walk of order 18 or more is past it whatever its entries.  The fit is
-# to a walk that pushed every inner node; the walk that expands the nodes
-# at prefixes n-2 and n-1 in place is faster, so the estimate errs high
-# (an order-20 table of 80-bit numerators over 1..9: 2.25 s estimated,
-# both evaluators 0.58-0.81 s), and the constants are kept so that pper
-# accepts and refuses the same tables.
+# The walk visits 2^order - 1 compositions of integers: entry (i, k) is
+# scaled by c_k, the lcm of column k's denominators, so with n the bits of
+# the largest numerator every product has at most sum_k bits(c_k) + order
+# * n bits, and multiplying b-bit integers costs about b^log2(3)
+# (Karatsuba).  Seconds per walked composition, and per composition and
+# unit of that cost, fitted to the slowest of tables of orders 4-20 built
+# to sit at the budget (large numerators; distinct 2- to 14,000-bit
+# denominators; one shared large denominator; both at once) and to tables
+# past it (Python 3.11, 2 cores).  The fit is to a walk over the lcm D of
+# all the denominators, every product carrying D^N, that pushed every
+# inner node; the column scaling and the walk that expands the nodes at
+# prefixes n-2 and n-1 in place are faster, so the estimate errs high (an
+# order-16 table over one shared 300-bit prime: 0.57 s estimated, both
+# evaluators under 0.01 s), and the constants are kept so that pper
+# accepts every table it accepted over D.  Past the budget: an order-18
+# table of distinct 64-bit prime denominators, estimated at 7.9 s (its
+# walk takes 1.1 s).
 _INTEGER_NODE_S = 3.5e-7
 _INTEGER_WALK_S = 1.2e-11
-_FRACTION_NODE_S = 1e-5
-_FRACTION_WALK_S = 1e-12
 _MAX_PPER_SECONDS = 1.5
 _KARATSUBA = math.log2(3)
 
@@ -328,8 +321,9 @@ def _half_coefficients(s: lpoly.SSequence, method: str) -> tuple[list[int], list
 
 def _lpoly_command(source: str) -> _Handler:
     # lpoly from-counts or from-traces; traces are also checked against
-    # their expanded product, and their a_2g = q^g is printed whatever the
-    # method, so a q^g past the int-to-str limit is refused up front
+    # their expanded product, and their a_2g = q^g and h = prod(q + 1 - t_i)
+    # are printed whatever the method, so either past the int-to-str limit
+    # is refused up front
     def handler(args: list[str], out: TextIO, err: TextIO) -> int:
         parser = _field_parser(f"zetapoly lpoly from-{source}", f"--{source}")
         choices = ("recurrence", "pper", "compositions", "all")
@@ -344,7 +338,7 @@ def _lpoly_command(source: str) -> _Handler:
             )
         oracle = None
         if isinstance(field, lpoly.TraceData):
-            _refuse_unprintable(field.q**field.g)
+            _refuse_unprintable(max(field.q**field.g, lpoly.class_number_from_traces(field)))
             s, oracle = lpoly.s_from_traces(field), lpoly.oracle_expand(field)
         else:
             s = field
@@ -497,7 +491,7 @@ def _cmd_defect2_analyze(args: list[str], out: TextIO, err: TextIO) -> int:
     parser.add_argument(
         "--threads",
         help="accepted for compatibility; must be >= 1 and changes nothing, "
-        "as the composition sum runs in one process",
+        "as the report is computed in one process",
     )
     _add_format_option(parser)
     ns = parser.parse_args(args)
@@ -597,33 +591,25 @@ def _load_matrix_file(path: str) -> list[list[Fraction]]:
 
 
 def _pper_walk_seconds(rows: list[list[Fraction]]) -> float:
-    # the estimated seconds of the composition walk; D grows one entry at a
-    # time, and a Fraction walk's estimate only grows with D, so the loop
-    # stops at the first partial D past the budget and never forms a huge
-    # lcm (that of 210 distinct 14,000-bit denominators takes 12 s)
+    # the estimated seconds of the composition walk.  Every c_k is at least
+    # the largest denominator of its column, so those alone give a lower
+    # estimate; a table past the budget on it is refused before any lcm is
+    # formed (those of an order-15 table of distinct 14,000-bit
+    # denominators take 0.3 s)
     order = len(rows)
-    nodes = 2**order - 1
     entries = [entry for row in rows for entry in row]
-    numerator_bits = max((abs(entry.numerator).bit_length() for entry in entries), default=0)
-    term_bits = order * (
-        max((entry.denominator.bit_length() for entry in entries), default=0) + numerator_bits
+    numerator_bits = order * max(
+        (abs(entry.numerator).bit_length() for entry in entries), default=0
     )
 
-    def estimate(denominator: int) -> float:
-        product_bits = order * (denominator.bit_length() + numerator_bits)
-        if order * denominator.bit_length() <= _SCALED_BITS:
-            return nodes * (_INTEGER_NODE_S + _INTEGER_WALK_S * product_bits**_KARATSUBA)
-        return nodes * (_FRACTION_NODE_S + _FRACTION_WALK_S * product_bits * term_bits)
+    def estimate(denominator_bits: int) -> float:
+        product_bits = denominator_bits + numerator_bits
+        return (2**order - 1) * (_INTEGER_NODE_S + _INTEGER_WALK_S * product_bits**_KARATSUBA)
 
-    denominator = 1
-    for entry in entries:
-        denominator = math.lcm(denominator, entry.denominator)
-        if (
-            order * denominator.bit_length() > _SCALED_BITS
-            and estimate(denominator) > _MAX_PPER_SECONDS
-        ):
-            break
-    return estimate(denominator)
+    lower = sum(max(row[k].denominator for row in rows[k:]).bit_length() for k in range(order))
+    if estimate(lower) > _MAX_PPER_SECONDS:
+        return estimate(lower)
+    return estimate(sum(c.bit_length() for c in column_denominators(rows)))
 
 
 def _cmd_pper(args: list[str], out: TextIO, err: TextIO) -> int:

@@ -20,11 +20,11 @@ factorial product of row i carries that one 1/i, so the row's sum is
 divided once and prefix i is a_i itself, an int while the division is
 exact.  It does the recurrence's arithmetic in parapermanent.py's generic
 loop, so a fault in either loop shows as a disagreement.  The composition
-route walks an integer table instead: its factorial products are
-S_{i+1-j} (i-1)!/(j-1)!, the telescoped S_{i+1-j}/i times i!/(j-1)!, so
-the product at the keys of a composition of N telescopes to N! times its
-term and the parapermanent of order i is i! a_i; one read-out divides by
-i!.  The three routes share only the S-values.  The _exact
+route walks the same table with the same row denominators: the walk takes
+each key S_{i+1-j}/i times i!/(j-1)!, i.e. S_{i+1-j} (i-1)!/(j-1)!, so the
+product at the keys of a composition of N carries N! and each order's sum
+is divided by N! once, an int while that division is exact.  The three
+routes share only the S-values.  The _exact
 functions return Fractions; the integer functions raise ConsistencyError
 at the first a_i that is not an integer.
 
@@ -47,13 +47,17 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ConsistencyError, describe
 from .parapermanent import TriangularMatrix, iter_pper_prefixes, pper_composition_sums
 
 COMPOSITION_CAP = 30
+
+
+def _check_q(q: object) -> None:
+    if not isinstance(q, int) or q < 2:
+        raise ValueError(f"q must be an integer >= 2, got {q!r}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,7 @@ class SSequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", tuple(self.s))
-        if not isinstance(self.q, int) or self.q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
+        _check_q(self.q)
         for r, value in enumerate(self.s, start=1):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"S_{r} must be an integer, got {value!r}")
@@ -94,8 +97,7 @@ class TraceData:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "traces", tuple(self.traces))
-        if not isinstance(self.q, int) or self.q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
+        _check_q(self.q)
         for i, t in enumerate(self.traces, start=1):
             if not isinstance(t, int) or isinstance(t, bool):
                 raise ValueError(f"trace {i} must be an integer, got {t!r}")
@@ -119,8 +121,7 @@ class LPolynomial:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not isinstance(self.q, int) or self.q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
+        _check_q(self.q)
         if not isinstance(self.g, int) or self.g < 0:
             raise ValueError(f"g must be a nonnegative integer, got {self.g!r}")
         if len(self.coeffs) != 2 * self.g + 1:
@@ -161,8 +162,7 @@ def s_from_counts(q: int, counts: Sequence[int]) -> SSequence:
     Warns (does not fail) when a value lands outside the Weil bound, since
     arbitrary count vectors need not come from an actual function field.
     """
-    if not isinstance(q, int) or q < 2:
-        raise ValueError(f"q must be an integer >= 2, got {q!r}")
+    _check_q(q)
     counts = list(counts)
     if not counts:
         raise ValueError("need at least one point count")
@@ -219,33 +219,6 @@ def s_from_traces(data: TraceData) -> SSequence:
     return SSequence(data.q, _s_values(Counter(data.traces), data.q, data.g))
 
 
-@lru_cache(maxsize=1)
-def _falling_row(i: int) -> tuple[int, ...]:
-    # row[j] = (i-1)!/(j-1)! for 1 <= j <= i; row[0] is unused
-    row = [1] * (i + 1)
-    for j in range(i - 1, 0, -1):
-        row[j] = row[j + 1] * j
-    return tuple(row)
-
-
-def _scaled_fp(s: SSequence):
-    # S_{i+1-j}/i times i!/(j-1)!: the product along a composition of N
-    # telescopes to N! times its term, so the parapermanent is i! a_i
-    values = s.s
-    return lambda i, j: values[i - j] * _falling_row(i)[j]
-
-
-def _unscaled(scaled: Sequence[int]) -> list[Union[int, Fraction]]:
-    # entry i divided by i!; an int exactly when the division is exact
-    values: list[Union[int, Fraction]] = []
-    factorial = 1
-    for i, value in enumerate(scaled):
-        factorial *= max(i, 1)
-        quotient, remainder = divmod(value, factorial)
-        values.append(Fraction(value, factorial) if remainder else quotient)
-    return values
-
-
 def _recurrence(s: SSequence) -> Iterator[Union[int, Fraction]]:
     # a_i stays an int while every division by i is exact; each a_i is
     # yielded as it is found, so a caller can stop at the first Fraction
@@ -270,11 +243,14 @@ def _parapermanent(s: SSequence) -> Iterator[Union[int, Fraction]]:
 
 
 def _compositions(s: SSequence) -> list[Union[int, Fraction]]:
+    # the same table and row denominators, walked: every term of order N
+    # carries N!, divided out of the order's sum once
     if s.g > COMPOSITION_CAP:
         raise ValueError(
             f"composition enumeration capped at g <= {COMPOSITION_CAP}, got g={s.g}"
         )
-    return _unscaled(pper_composition_sums(s.g, _scaled_fp(s), 1))
+    values = s.s
+    return pper_composition_sums(s.g, lambda i, j: values[i - j], 1, lambda i: i)
 
 
 def coeffs_by_recurrence_exact(s: SSequence) -> list[Fraction]:

@@ -14,23 +14,24 @@ Only nodes with three or more children are pushed: a node at prefix n-1
 has a single child, a leaf, and a node at prefix n-2 has two, so both
 levels are formed and added where their parent forms them.
 Unrolling the sum along the last row instead gives an O(n^2)-multiplication
-recurrence over prefix parapermanents.  It takes an optional denominator
-for each row's diagonal entry: every factorial product of row i carries
-that entry, so the row's sum is divided by it once, which keeps lpoly's
-prefixes at the size of its coefficients.
+recurrence over prefix parapermanents.  Both take an optional denominator
+d(i) for each row's diagonal entry: every factorial product of row i
+carries that entry, so the recurrence divides the row's sum by it once,
+which keeps lpoly's prefixes at the size of its coefficients, and the
+walk scales its keys so that every term of order N carries prod_{k<=N}
+d(k), divided out of that order's sum once.
 
 Entries may be any exact scalar supporting + and * (Fraction, QuadExt, or
 similar); evaluators take the multiplicative identity of that scalar type.
 A rational table (every entry an int or a Fraction) is evaluated in plain
-integers: with every entry written as e/D over the lcm D of the entry
-denominators, the table of numerators e has factorial products
-fp(i, j) D^(i-j+1), so the product at the keys of any composition of N
-carries exactly D^N and its parapermanent is D^n times the table's.  Both
-evaluators run their unchanged loops over that integer table, and one
-read-out divides by D^n.  A rational table whose D^n runs past about
-_SCALED_BITS bits, and a table of any other scalar (QuadExt, or a wrapper
-that counts its multiplications), take the generic path over its own
-entries.
+integers: entry (i, k) is scaled by c_k, the lcm of the denominators of
+column k.  A composition of N uses every column k <= N exactly once, in
+the factorial product of the part that covers it, so the product at its
+keys carries exactly prod_{k<=N} c_k, a divisor of D^N for D the lcm of
+all the denominators.  Both evaluators run their unchanged loops over that
+integer table, and one read-out divides by prod_{k<=n} c_k.  A table of
+any other scalar (QuadExt, or a wrapper that counts its multiplications)
+takes the generic path over its own entries.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 FactorialProduct = Callable[[int, int], Any]
 
@@ -144,7 +145,10 @@ def _divide(value: Any, divisor: Any) -> Any:
 
 
 def pper_composition_sums(
-    n: int, fp: FactorialProduct, one: Any = Fraction(1)
+    n: int,
+    fp: FactorialProduct,
+    one: Any = Fraction(1),
+    denominator: Optional[Callable[[int], Any]] = None,
 ) -> list[Any]:
     """Parapermanents of orders 0..n straight from the definition.
 
@@ -164,6 +168,11 @@ def pper_composition_sums(
     orders n-2, n-1 and n; its own order-(n-1) child, that child's leaf and
     its own order-n child go there too.  Every term is still formed from
     its parent's product.
+
+    denominator is pper_prefixes': the key fp(i, j) / d(i) is taken times
+    prod_{k=j..i} d(k), i.e. as fp(i, j) * prod_{k=j..i-1} d(k), so every
+    term of order N carries prod_{k<=N} d(k) and each order's sum is
+    divided by it once, an int while that division is exact.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
@@ -171,6 +180,25 @@ def pper_composition_sums(
     keys = [
         [fp(i, prefix + 1) for i in range(prefix + 1, n + 1)] for prefix in range(n + 1)
     ]
+    if denominator is None:
+        return _walk(n, keys, one)
+    divisors = [denominator(i) for i in range(1, n + 1)]
+    for prefix, row in enumerate(keys):
+        scale = 1
+        for m, i in enumerate(range(prefix + 1, n + 1)):
+            row[m] *= scale
+            scale *= divisors[i - 1]
+    sums = _walk(n, keys, one)
+    scale = 1
+    for order in range(1, n + 1):
+        scale *= divisors[order - 1]
+        sums[order] = _divide(sums[order], scale)
+    return sums
+
+
+def _walk(n: int, keys: list[list[Any]], one: Any) -> list[Any]:
+    # the sums of orders 0..n over keys[N][m-1], the factor for appending
+    # part m at prefix N
     sums = [one] + [one * key for key in keys[0]]
     if n < 2:
         return sums
@@ -213,38 +241,28 @@ def pper_composition_sums(
     return sums
 
 
-# Every product in the integer walk carries D^N, where the Fractions keep
-# only the denominators of the entries a term uses, so a large D makes the
-# integers the slower side.  Composition walks at orders 12-17 on tables
-# of random rationals: D^order of 2,200-3,500 bits ran 3.7-5x faster in
-# integers, 4,700-9,100 bits anything from 3.4x faster to 2x slower (2x
-# on the literal a_14 table at q=4093, 7,300 bits), and distinct 64-bit
-# prime denominators (about 140,000 bits at order 16) 17x slower (Python
-# 3.11, one core).
-_SCALED_BITS = 4096
+def column_denominators(rows: Sequence[Sequence[Any]]) -> list[int]:
+    """c_1..c_n of a rational table: c_k is the lcm of column k's denominators.
+
+    Column k holds the entries (i, k) for k <= i <= n; an int counts as a
+    Fraction over 1.
+    """
+    return [math.lcm(*(row[k].denominator for row in rows[k:])) for k in range(len(rows))]
 
 
-def _common_denominator(matrix: TriangularMatrix) -> Optional[tuple[TriangularMatrix, int]]:
-    # (D * matrix, D) with D the lcm of the entry denominators, so every
-    # entry of D * matrix is an int; None unless every entry is rational
-    # and order * bit_length(D) is at most _SCALED_BITS.  D is built one
-    # entry at a time and never shrinks, so the first partial lcm past the
-    # bound decides, before the full lcm of a large table is formed
-    entries = [entry for row in matrix.rows for entry in row]
-    if not all(isinstance(entry, (int, Fraction)) for entry in entries):
+def _column_scaled(matrix: TriangularMatrix) -> Optional[tuple[TriangularMatrix, int]]:
+    # (the table with entry (i, k) times c_k, every entry an int, and the
+    # read-out prod_k c_k); None unless every entry is rational
+    if not all(isinstance(entry, (int, Fraction)) for row in matrix.rows for entry in row):
         return None
-    denominator = 1
-    for entry in entries:
-        denominator = math.lcm(denominator, entry.denominator)
-        if matrix.order * denominator.bit_length() > _SCALED_BITS:
-            return None
+    scales = column_denominators(matrix.rows)
     scaled = TriangularMatrix(
         tuple(
-            tuple(entry.numerator * (denominator // entry.denominator) for entry in row)
+            tuple(entry.numerator * (c // entry.denominator) for entry, c in zip(row, scales))
             for row in matrix.rows
         )
     )
-    return scaled, denominator
+    return scaled, math.prod(scales)
 
 
 def _evaluate(
@@ -253,14 +271,14 @@ def _evaluate(
     one: Any,
 ) -> Any:
     order = matrix.order
-    rational = _common_denominator(matrix)
+    rational = _column_scaled(matrix)
     if rational is None:
         table = _factorial_product_table(matrix)
         return evaluator(order, lambda i, j: table[i][j], one)[order]
-    scaled, denominator = rational
+    scaled, readout = rational
     table = _factorial_product_table(scaled)
     value = evaluator(order, lambda i, j: table[i][j], 1)[order]
-    return one * Fraction(value, denominator**order)
+    return one * Fraction(value, readout)
 
 
 def pper_by_last_row(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:

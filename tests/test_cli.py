@@ -425,6 +425,20 @@ class TestOutputLimits:
         assert time.perf_counter() - started < 1.0
         assert result == (cli.EXIT_VALIDATION, "", f"error: {cli._digit_limit_error()}\n")
 
+    def test_trace_class_number_refused_before_any_route(self, monkeypatch, default_digit_limit):
+        # 512 traces of -isqrt(4q) at q = 250286543: q^g is below 10^4300
+        # but lpoly's printed h = prod(q + 1 - t_i) is not, so it is refused
+        # up front, not after every route has run (2.4 s)
+        q = 250286543
+        t = -math.isqrt(4 * q)
+        assert q**cli._MAX_G < 10**4300 <= (q + 1 - t) ** cli._MAX_G
+        traces = ",".join([str(t)] * cli._MAX_G)
+        forbid_routes(monkeypatch)
+        started = time.perf_counter()
+        result = run_cli("lpoly", "from-traces", "--q", str(q), "--traces", traces, "--no-validate")
+        assert time.perf_counter() - started < 1.0
+        assert result == (cli.EXIT_VALIDATION, "", f"error: {cli._digit_limit_error()}\n")
+
     def test_walk_order_named_before_digit_limit(self, default_digit_limit):
         # q^g = 10^7500 past the limit, but g = 25 is past the walk's bound
         # too, and that refusal comes first
@@ -438,7 +452,8 @@ class TestOutputLimits:
 
     def test_trace_output_refusal_boundary(self, monkeypatch, default_digit_limit):
         # 10^4300 has 4301 digits, one past the limit: q^g at q = 10^43 and
-        # h = (q + 1)^g at q = 10^43 - 1, with 100 zero traces.  At q =
+        # h = (q + 1)^g at q = 10^43 - 1 (printed by both commands), with 100
+        # zero traces.  At q =
         # 10^43 - 1 with 100 traces of isqrt(4q) both commands print their
         # report.
         zeros = ",".join(["0"] * 100)
@@ -449,7 +464,9 @@ class TestOutputLimits:
             assert code == cli.EXIT_OK
             assert json.loads(out)["g"] == 100
         forbid_routes(monkeypatch)
-        for command, q in ((("lpoly", "from-traces"), 10**43), (("classnumber",), below)):
+        lpoly_cmd = ("lpoly", "from-traces")
+        cases = ((lpoly_cmd, 10**43), (lpoly_cmd, below), (("classnumber",), below))
+        for command, q in cases:
             result = run_cli(*command, "--q", str(q), "--traces", zeros, "--no-validate")
             assert result == (cli.EXIT_VALIDATION, "", f"error: {cli._digit_limit_error()}\n")
 
@@ -811,8 +828,10 @@ class TestPperCommand:
         assert json.loads(out)["pper"] == str(2**19)
 
     def test_work_budget_refuses_large_denominators(self, tmp_path):
-        # distinct 64-bit (Fermat probable) prime denominators: an order-18
-        # table takes the Fraction walk, which ran 34.9 s before the budget
+        # distinct 64-bit (Fermat probable) prime denominators: the column
+        # lcms of an order-18 table hold 171 of them, about 11,000 bits, and
+        # the walk is estimated at 7.9 s (the column-scaled walk took 1.1 s,
+        # the Fraction walk it replaced 18-35 s)
         candidates = (n for n in itertools.count(2**63 + 1, 2) if pow(2, n - 1, n) == 1)
         primes = list(itertools.islice(candidates, 18 * 19 // 2))
         rows = [[f"{(-1) ** j}/{primes.pop()}" for j in range(i)] for i in range(1, 19)]
@@ -855,6 +874,25 @@ class TestPperCommand:
         assert time.perf_counter() - started < 1.0
         assert code == cli.EXIT_VALIDATION
         assert "table too large to walk" in err
+
+    def test_work_budget_accepts_one_shared_large_denominator(self, tmp_path):
+        # every entry over one 300-bit (Fermat probable) prime: each column
+        # scales by that prime alone, so the walk stays on small integers;
+        # estimated at 0.57 s (2.2 s when such a table walked Fractions)
+        prime = next(n for n in itertools.count(2**299 + 1, 2) if pow(2, n - 1, n) == 1)
+        rng = random.Random(16)
+        rows = [
+            [f"{rng.choice((-1, 1)) * rng.randint(1, 9)}/{prime}" for _ in range(i)]
+            for i in range(1, 17)
+        ]
+        path = self.write(tmp_path, {"order": 16, "rows": rows})
+        started = time.perf_counter()
+        code, out, _ = run_cli("pper", "--file", path)
+        assert time.perf_counter() - started < 1.5
+        assert code == cli.EXIT_OK
+        payload = json.loads(out)
+        assert payload["agree"] is True
+        assert Fraction(payload["pper"]).denominator == prime**16
 
     def test_work_budget_accepts_small_rationals(self, tmp_path):
         # tables of +-(1..9)/(1..9), D | 2520, as the benchmark sends them

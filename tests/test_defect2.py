@@ -32,7 +32,6 @@ from zetapoly.errors import ConsistencyError
 from zetapoly.lpoly import (
     SSequence,
     TraceData,
-    _scaled_fp,
     coeffs_by_parapermanent,
     coeffs_from_traces,
     s_from_traces,
@@ -492,6 +491,12 @@ def _with_weight(real, classes, thetas, weight):
     return patched
 
 
+def _scaled_fp(weights):
+    # S_{i+1-j}/i times i!/(j-1)! over the S-values: the product along a
+    # composition of N telescopes to N! times its term
+    return lambda i, j: weights[i - j] * math.factorial(i - 1) // math.factorial(j - 1)
+
+
 class TestPairedWalk:
     @pytest.mark.parametrize("g", [1, 2, 3, 5, 9, 14])
     def test_step_products_equal_terms(self, g):
@@ -499,7 +504,7 @@ class TestPairedWalk:
         # S-values at a composition's keys is n! * cr_theta, and every term
         # is rational
         for theta in BOTH:
-            fp = _scaled_fp(SSequence(2, defect2._pass_weights(10, g, theta)))
+            fp = _scaled_fp(defect2._pass_weights(10, g, theta))
             for n in range(1, 11):
                 for composition in enumerate_compositions(n):
                     value, prefix = 1, 0
@@ -518,8 +523,7 @@ class TestPairedWalk:
             weights3 = defect2._pass_weights(24, g, Theta.THREE_PI_4)
             if g > 2:
                 assert all(weights)
-            fp = _scaled_fp(SSequence(2, weights))
-            fp3 = _scaled_fp(SSequence(2, weights3))
+            fp, fp3 = _scaled_fp(weights), _scaled_fp(weights3)
             for prefix in range(24):
                 for child in range(prefix + 1, 25):
                     factor, factor3 = fp(child, prefix + 1), fp3(child, prefix + 1)

@@ -239,7 +239,11 @@ class TestIntegerRoutes:
         expected = [
             math.factorial(i) * a for i, a in enumerate(fraction_recurrence(s))
         ]
-        fp = lpoly._scaled_fp(s)
+        # S_{i+1-j}/i times i!/(j-1)!: the product along a composition of N
+        # telescopes to N! times its term
+        def fp(i, j):
+            return s.s[i - j] * math.factorial(i - 1) // math.factorial(j - 1)
+
         for values in (pper_prefixes(s.g, fp, 1), pper_composition_sums(s.g, fp, 1)):
             assert all(type(value) is int for value in values)
             assert values == expected

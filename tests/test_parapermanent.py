@@ -1,8 +1,8 @@
 import itertools
 import math
 import random
-import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,8 +12,9 @@ from zetapoly.compositions import count, enumerate_compositions
 from zetapoly import parapermanent
 from zetapoly.parapermanent import (
     TriangularMatrix,
-    _common_denominator,
+    _column_scaled,
     _factorial_product_table,
+    column_denominators,
     factorial_product,
     iter_pper_prefixes,
     pper_by_compositions,
@@ -262,6 +263,21 @@ def _mixed_matrix(order, seed):
     )
 
 
+def _assert_column_scaled(rows):
+    # the table with entry (i, k) times c_k is all ints, its read-out is
+    # prod_k c_k, and both evaluators give the Fraction recurrence's value
+    matrix = TriangularMatrix(rows)
+    scales = column_denominators(rows)
+    scaled, readout = _column_scaled(matrix)
+    assert readout == math.prod(scales)
+    for row, scaled_row in zip(rows, scaled.rows):
+        assert all(type(value) is int for value in scaled_row)
+        assert list(scaled_row) == [entry * c for entry, c in zip(row, scales)]
+    expected = fraction_last_row(rows)
+    assert pper_by_last_row(matrix) == expected
+    assert pper_by_compositions(matrix) == expected
+
+
 class TestRationalTables:
     @settings(deadline=None)
     @given(rational_rows)
@@ -271,78 +287,101 @@ class TestRationalTables:
         assert pper_by_last_row(matrix) == expected
         assert pper_by_compositions(matrix) == expected
 
+    @settings(deadline=None)
+    @given(rational_rows)
+    def test_rational_tables_never_take_the_generic_path(self, rows):
+        # both evaluators build their factorial products from ints only
+        seen = []
+        real = parapermanent._factorial_product_table
+
+        def recording(matrix):
+            seen.append(matrix)
+            return real(matrix)
+
+        matrix = TriangularMatrix(rows)
+        with mock.patch.object(parapermanent, "_factorial_product_table", recording):
+            pper_by_last_row(matrix)
+            pper_by_compositions(matrix)
+        assert len(seen) == 2
+        assert all(type(value) is int for table in seen for row in table.rows for value in row)
+
     @pytest.mark.parametrize("seed", range(4))
-    def test_common_denominator_path_matches_fraction_recurrence(self, seed):
+    def test_column_scaled_path_matches_fraction_recurrence(self, seed):
         matrix = _mixed_matrix(9, seed)
-        _, denominator = _common_denominator(matrix)
-        assert denominator > 1
+        _, readout = _column_scaled(matrix)
+        assert readout > 1
         expected = fraction_last_row(matrix.rows)
         assert pper_by_last_row(matrix) == expected
         assert pper_by_compositions(matrix) == expected
 
     def test_integer_table_has_unit_denominator(self):
         matrix = TriangularMatrix(((3,), (-2, 0), (5, 7, -1)))
-        scaled, denominator = _common_denominator(matrix)
-        assert denominator == 1
+        scaled, readout = _column_scaled(matrix)
+        assert readout == 1
         assert scaled == matrix
         assert pper_by_last_row(matrix) == pper_by_compositions(matrix) == -35 - 21
 
     def test_scaled_table_is_integer(self):
         matrix = _mixed_matrix(7, 11)
-        scaled, denominator = _common_denominator(matrix)
-        entries = [entry for row in matrix.rows for entry in row]
-        assert denominator == math.lcm(*(Fraction(entry).denominator for entry in entries))
-        for row, scaled_row in zip(matrix.rows, scaled.rows):
-            assert all(type(value) is int for value in scaled_row)
-            assert list(scaled_row) == [entry * denominator for entry in row]
+        scales = column_denominators(matrix.rows)
+        for k, scale in enumerate(scales):
+            column = [row[k] for row in matrix.rows[k:]]
+            assert scale == math.lcm(*(Fraction(entry).denominator for entry in column))
+        _assert_column_scaled(matrix.rows)
+        scaled, _ = _column_scaled(matrix)
         table = _factorial_product_table(scaled)
         assert all(type(value) is int for row in table[1:] for value in row[1:])
 
-    def test_large_denominator_keeps_fractions(self):
-        # order * bit_length(D) past the bound: the generic path, same value
-        prime = LARGE_PRIMES[-1]
-        rows = tuple(
-            tuple(Fraction(i - 2 * j, prime**j) for j in range(1, i + 1))
-            for i in range(1, 9)
+    def test_column_lcm_divides_the_table_lcm(self):
+        # each column's own lcm, not the lcm of the whole table: a column
+        # whose entries share a denominator keeps it alone
+        rows = ((Fraction(1, 3),), (Fraction(2, 3), Fraction(1, 5)), (1, Fraction(3, 5), 7))
+        assert column_denominators(rows) == [3, 5, 1]
+        assert _column_scaled(TriangularMatrix(rows)) == (
+            TriangularMatrix(((1,), (2, 1), (3, 3, 7))),
+            15,
         )
-        matrix = TriangularMatrix(rows)
-        assert 8 * (8 * 127) > parapermanent._SCALED_BITS
-        assert _common_denominator(matrix) is None
-        expected = fraction_last_row(rows)
-        assert pper_by_last_row(matrix) == expected
-        assert pper_by_compositions(matrix) == expected
-        assert 2 * (2 * 127) <= parapermanent._SCALED_BITS
-        assert _common_denominator(TriangularMatrix(rows[:2])) is not None
 
-    def test_large_denominators_refused_before_full_lcm(self):
-        # 210 distinct odd 14,000-bit denominators at order 20: their full
-        # lcm takes seconds, but the first entry is already past the bound
-        rng = random.Random(20)
-        rows = tuple(
-            tuple(Fraction(1, rng.getrandbits(14_000) | 1 << 13_999 | 1) for _ in range(i))
-            for i in range(1, 21)
-        )
-        started = time.perf_counter()
-        assert _common_denominator(TriangularMatrix(rows)) is None
-        assert time.perf_counter() - started < 0.5
+    @pytest.mark.parametrize("kind", ["prime-powers", "shared"])
+    def test_large_denominators_scale_by_columns(self, kind):
+        # entry (i, j) over p^j for a 127-bit prime p (order * bits(D) of
+        # 8,128 bits, once past the bound that sent tables to Fractions), and
+        # every entry over one 300-bit number prime to 1..9, so that each
+        # c_k is that number and the scaled entries are the numerators
+        if kind == "prime-powers":
+            prime = LARGE_PRIMES[-1]
+            rows = tuple(
+                tuple(Fraction(i - 2 * j, prime**j) for j in range(1, i + 1))
+                for i in range(1, 9)
+            )
+            scales = [prime**k for k in range(1, 9)]
+        else:
+            rng = random.Random(300)
+            shared = next(n for n in itertools.count(2**299 + 1, 2) if math.gcd(n, 2520) == 1)
+            rows = tuple(
+                tuple(Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), shared) for _ in range(i))
+                for i in range(1, 13)
+            )
+            scales = [shared] * 12
+        assert column_denominators(rows) == scales
+        _assert_column_scaled(rows)
 
-    @pytest.mark.parametrize("order", range(1, 7))
-    def test_evaluators_agree_past_scaled_bits(self, order):
-        # distinct odd denominators of 4,100 bits: even one entry is past
-        # the bound, so both evaluators walk Fractions
-        rng = random.Random(order)
+    @pytest.mark.parametrize(
+        "bits,order",
+        [(4_100, order) for order in range(1, 7)] + [(14_000, order) for order in range(1, 5)],
+    )
+    def test_evaluators_agree_on_large_distinct_denominators(self, bits, order):
+        # distinct odd denominators of 4,100 and 14,000 bits, which once
+        # sent even an order-1 table to Fractions
+        rng = random.Random(order if bits == 4_100 else bits + order)
         rows = tuple(
             tuple(
-                Fraction(rng.randint(-9, 9), rng.getrandbits(4_100) | 1 << 4_099 | 1)
+                Fraction(rng.randint(-9, 9), rng.getrandbits(bits) | 1 << (bits - 1) | 1)
                 for _ in range(i)
             )
             for i in range(1, order + 1)
         )
-        matrix = TriangularMatrix(rows)
-        assert _common_denominator(matrix) is None
-        expected = fraction_last_row(rows)
-        assert pper_by_last_row(matrix) == expected
-        assert pper_by_compositions(matrix) == expected
+        _assert_column_scaled(rows)
 
     @pytest.mark.parametrize("order", range(1, 7))
     def test_evaluators_agree_over_quadext(self, order):
@@ -366,7 +405,7 @@ class TestRationalTables:
 
     def test_other_scalars_keep_their_type(self):
         matrix = TriangularMatrix(((QuadExt(1, 1),), (QuadExt(2), QuadExt(0, 1))))
-        assert _common_denominator(matrix) is None
+        assert _column_scaled(matrix) is None
         expected = QuadExt(2) * QuadExt(0, 1) + QuadExt(1, 1) * QuadExt(0, 1)
         assert pper_by_last_row(matrix, QuadExt.one()) == expected
         assert pper_by_compositions(matrix, QuadExt.one()) == expected
@@ -392,25 +431,32 @@ integer_rows = st.integers(0, 8).flatmap(
 
 
 def _divided_prefixes(rows, row_divisors):
-    # pper_prefixes with row i over d_i, and the same tables in Fractions
-    # with the diagonal entry of row i divided by d_i
+    # pper_prefixes and the walk with row i over d_i, and the same tables
+    # in Fractions with the diagonal entry of row i divided by d_i
     table = _factorial_product_table(TriangularMatrix(rows))
-    prefixes = pper_prefixes(
-        len(rows), lambda i, j: table[i][j], 1, lambda i: row_divisors[i - 1]
-    )
+
+    def fp(i, j):
+        return table[i][j]
+
+    def divisor(i):
+        return row_divisors[i - 1]
+
+    prefixes = pper_prefixes(len(rows), fp, 1, divisor)
+    walked = pper_composition_sums(len(rows), fp, 1, divisor)
     divided = [
         tuple(row[:-1]) + (Fraction(row[-1]) / d,) for row, d in zip(rows, row_divisors)
     ]
     expected = [fraction_last_row(divided[:k]) for k in range(len(rows) + 1)]
-    return prefixes, expected
+    return prefixes, walked, expected
 
 
 class TestRowDenominator:
     @settings(deadline=None)
     @given(_with_divisors(rational_rows))
     def test_matches_fraction_table_with_row_divided(self, case):
-        prefixes, expected = _divided_prefixes(*case)
+        prefixes, walked, expected = _divided_prefixes(*case)
         assert prefixes == expected
+        assert walked == expected
 
     @settings(deadline=None)
     @given(_with_divisors(integer_rows))
@@ -419,13 +465,19 @@ class TestRowDenominator:
     def test_integer_table_is_int_until_first_inexact_division(self, case):
         # the all-ones table over d_i = i has every prefix 1; over 1, 3, 3
         # the division of row 2 is not exact
-        prefixes, expected = _divided_prefixes(*case)
+        prefixes, walked, expected = _divided_prefixes(*case)
         assert prefixes == expected
         first = next(
             (k for k, value in enumerate(expected) if value.denominator != 1), len(expected)
         )
         assert all(type(value) is int for value in prefixes[:first])
         assert all(type(value) is Fraction for value in prefixes[first:])
+        # the walk divides each order's sum on its own: an int exactly
+        # where that order's division is exact
+        assert walked == expected
+        assert [type(value) is int for value in walked] == [
+            value.denominator == 1 for value in expected
+        ]
 
     def test_iterator_is_lazy(self):
         rows_seen = []

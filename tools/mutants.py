@@ -79,21 +79,31 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "falling-row-off-by-one",
-        "zetapoly/lpoly.py",
-        "for j in range(i - 1, 0, -1):",
-        "for j in range(i - 1, 1, -1):",
+        "walk-readout-divisor-shifted",
+        "zetapoly/parapermanent.py",
+        "scale *= divisors[order - 1]",
+        "scale *= divisors[order - 2]",
         (
+            f"{PPER}::TestRowDenominator",
             f"{LPOLY}::TestCoefficients::test_three_methods_agree",
-            f"{LPOLY}::TestIntegerRoutes::test_scaled_table_gives_factorial_times_coefficient",
-            f"{DEFECT2}::TestPairedWalk::test_step_products_equal_terms",
+        ),
+    ),
+    Mutant(
+        "walk-key-scale-includes-row-divisor",
+        "zetapoly/parapermanent.py",
+        "row[m] *= scale\n            scale *= divisors[i - 1]",
+        "scale *= divisors[i - 1]\n            row[m] *= scale",
+        (
+            f"{PPER}::TestRowDenominator",
+            f"{LPOLY}::TestCoefficients::test_three_methods_agree",
+            f"{LPOLY}::TestIntegerRoutes::test_routes_match_fraction_recurrence",
         ),
     ),
     Mutant(
         "row-denominator-off-by-one",
         "zetapoly/lpoly.py",
-        "values[i - j], 1, lambda i: i)",
-        "values[i - j], 1, lambda i: i + 1)",
+        "iter_pper_prefixes(s.g, lambda i, j: values[i - j], 1, lambda i: i)",
+        "iter_pper_prefixes(s.g, lambda i, j: values[i - j], 1, lambda i: i + 1)",
         (
             f"{LPOLY}::TestCoefficients::test_pinned_small",
             f"{LPOLY}::TestCoefficients::test_three_methods_agree",
@@ -103,12 +113,22 @@ MUTANTS = (
     Mutant(
         "row-table-s-index-shifted",
         "zetapoly/lpoly.py",
-        "values[i - j], 1, lambda i: i)",
-        "values[i - j - 1], 1, lambda i: i)",
+        "iter_pper_prefixes(s.g, lambda i, j: values[i - j], 1, lambda i: i)",
+        "iter_pper_prefixes(s.g, lambda i, j: values[i - j - 1], 1, lambda i: i)",
         (
             f"{LPOLY}::TestCoefficients::test_pinned_small",
             f"{LPOLY}::TestIntegerRoutes::test_routes_match_fraction_recurrence",
             f"{DEFECT2}::TestPrefixWalk::test_sums_equal_term_sums",
+        ),
+    ),
+    Mutant(
+        "composition-route-denominator-off-by-one",
+        "zetapoly/lpoly.py",
+        "pper_composition_sums(s.g, lambda i, j: values[i - j], 1, lambda i: i)",
+        "pper_composition_sums(s.g, lambda i, j: values[i - j], 1, lambda i: i + 1)",
+        (
+            f"{LPOLY}::TestCoefficients::test_three_methods_agree",
+            f"{LPOLY}::TestIntegerRoutes::test_routes_match_fraction_recurrence",
         ),
     ),
     Mutant(
@@ -215,14 +235,35 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "common-denominator-power",
+        "column-scale-squared",
         "zetapoly/parapermanent.py",
-        "entry.numerator * (denominator // entry.denominator) for entry in row",
-        "entry.numerator * (denominator // entry.denominator)"
-        " * denominator ** (len(row) - 1 - k) for k, entry in enumerate(row)",
+        "entry.numerator * (c // entry.denominator) for",
+        "entry.numerator * (c // entry.denominator) * c for",
         (
             f"{PPER}::TestRationalTables",
             f"{LPOLY}::TestCoefficients::test_literal_matrix_matches",
+        ),
+    ),
+    Mutant(
+        "readout-one-column-short",
+        "zetapoly/parapermanent.py",
+        "math.prod(scales)",
+        "math.prod(scales[:-1])",
+        (
+            f"{PPER}::TestRationalTables::test_column_scaled_path_matches_fraction_recurrence",
+            f"{PPER}::TestRationalTables::test_evaluators_agree_on_large_distinct_denominators",
+            f"{LPOLY}::TestCoefficients::test_literal_matrix_matches",
+        ),
+    ),
+    Mutant(
+        "row-lcm-for-column-lcm",
+        "zetapoly/parapermanent.py",
+        "row[k].denominator for row in rows[k:]",
+        "entry.denominator for entry in rows[k]",
+        (
+            f"{PPER}::TestRationalTables::test_scaled_table_is_integer",
+            f"{PPER}::TestRationalTables::test_column_lcm_divides_the_table_lcm",
+            f"{PPER}::TestRationalTables::test_evaluators_match_fraction_recurrence",
         ),
     ),
     Mutant(
@@ -242,6 +283,13 @@ MUTANTS = (
         "and field.g > _MAX_WALK_ORDER:",
         "and field.g > _MAX_WALK_ORDER + 1:",
         (f"{CLI}::TestLPolyCommand::test_composition_method_bounded_by_walk_order",),
+    ),
+    Mutant(
+        "walk-estimate-largest-denominator-only",
+        "zetapoly/cli.py",
+        "return estimate(sum(c.bit_length() for c in column_denominators(rows)))",
+        "return estimate(lower)",
+        (f"{CLI}::TestPperCommand::test_work_budget_refuses_large_denominators",),
     ),
     Mutant(
         "route-check-compares-value-to-itself",
