@@ -9,21 +9,22 @@ are the gaps between consecutive cuts.  Index 0 is the one-part composition
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
+
+from .errors import _Frozen
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(_Frozen):
     """An ordered tuple of positive parts."""
 
-    parts: tuple[int, ...]
+    __match_args__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for part in self.parts:
+    def __init__(self, parts: Iterable[int]) -> None:
+        parts = tuple(parts)
+        for part in parts:
             if not isinstance(part, int) or isinstance(part, bool) or part < 1:
-                raise ValueError(f"parts must be positive integers, got {self.parts!r}")
+                raise ValueError(f"parts must be positive integers, got {parts!r}")
+        self.__dict__["parts"] = parts
 
     @property
     def n(self) -> int:

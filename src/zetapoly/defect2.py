@@ -57,13 +57,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .arith import QuadExt, pow2_half
 from .compositions import Composition
-from .errors import ConsistencyError, describe
+from .errors import ConsistencyError, _Frozen, describe
 from .lpoly import SSequence, _s_values, coeffs_by_parapermanent, coeffs_by_recurrence
 from .parapermanent import pper_prefixes
 
@@ -347,16 +346,30 @@ def verify_symmetry(n: int, g: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SignReport:
-    """Verdicts for the sign/growth claims on a_0..a_g for one genus."""
+class SignReport(_Frozen):
+    """Verdicts for the sign/growth claims on a_0..a_g for one genus.
 
-    g: int
-    mode: str  # "vacuous" (g=1), "proven" (2 <= g <= 6) or "conjecture" (g > 6)
-    a: dict[Theta, tuple[int, ...]]
-    sign_ok: dict[Theta, bool]
-    growth_weak: dict[Theta, bool]
-    growth_strict: dict[Theta, bool]
+    mode is "vacuous" (g=1), "proven" (2 <= g <= 6) or "conjecture" (g > 6).
+    """
+
+    __match_args__ = ("g", "mode", "a", "sign_ok", "growth_weak", "growth_strict")
+
+    def __init__(
+        self,
+        g: int,
+        mode: str,
+        a: dict[Theta, tuple[int, ...]],
+        sign_ok: dict[Theta, bool],
+        growth_weak: dict[Theta, bool],
+        growth_strict: dict[Theta, bool],
+    ) -> None:
+        fields = self.__dict__
+        fields["g"] = g
+        fields["mode"] = mode
+        fields["a"] = a
+        fields["sign_ok"] = sign_ok
+        fields["growth_weak"] = growth_weak
+        fields["growth_strict"] = growth_strict
 
     def holds(self, strict: bool = False) -> bool:
         if self.mode == "vacuous":
@@ -408,13 +421,16 @@ def verify_theorem_signs(g: int) -> SignReport:
     return SignReport(g, mode, a, sign_ok, growth_weak, growth_strict)
 
 
-@dataclass(frozen=True)
-class ThetaCell:
+class ThetaCell(_Frozen):
     """Per-theta numbers for one n: the coefficient and the sign tallies."""
 
-    a: int
-    p_plus: Optional[int]
-    p_minus: Optional[int]
+    __match_args__ = ("a", "p_plus", "p_minus")
+
+    def __init__(self, a: int, p_plus: Optional[int], p_minus: Optional[int]) -> None:
+        fields = self.__dict__
+        fields["a"] = a
+        fields["p_plus"] = p_plus
+        fields["p_minus"] = p_minus
 
     @property
     def delta(self) -> Optional[int]:
@@ -423,26 +439,52 @@ class ThetaCell:
         return abs(self.p_plus - self.p_minus)
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    n: int
-    cells: dict[Theta, ThetaCell]
-    symmetry_ok: Optional[bool]
-    tally_ok: Optional[bool]
-    theorem_ok: Union[bool, str, None]
+class ReportRow(_Frozen):
+    """One n of a Defect2Report: the per-theta cells and the checks on them."""
+
+    __match_args__ = ("n", "cells", "symmetry_ok", "tally_ok", "theorem_ok")
+
+    def __init__(
+        self,
+        n: int,
+        cells: dict[Theta, ThetaCell],
+        symmetry_ok: Optional[bool],
+        tally_ok: Optional[bool],
+        theorem_ok: Union[bool, str, None],
+    ) -> None:
+        fields = self.__dict__
+        fields["n"] = n
+        fields["cells"] = cells
+        fields["symmetry_ok"] = symmetry_ok
+        fields["tally_ok"] = tally_ok
+        fields["theorem_ok"] = theorem_ok
 
 
-@dataclass(frozen=True)
-class Defect2Report:
+class Defect2Report(_Frozen):
     """Everything analyze() established for one genus."""
 
-    g: int
-    max_n: int
-    thetas: tuple[Theta, ...]
-    theorem_mode: str
-    rows: tuple[ReportRow, ...]
-    oracle_match: dict[Theta, bool]
-    recurrence_match: dict[Theta, bool]
+    __match_args__ = (
+        "g", "max_n", "thetas", "theorem_mode", "rows", "oracle_match", "recurrence_match"
+    )
+
+    def __init__(
+        self,
+        g: int,
+        max_n: int,
+        thetas: tuple[Theta, ...],
+        theorem_mode: str,
+        rows: tuple[ReportRow, ...],
+        oracle_match: dict[Theta, bool],
+        recurrence_match: dict[Theta, bool],
+    ) -> None:
+        fields = self.__dict__
+        fields["g"] = g
+        fields["max_n"] = max_n
+        fields["thetas"] = thetas
+        fields["theorem_mode"] = theorem_mode
+        fields["rows"] = rows
+        fields["oracle_match"] = oracle_match
+        fields["recurrence_match"] = recurrence_match
 
     def to_json_dict(self, decimal: Callable[[int], str] = str) -> dict:
         """The report as JSON-ready data; decimal renders its big integers."""

@@ -45,11 +45,10 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import ConsistencyError, describe
+from .errors import ConsistencyError, _Frozen, describe
 from .parapermanent import TriangularMatrix, iter_pper_prefixes, pper_composition_sums
 
 COMPOSITION_CAP = 30
@@ -60,19 +59,20 @@ def _check_q(q: object) -> None:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
 
 
-@dataclass(frozen=True)
-class SSequence:
+class SSequence(_Frozen):
     """The numbers S_1..S_g for a field with q elements; g = len(s)."""
 
-    q: int
-    s: tuple[int, ...]
+    __match_args__ = ("q", "s")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s", tuple(self.s))
-        _check_q(self.q)
-        for r, value in enumerate(self.s, start=1):
+    def __init__(self, q: int, s: Iterable[int]) -> None:
+        s = tuple(s)
+        _check_q(q)
+        for r, value in enumerate(s, start=1):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"S_{r} must be an integer, got {value!r}")
+        fields = self.__dict__
+        fields["q"] = q
+        fields["s"] = s
 
     @property
     def g(self) -> int:
@@ -88,66 +88,65 @@ class SSequence:
         return tuple(violations)
 
 
-@dataclass(frozen=True)
-class TraceData:
+class TraceData(_Frozen):
     """Reciprocal-root pair traces t_1..t_g, each with t^2 <= 4q."""
 
-    q: int
-    traces: tuple[int, ...]
+    __match_args__ = ("q", "traces")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "traces", tuple(self.traces))
-        _check_q(self.q)
-        for i, t in enumerate(self.traces, start=1):
+    def __init__(self, q: int, traces: Iterable[int]) -> None:
+        traces = tuple(traces)
+        _check_q(q)
+        for i, t in enumerate(traces, start=1):
             if not isinstance(t, int) or isinstance(t, bool):
                 raise ValueError(f"trace {i} must be an integer, got {t!r}")
-            if t * t > 4 * self.q:
-                raise ValueError(
-                    f"trace {i} violates t^2 <= 4q: t={t}, q={self.q}"
-                )
+            if t * t > 4 * q:
+                raise ValueError(f"trace {i} violates t^2 <= 4q: t={t}, q={q}")
+        fields = self.__dict__
+        fields["q"] = q
+        fields["traces"] = traces
 
     @property
     def g(self) -> int:
         return len(self.traces)
 
 
-@dataclass(frozen=True)
-class LPolynomial:
+class LPolynomial(_Frozen):
     """Coefficients a_0..a_2g of L(t), validated against the functional equation."""
 
-    q: int
-    g: int
-    coeffs: tuple[int, ...]
+    __match_args__ = ("q", "g", "coeffs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        _check_q(self.q)
-        if not isinstance(self.g, int) or self.g < 0:
-            raise ValueError(f"g must be a nonnegative integer, got {self.g!r}")
-        if len(self.coeffs) != 2 * self.g + 1:
+    def __init__(self, q: int, g: int, coeffs: Iterable[int]) -> None:
+        coeffs = tuple(coeffs)
+        _check_q(q)
+        if not isinstance(g, int) or g < 0:
+            raise ValueError(f"g must be a nonnegative integer, got {g!r}")
+        if len(coeffs) != 2 * g + 1:
             raise ValueError(
-                f"need {2 * self.g + 1} coefficients for genus {self.g}, "
-                f"got {len(self.coeffs)}"
+                f"need {2 * g + 1} coefficients for genus {g}, got {len(coeffs)}"
             )
-        for i, a in enumerate(self.coeffs):
+        for i, a in enumerate(coeffs):
             if not isinstance(a, int) or isinstance(a, bool):
                 raise ValueError(f"a_{i} must be an integer, got {a!r}")
-        if self.coeffs[0] != 1:
-            raise ValueError(f"a_0 must be 1, got {self.coeffs[0]}")
+        if coeffs[0] != 1:
+            raise ValueError(f"a_0 must be 1, got {coeffs[0]}")
         # q^(g-i) stepped from i = g-1 down; the lowest broken i is reported
         broken, power = None, 1
-        for i in range(self.g - 1, -1, -1):
-            power *= self.q
-            expected = power * self.coeffs[i]
-            actual = self.coeffs[2 * self.g - i]
+        for i in range(g - 1, -1, -1):
+            power *= q
+            expected = power * coeffs[i]
+            actual = coeffs[2 * g - i]
             if actual != expected:
                 broken = i, actual, expected
         if broken is not None:
             i, actual, expected = broken
             raise ValueError(
                 f"functional equation broken at i={i}: "
-                f"a_{2 * self.g - i}={actual}, q^(g-i)*a_{i}={expected}"
+                f"a_{2 * g - i}={actual}, q^(g-i)*a_{i}={expected}"
             )
+        fields = self.__dict__
+        fields["q"] = q
+        fields["g"] = g
+        fields["coeffs"] = coeffs
 
     def evaluate(self, t: Union[int, Fraction]) -> Union[int, Fraction]:
         value: Union[int, Fraction] = 0

@@ -37,24 +37,25 @@ takes the generic path over its own entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+
+from .errors import _Frozen
 
 FactorialProduct = Callable[[int, int], Any]
 
 
-@dataclass(frozen=True)
-class TriangularMatrix:
+class TriangularMatrix(_Frozen):
     """A lower-triangular table; row i holds entries (i, 1) .. (i, i)."""
 
-    rows: tuple[tuple[Any, ...], ...]
+    __match_args__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        for i, row in enumerate(self.rows, start=1):
+    def __init__(self, rows: Iterable[Iterable[Any]]) -> None:
+        rows = tuple(tuple(row) for row in rows)
+        for i, row in enumerate(rows, start=1):
             if len(row) != i:
                 raise ValueError(f"row {i} must have {i} entries, got {len(row)}")
+        self.__dict__["rows"] = rows
 
     @property
     def order(self) -> int:

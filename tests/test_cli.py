@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -69,6 +70,24 @@ class TestDispatch:
         assert code == cli.EXIT_USAGE
         code, _, err = run_cli("defect2")
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("defect2", "analyze", "--g", "4"),
+            ("lpoly", "from-counts", "--q", "1", "--counts", "5"),
+        ],
+    )
+    def test_python_m_matches_run(self, argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "zetapoly", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == run_cli(*argv)
 
 
 class TestLPolyCommand:

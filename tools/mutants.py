@@ -34,6 +34,7 @@ CLI = "tests/test_cli.py"
 DEFECT2 = "tests/test_defect2.py"
 LPOLY = "tests/test_lpoly.py"
 PPER = "tests/test_parapermanent.py"
+RECORDS = "tests/test_records.py"
 
 
 @dataclass(frozen=True)
@@ -308,6 +309,33 @@ MUTANTS = (
         "abs(value) >= 10**limit",
         "abs(value) > 10**limit",
         (f"{CLI}::TestOutputLimits::test_trace_output_refusal_boundary",),
+    ),
+    Mutant(
+        "record-eq-ignores-class",
+        "zetapoly/errors.py",
+        "if other.__class__ is not self.__class__:",
+        "if not isinstance(other, _Frozen):",
+        (
+            f"{RECORDS}::TestRecord::test_equal_within_one_class_only",
+            f"{RECORDS}::test_records_of_different_classes_are_unequal",
+        ),
+    ),
+    Mutant(
+        "record-last-field-left-out",
+        "zetapoly/errors.py",
+        "for name in self.__match_args__])",
+        "for name in self.__match_args__[:-1]])",
+        (
+            f"{RECORDS}::TestRecord::test_every_field_takes_part_in_equality",
+            f"{RECORDS}::TestRecord::test_hash_is_the_field_tuple",
+        ),
+    ),
+    Mutant(
+        "record-assignment-allowed",
+        "zetapoly/errors.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        (f"{RECORDS}::TestRecord::test_frozen",),
     ),
 )
 
