@@ -12,8 +12,8 @@ past the int-to-str limit exits 1 before any route runs wherever the input
 fixes a printed value (_refuse_unprintable), else when it is printed;
 counts input runs the recurrence first, so a non-integral a_i exits 2.
 
-Exit codes: 0 success, 1 invalid input, 2 failed internal consistency
-check, 64 unknown command.
+Exit codes: 0 success, 1 invalid input or stdout closed early, 2 failed
+internal consistency check, 64 unknown command.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -86,18 +87,9 @@ _MAX_WALK_ORDER = 20
 # the largest numerator every product has at most sum_k bits(c_k) + order
 # * n bits, and multiplying b-bit integers costs about b^log2(3)
 # (Karatsuba).  Seconds per walked composition, and per composition and
-# unit of that cost, fitted to the slowest of tables of orders 4-20 built
-# to sit at the budget (large numerators; distinct 2- to 14,000-bit
-# denominators; one shared large denominator; both at once) and to tables
-# past it (Python 3.11, 2 cores).  The fit is to a walk over the lcm D of
-# all the denominators, every product carrying D^N, that pushed every
-# inner node; the column scaling and the walk that expands the nodes at
-# prefixes n-2 and n-1 in place are faster, so the estimate errs high (an
-# order-16 table over one shared 300-bit prime: 0.57 s estimated, both
-# evaluators under 0.01 s), and the constants are kept so that pper
-# accepts every table it accepted over D.  Past the budget: an order-18
-# table of distinct 64-bit prime denominators, estimated at 7.9 s (its
-# walk takes 1.1 s).
+# unit of that cost (Python 3.11, 2 cores).  The fit predates the column
+# scaling and both walk folds, so the estimate errs high; the constants
+# are kept so that pper accepts and refuses the tables it always has.
 _INTEGER_NODE_S = 3.5e-7
 _INTEGER_WALK_S = 1.2e-11
 _MAX_PPER_SECONDS = 1.5
@@ -488,16 +480,10 @@ def _cmd_defect2_analyze(args: list[str], out: TextIO, err: TextIO) -> int:
     parser.add_argument("--g", required=True)
     parser.add_argument("--max-n", dest="max_n")
     parser.add_argument("--theta", choices=("pi4", "3pi4", "both"), default="both")
-    parser.add_argument(
-        "--threads",
-        help="accepted for compatibility; must be >= 1 and changes nothing, "
-        "as the report is computed in one process",
-    )
     _add_format_option(parser)
     ns = parser.parse_args(args)
     g = _int_option("--g", ns.g)
     max_n = None if ns.max_n is None else _int_option("--max-n", ns.max_n)
-    threads = None if ns.threads is None else _int_option("--threads", ns.threads)
     if max_n is None:
         max_n = min(g, _MAX_DEFECT2_N)
     elif max_n > _MAX_DEFECT2_N:
@@ -513,7 +499,7 @@ def _cmd_defect2_analyze(args: list[str], out: TextIO, err: TextIO) -> int:
         thetas: Optional[tuple[defect2.Theta, ...]] = None
     else:
         thetas = (defect2.Theta(ns.theta),)
-    report = _library_input(defect2.analyze, g, max_n=max_n, thetas=thetas, threads=threads)
+    report = _library_input(defect2.analyze, g, max_n=max_n, thetas=thetas)
     _emit_defect2(report, ns.format, out)
     return EXIT_OK
 
@@ -693,4 +679,12 @@ def run(
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (| head): stdout goes to devnull so
+        # that the flush at exit cannot raise again, and the exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_VALIDATION
+    sys.exit(code)

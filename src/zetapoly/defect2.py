@@ -31,8 +31,7 @@ its own sign, so the sum is P+ - P-, and over their absolute values it is
 P+ + P-.  A call for both branches sums each branch's own S-values.
 cr_theta stays the paper's term formula and the tests' check on the pass;
 it never feeds it.  Nothing lists compositions, so no entry point caps n
-below g.  The entry points' threads= is validated (>= 1) and otherwise
-unused: everything runs in the calling process.
+below g.
 
 The recurrence n * a_n = sum_m S_m * a_(n-m) is lpoly's recurrence over
 q = 2 (a_list_theta_recurrence).  The two stay the pair of routes that
@@ -273,7 +272,7 @@ def sign_tallies(
     positive.  Both counts come from two parapermanents of the branch's
     part signs: P+ - P- over the signs, P+ + P- over their absolute
     values.  The split depends only on theta once g > 2; g is required
-    to guard that.  threads= is validated (>= 1) and otherwise unused.
+    to guard that.
     """
     if g <= 2:
         raise ValueError(f"sign counting needs g > 2, got g={g}")
@@ -552,7 +551,7 @@ def analyze(
     both the branch's trace product in closed form and the linear
     recurrence.
     Any cross-check mismatch raises ConsistencyError; claim verdicts land
-    in the report.  threads= is validated (>= 1) and otherwise unused.
+    in the report.
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")

@@ -321,18 +321,14 @@ def literal_matrix(s: SSequence, n: int) -> TriangularMatrix:
     return TriangularMatrix(tuple(rows))
 
 
-def complete(coeffs: Sequence[int], q: int, g: int | None = None) -> LPolynomial:
+def complete(coeffs: Sequence[int], q: int) -> LPolynomial:
     """Extend a_0..a_g to the full L-polynomial via a_{2g-i} = q^(g-i) a_i."""
     half = list(coeffs)
-    if g is None:
-        g = len(half) - 1
-    if len(half) != g + 1:
-        raise ValueError(f"need a_0..a_{g} ({g + 1} values), got {len(half)}")
     upper, power = [], 1
     for a in reversed(half[:-1]):
         power *= q
         upper.append(power * a)
-    return LPolynomial(q, g, tuple(half + upper))
+    return LPolynomial(q, len(half) - 1, tuple(half + upper))
 
 
 def class_number(lpoly: LPolynomial) -> int:

@@ -89,6 +89,22 @@ class TestDispatch:
         )
         assert (done.returncode, done.stdout, done.stderr) == run_cli(*argv)
 
+    def test_closed_pipe_exits_quietly(self):
+        # the reader takes one of 2^19 lines and closes the pipe, as `| head
+        # -1` does: the command exits 1 with nothing on stderr
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        with subprocess.Popen(
+            [sys.executable, "-m", "zetapoly", "compositions", "--n", "20"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        ) as proc:
+            assert proc.stdout.readline() == b'{"index": 0, "parts": [20]}\n'
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (cli.EXIT_VALIDATION, "")
+
 
 class TestLPolyCommand:
     def test_from_counts_example(self):
@@ -630,11 +646,15 @@ class TestDefect2Command:
         assert payload["rows"][0]["a_pi4"] is None
 
     def test_max_n_and_threads(self):
-        code, out, _ = run_cli(
-            "defect2", "analyze", "--g", "9", "--max-n", "5", "--threads", "2"
-        )
+        code, out, _ = run_cli("defect2", "analyze", "--g", "9", "--max-n", "5")
         assert code == cli.EXIT_OK
         assert len(json.loads(out)["rows"]) == 5
+        # the report runs in one process, and the command has no --threads
+        code, out, err = run_cli(
+            "defect2", "analyze", "--g", "9", "--max-n", "5", "--threads", "2"
+        )
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err == "error: unrecognized arguments: --threads 2\n"
 
     @pytest.mark.parametrize(
         "args,message",
@@ -650,7 +670,7 @@ class TestDefect2Command:
             ),
             (
                 ("defect2", "analyze", "--g", "3", "--threads", "0"),
-                "error: threads must be >= 1, got 0\n",
+                "error: unrecognized arguments: --threads 0\n",
             ),
             (("defect2", "analyze", "--g", "3", "--theta", "pi"), "--theta"),
             (

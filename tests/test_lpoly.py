@@ -301,11 +301,13 @@ class TestLPolynomial:
         assert complete([1], 7).coeffs == (1,)
         assert complete([1], 7).g == 0
         assert complete([1, -3], 7).coeffs == (1, -3, 7)
-        assert complete([1, 5], 2, g=1).coeffs == (1, 5, 2)
+        assert complete([1, 5], 2).coeffs == (1, 5, 2)
 
     def test_complete_validates_length(self):
-        with pytest.raises(ValueError):
-            complete([1, 4], 2, g=2)
+        # the genus is len(coeffs) - 1, so only an empty list is too short,
+        # and LPolynomial refuses it
+        with pytest.raises(ValueError, match="^g must be a nonnegative integer, got -1$"):
+            complete([], 2)
 
     def test_functional_equation_enforced(self):
         with pytest.raises(ValueError):

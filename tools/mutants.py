@@ -311,6 +311,23 @@ MUTANTS = (
         (f"{CLI}::TestOutputLimits::test_trace_output_refusal_boundary",),
     ),
     Mutant(
+        "closed-pipe-not-handled",
+        "zetapoly/cli.py",
+        "except BrokenPipeError:",
+        "except ArithmeticError:",
+        (f"{CLI}::TestDispatch::test_closed_pipe_exits_quietly",),
+    ),
+    Mutant(
+        "complete-genus-off-by-one",
+        "zetapoly/lpoly.py",
+        "return LPolynomial(q, len(half) - 1, ",
+        "return LPolynomial(q, len(half), ",
+        (
+            f"{LPOLY}::TestLPolynomial::test_complete",
+            f"{LPOLY}::TestLPolynomial::test_complete_small_genus",
+        ),
+    ),
+    Mutant(
         "record-eq-ignores-class",
         "zetapoly/errors.py",
         "if other.__class__ is not self.__class__:",
