@@ -12,6 +12,10 @@ past the int-to-str limit exits 1 before any route runs wherever the input
 fixes a printed value (_refuse_unprintable), else when it is printed;
 counts input runs the recurrence first, so a non-integral a_i exits 2.
 
+pper keeps only its time budget: parapermanent.scale_columns hands it the
+size of the walk before it forms any lcm and again before it builds the
+one scaled table that both evaluators walk.
+
 Exit codes: 0 success, 1 invalid input or stdout closed early, 2 failed
 internal consistency check, 64 unknown command.
 """
@@ -35,9 +39,9 @@ from .compositions import iter_parts
 from .errors import ConsistencyError, ValidationError, describe
 from .parapermanent import (
     TriangularMatrix,
-    column_denominators,
     pper_by_compositions,
     pper_by_last_row,
+    scale_columns,
 )
 
 EXIT_OK = 0
@@ -82,12 +86,11 @@ _MAX_DEFECT2_N = 24
 # and each order doubles it
 _MAX_WALK_ORDER = 20
 
-# The walk visits 2^order - 1 compositions of integers: entry (i, k) is
-# scaled by c_k, the lcm of column k's denominators, so with n the bits of
-# the largest numerator every product has at most sum_k bits(c_k) + order
-# * n bits, and multiplying b-bit integers costs about b^log2(3)
-# (Karatsuba).  Seconds per walked composition, and per composition and
-# unit of that cost (Python 3.11, 2 cores).  The fit predates the column
+# The walk visits 2^order - 1 compositions of integers, whose products have
+# at most the bits that parapermanent.scale_columns reads off the table,
+# and multiplying b-bit integers costs about b^log2(3) (Karatsuba).
+# Seconds per walked composition, and per composition and unit of that
+# cost (Python 3.11, 2 cores).  The fit predates the column
 # scaling and both walk folds, so the estimate errs high; the constants
 # are kept so that pper accepts and refuses the tables it always has.
 _INTEGER_NODE_S = 3.5e-7
@@ -576,26 +579,15 @@ def _load_matrix_file(path: str) -> list[list[Fraction]]:
     return rows
 
 
-def _pper_walk_seconds(rows: list[list[Fraction]]) -> float:
-    # the estimated seconds of the composition walk.  Every c_k is at least
-    # the largest denominator of its column, so those alone give a lower
-    # estimate; a table past the budget on it is refused before any lcm is
-    # formed (those of an order-15 table of distinct 14,000-bit
-    # denominators take 0.3 s)
-    order = len(rows)
-    entries = [entry for row in rows for entry in row]
-    numerator_bits = order * max(
-        (abs(entry.numerator).bit_length() for entry in entries), default=0
-    )
-
-    def estimate(denominator_bits: int) -> float:
-        product_bits = denominator_bits + numerator_bits
-        return (2**order - 1) * (_INTEGER_NODE_S + _INTEGER_WALK_S * product_bits**_KARATSUBA)
-
-    lower = sum(max(row[k].denominator for row in rows[k:]).bit_length() for k in range(order))
-    if estimate(lower) > _MAX_PPER_SECONDS:
-        return estimate(lower)
-    return estimate(sum(c.bit_length() for c in column_denominators(rows)))
+def _refuse_slow_walk(order: int, product_bits: int) -> None:
+    # the estimated seconds of a composition walk over integers of at most
+    # product_bits bits, refused past the budget
+    seconds = (2**order - 1) * (_INTEGER_NODE_S + _INTEGER_WALK_S * product_bits**_KARATSUBA)
+    if seconds > _MAX_PPER_SECONDS:
+        raise ValidationError(
+            f"table too large to walk: its composition walk is estimated at "
+            f"{seconds:.3g} s or more, past the {_MAX_PPER_SECONDS} s budget"
+        )
 
 
 def _cmd_pper(args: list[str], out: TextIO, err: TextIO) -> int:
@@ -605,30 +597,19 @@ def _cmd_pper(args: list[str], out: TextIO, err: TextIO) -> int:
     ns = parser.parse_args(args)
     rows = _load_matrix_file(ns.file)
     if len(rows) > _MAX_WALK_ORDER:
-        raise ValidationError(
-            f"table order capped at {_MAX_WALK_ORDER}, got {len(rows)}"
-        )
-    seconds = _pper_walk_seconds(rows)
-    if seconds > _MAX_PPER_SECONDS:
-        raise ValidationError(
-            f"table too large to walk: its composition walk is estimated at "
-            f"{seconds:.3g} s or more, past the {_MAX_PPER_SECONDS} s budget"
-        )
-    matrix = TriangularMatrix(tuple(rows))
-    by_rows = pper_by_last_row(matrix)
-    by_sums = pper_by_compositions(matrix)
+        raise ValidationError(f"table order capped at {_MAX_WALK_ORDER}, got {len(rows)}")
+    table = scale_columns(TriangularMatrix(rows), lambda bits: _refuse_slow_walk(len(rows), bits))
+    # both evaluators walk the one table, and their agreed sum is read out once
+    by_rows = pper_by_last_row(table)
+    by_sums = pper_by_compositions(table)
     if by_rows != by_sums:
         raise ConsistencyError(
             "last-row and composition evaluations disagree: "
-            f"{describe(by_rows)} vs {describe(by_sums)}"
+            f"{describe(table.read_out(by_rows))} vs {describe(table.read_out(by_sums))}"
         )
-    payload = {
-        "order": matrix.order,
-        "pper": _decimal(by_rows),
-        "by_last_row": _decimal(by_rows),
-        "by_compositions": _decimal(by_sums),
-        "agree": True,
-    }
+    value = _decimal(table.read_out(by_rows))
+    keys = ("pper", "by_last_row", "by_compositions")
+    payload = {"order": table.order, **dict.fromkeys(keys, value), "agree": True}
     _emit_pairs(payload, ns.format, out)
     return EXIT_OK
 

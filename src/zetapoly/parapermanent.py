@@ -6,39 +6,32 @@ prod_{k=j..i} b[i][k].  The parapermanent of an order-n table is the sum
 over all compositions (m_1, ..., m_r) of n of the products of the factorial
 products at the key entries (N_s, N_{s-1}+1), where N_s are the prefix sums.
 
-Two evaluators are kept and must agree.  The composition sum follows the
-definition: one depth-first walk over the compositions of every order <= n,
-where a node is a composition of its prefix sum N carrying the product at
-its keys, so each term costs one multiplication and is added on its own.
-Only nodes with three or more children are pushed: a node at prefix n-1
-has a single child, a leaf, and a node at prefix n-2 has two, so both
-levels are formed and added where their parent forms them.
-Unrolling the sum along the last row instead gives an O(n^2)-multiplication
-recurrence over prefix parapermanents.  Both take an optional denominator
-d(i) for each row's diagonal entry: every factorial product of row i
-carries that entry, so the recurrence divides the row's sum by it once,
-which keeps lpoly's prefixes at the size of its coefficients, and the
-walk scales its keys so that every term of order N carries prod_{k<=N}
-d(k), divided out of that order's sum once.
+Two evaluators are kept and must agree: pper_composition_sums follows the
+definition, one depth-first walk over the compositions of every order <= n
+that forms and adds each term on its own, and pper_prefixes unrolls the
+sum along the last row into an O(n^2)-multiplication recurrence over prefix
+parapermanents.  Both take an optional denominator d(i) for each row's
+diagonal entry, which keeps lpoly's prefixes at the size of its
+coefficients.
 
 Entries may be any exact scalar supporting + and * (Fraction, QuadExt, or
 similar); evaluators take the multiplicative identity of that scalar type.
 A rational table (every entry an int or a Fraction) is evaluated in plain
-integers: entry (i, k) is scaled by c_k, the lcm of the denominators of
-column k.  A composition of N uses every column k <= N exactly once, in
-the factorial product of the part that covers it, so the product at its
-keys carries exactly prod_{k<=N} c_k, a divisor of D^N for D the lcm of
-all the denominators.  Both evaluators run their unchanged loops over that
-integer table, and one read-out divides by prod_{k<=n} c_k.  A table of
-any other scalar (QuadExt, or a wrapper that counts its multiplications)
-takes the generic path over its own entries.
+integers, and the rule for that lives here alone: scale_columns multiplies
+entry (i, k) by c_k, the lcm of the denominators of column k, once.  A
+composition of N uses every column k <= N exactly once, in the factorial
+product of the part that covers it, so the product at its keys carries
+exactly prod_{k<=N} c_k.  Both evaluators walk the resulting ScaledTable's
+integer factorial products, and its read_out divides their sum by
+prod_{k<=n} c_k.  A table of any other scalar (QuadExt, or a wrapper that
+counts its multiplications) takes the generic path over its own entries.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import _Frozen
 
@@ -242,28 +235,54 @@ def _walk(n: int, keys: list[list[Any]], one: Any) -> list[Any]:
     return sums
 
 
-def column_denominators(rows: Sequence[Sequence[Any]]) -> list[int]:
-    """c_1..c_n of a rational table: c_k is the lcm of column k's denominators.
+class ScaledTable(TriangularMatrix):
+    """A rational table with entry (i, k) times c_k, and its factorial products.
 
-    Column k holds the entries (i, k) for k <= i <= n; an int counts as a
-    Fraction over 1.
+    Its parapermanent is readout = prod_k c_k times the rational table's.
     """
-    return [math.lcm(*(row[k].denominator for row in rows[k:])) for k in range(len(rows))]
+
+    __match_args__ = ("rows", "readout")
+
+    def __init__(self, rows: Iterable[Iterable[int]], readout: int) -> None:
+        super().__init__(rows)
+        self.__dict__["readout"] = readout
+        self.__dict__["products"] = _factorial_product_table(self)
+
+    def read_out(self, value: Any) -> Fraction:
+        """The rational table's parapermanent from this table's, value."""
+        return Fraction(value, self.readout)
 
 
-def _column_scaled(matrix: TriangularMatrix) -> Optional[tuple[TriangularMatrix, int]]:
-    # (the table with entry (i, k) times c_k, every entry an int, and the
-    # read-out prod_k c_k); None unless every entry is rational
-    if not all(isinstance(entry, (int, Fraction)) for row in matrix.rows for entry in row):
+def scale_columns(
+    matrix: TriangularMatrix, check: Callable[[int], None] = lambda bits: None
+) -> Optional[ScaledTable]:
+    """The matrix with entry (i, k) times c_k, the lcm of column k's denominators.
+
+    None unless every entry is an int or a Fraction.  With n the bits of the
+    largest numerator, the walk over the scaled table forms products of at
+    most sum_k bits(c_k) + order * n bits.  check is handed that bound, and
+    may raise: first with each column's largest denominator for c_k, a lower
+    reading taken before any lcm is formed (those of an order-15 table of
+    distinct 14,000-bit denominators take 0.3 s), then exactly, before the
+    table is built.
+    """
+    rows = matrix.rows
+    if not all(isinstance(entry, (int, Fraction)) for row in rows for entry in row):
         return None
-    scales = column_denominators(matrix.rows)
-    scaled = TriangularMatrix(
-        tuple(
-            tuple(entry.numerator * (c // entry.denominator) for entry, c in zip(row, scales))
-            for row in matrix.rows
-        )
+    numerator_bits = matrix.order * max(
+        (abs(entry.numerator).bit_length() for row in rows for entry in row), default=0
     )
-    return scaled, math.prod(scales)
+    largest = [max(row[k].denominator for row in rows[k:]) for k in range(matrix.order)]
+    check(sum(d.bit_length() for d in largest) + numerator_bits)
+    scales = [math.lcm(*(row[k].denominator for row in rows[k:])) for k in range(matrix.order)]
+    check(sum(c.bit_length() for c in scales) + numerator_bits)
+    return ScaledTable(
+        (
+            tuple(entry.numerator * (c // entry.denominator) for entry, c in zip(row, scales))
+            for row in rows
+        ),
+        math.prod(scales),
+    )
 
 
 def _evaluate(
@@ -271,15 +290,15 @@ def _evaluate(
     matrix: TriangularMatrix,
     one: Any,
 ) -> Any:
-    order = matrix.order
-    rational = _column_scaled(matrix)
-    if rational is None:
+    # a rational table is walked once scaled and its sum read out, a
+    # ScaledTable as it stands, and a table of other scalars over its entries
+    scaled = matrix if isinstance(matrix, ScaledTable) else scale_columns(matrix)
+    if scaled is None:
         table = _factorial_product_table(matrix)
-        return evaluator(order, lambda i, j: table[i][j], one)[order]
-    scaled, readout = rational
-    table = _factorial_product_table(scaled)
-    value = evaluator(order, lambda i, j: table[i][j], 1)[order]
-    return one * Fraction(value, readout)
+        return evaluator(matrix.order, lambda i, j: table[i][j], one)[matrix.order]
+    products = scaled.products
+    value = evaluator(scaled.order, lambda i, j: products[i][j], 1)[scaled.order]
+    return one * (value if scaled is matrix else scaled.read_out(value))
 
 
 def pper_by_last_row(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:

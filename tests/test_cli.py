@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zetapoly import cli
+from zetapoly import cli, parapermanent
 from zetapoly.lpoly import TraceData, coeffs_from_traces, n_from_traces, s_from_traces
 
 
@@ -267,6 +267,21 @@ class TestLPolyCommand:
             assert time.perf_counter() - started < 1.0
             assert result[0] == code
         assert result[1:] == ("", "error: --method compositions needs g <= 20, got g=21\n")
+
+    def test_composition_walk_at_largest_validated_q(self):
+        # the largest walk a validated q allows: g = _MAX_WALK_ORDER over
+        # the largest prime below 10^12, with traces up to 2 sqrt(q)
+        q = 999999999989
+        bound = math.isqrt(4 * q)
+        rng = random.Random(1)
+        traces = ",".join(str(rng.randint(-bound, bound)) for _ in range(cli._MAX_WALK_ORDER))
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            "lpoly", "from-traces", "--q", str(q), "--traces", traces, "--method", "compositions"
+        )
+        assert time.perf_counter() - started < 1.5
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out)["oracle_agrees"] is True
 
     def test_no_validate_skips_prime_power(self):
         code, out, _ = run_cli(
@@ -848,6 +863,31 @@ class TestPperCommand:
         for fmt, expected in golden.items():
             assert run_cli("pper", "--file", path, "--format", fmt) == (cli.EXIT_OK, expected, "")
 
+    def test_one_scaling_per_request(self, tmp_path, monkeypatch):
+        # both evaluators and the three printed values share one lcm per
+        # column, one factorial-product table and one read-out
+        calls = {"lcm": 0, "_factorial_product_table": 0, "read_out": 0}
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(math, "lcm")
+        counting(parapermanent, "_factorial_product_table")
+        counting(parapermanent.ScaledTable, "read_out")
+        rows = [[f"{i - j}/{i + j}" for j in range(i)] for i in range(1, 10)]
+        code, out, _ = run_cli("pper", "--file", self.write(tmp_path, {"order": 9, "rows": rows}))
+        assert code == cli.EXIT_OK
+        assert calls == {"lcm": 9, "_factorial_product_table": 1, "read_out": 1}
+        payload = json.loads(out)
+        assert payload["pper"] == payload["by_last_row"] == payload["by_compositions"]
+        assert Fraction(payload["pper"]).denominator > 1
+
     def test_order_bound_refused_up_front(self, tmp_path):
         order = cli._MAX_WALK_ORDER + 1
         path = self.write(tmp_path, {"order": order, "rows": [["1/3"] * i for i in range(1, order + 1)]})
@@ -933,14 +973,18 @@ class TestPperCommand:
         assert payload["agree"] is True
         assert Fraction(payload["pper"]).denominator == prime**16
 
-    def test_work_budget_accepts_small_rationals(self, tmp_path):
+    def test_work_budget_accepts_small_rationals(self, tmp_path, monkeypatch):
         # tables of +-(1..9)/(1..9), D | 2520, as the benchmark sends them
         rng = random.Random(17)
         rows = [
             [f"{rng.choice((-1, 1)) * rng.randint(1, 9)}/{rng.randint(1, 9)}" for _ in range(i)]
             for i in range(1, 18)
         ]
-        assert cli._pper_walk_seconds([[Fraction(x) for x in row] for row in rows]) < 0.1
+        with monkeypatch.context() as patch:
+            # well inside the budget: estimated under 0.1 s
+            patch.setattr(cli, "_MAX_PPER_SECONDS", 0.1)
+            matrix = parapermanent.TriangularMatrix([[Fraction(x) for x in row] for row in rows])
+            parapermanent.scale_columns(matrix, lambda bits: cli._refuse_slow_walk(17, bits))
         path = self.write(tmp_path, {"order": 17, "rows": rows})
         code, out, _ = run_cli("pper", "--file", path)
         assert code == cli.EXIT_OK
@@ -1059,8 +1103,6 @@ def _defect2_argv(draw):
         groups.append(["--max-n", draw(st.one_of(st.integers(-1, 26).map(str), st.just("x")))])
     if draw(st.booleans()):
         groups.append(["--theta", draw(st.sampled_from(["pi4", "3pi4", "both", "pi"]))])
-    if draw(st.integers(0, 2)) == 0:
-        groups.append(["--threads", draw(st.sampled_from(["-1", "0", "1", "2", "x"]))])
     if draw(st.booleans()):
         groups.append(["--format", draw(st.sampled_from(["json", "csv", "table", "xml"]))])
     if draw(st.integers(0, 11)) == 0:

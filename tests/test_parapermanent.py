@@ -11,16 +11,16 @@ from zetapoly.arith import QuadExt
 from zetapoly.compositions import count, enumerate_compositions
 from zetapoly import parapermanent
 from zetapoly.parapermanent import (
+    ScaledTable,
     TriangularMatrix,
-    _column_scaled,
     _factorial_product_table,
-    column_denominators,
     factorial_product,
     iter_pper_prefixes,
     pper_by_compositions,
     pper_by_last_row,
     pper_composition_sums,
     pper_prefixes,
+    scale_columns,
 )
 
 entries = st.fractions(min_value=-100, max_value=100, max_denominator=10)
@@ -263,13 +263,19 @@ def _mixed_matrix(order, seed):
     )
 
 
-def _assert_column_scaled(rows):
+def _column_lcms(rows):
+    # c_k, the lcm of the denominators of column k, an int counting as over 1
+    columns = [[row[k] for row in rows[k:]] for k in range(len(rows))]
+    return [math.lcm(*(Fraction(entry).denominator for entry in column)) for column in columns]
+
+
+def _assert_column_scaled(rows, scales=None):
     # the table with entry (i, k) times c_k is all ints, its read-out is
     # prod_k c_k, and both evaluators give the Fraction recurrence's value
     matrix = TriangularMatrix(rows)
-    scales = column_denominators(rows)
-    scaled, readout = _column_scaled(matrix)
-    assert readout == math.prod(scales)
+    scales = _column_lcms(rows) if scales is None else scales
+    scaled = scale_columns(matrix)
+    assert scaled.readout == math.prod(scales)
     for row, scaled_row in zip(rows, scaled.rows):
         assert all(type(value) is int for value in scaled_row)
         assert list(scaled_row) == [entry * c for entry, c in zip(row, scales)]
@@ -308,39 +314,60 @@ class TestRationalTables:
     @pytest.mark.parametrize("seed", range(4))
     def test_column_scaled_path_matches_fraction_recurrence(self, seed):
         matrix = _mixed_matrix(9, seed)
-        _, readout = _column_scaled(matrix)
-        assert readout > 1
+        assert scale_columns(matrix).readout > 1
         expected = fraction_last_row(matrix.rows)
         assert pper_by_last_row(matrix) == expected
         assert pper_by_compositions(matrix) == expected
 
     def test_integer_table_has_unit_denominator(self):
         matrix = TriangularMatrix(((3,), (-2, 0), (5, 7, -1)))
-        scaled, readout = _column_scaled(matrix)
-        assert readout == 1
-        assert scaled == matrix
+        scaled = scale_columns(matrix)
+        assert scaled.readout == 1
+        assert scaled.rows == matrix.rows
         assert pper_by_last_row(matrix) == pper_by_compositions(matrix) == -35 - 21
 
     def test_scaled_table_is_integer(self):
         matrix = _mixed_matrix(7, 11)
-        scales = column_denominators(matrix.rows)
-        for k, scale in enumerate(scales):
-            column = [row[k] for row in matrix.rows[k:]]
-            assert scale == math.lcm(*(Fraction(entry).denominator for entry in column))
         _assert_column_scaled(matrix.rows)
-        scaled, _ = _column_scaled(matrix)
-        table = _factorial_product_table(scaled)
+        table = scale_columns(matrix).products
         assert all(type(value) is int for row in table[1:] for value in row[1:])
 
     def test_column_lcm_divides_the_table_lcm(self):
         # each column's own lcm, not the lcm of the whole table: a column
         # whose entries share a denominator keeps it alone
         rows = ((Fraction(1, 3),), (Fraction(2, 3), Fraction(1, 5)), (1, Fraction(3, 5), 7))
-        assert column_denominators(rows) == [3, 5, 1]
-        assert _column_scaled(TriangularMatrix(rows)) == (
-            TriangularMatrix(((1,), (2, 1), (3, 3, 7))),
-            15,
+        assert scale_columns(TriangularMatrix(rows)) == ScaledTable(
+            ((1,), (2, 1), (3, 3, 7)), 15
         )
+
+    def test_readings_for_a_budget(self):
+        # column 1 holds 1/2 and 1/3: its largest denominator has 2 bits and
+        # c_1 = 6 has 3; c_2 = 4 has 3, and order * bits(5) is 6
+        matrix = TriangularMatrix(((Fraction(1, 2),), (Fraction(1, 3), Fraction(5, 4))))
+        readings = []
+        assert scale_columns(matrix, readings.append).readout == 24
+        assert readings == [2 + 3 + 6, 3 + 3 + 6]
+
+    @pytest.mark.parametrize("stop", [1, 2])
+    def test_check_stops_before_the_lcms_and_the_table(self, stop):
+        # a check that raises on the lower reading stops before any lcm is
+        # formed, and one that raises on the exact reading before the table
+        # is built
+        readings = []
+
+        def check(bits):
+            readings.append(bits)
+            if len(readings) == stop:
+                raise OverflowError
+
+        matrix = _mixed_matrix(6, stop)
+        lcms = mock.Mock(wraps=math.lcm)
+        tables = mock.Mock(wraps=_factorial_product_table)
+        with mock.patch.object(math, "lcm", lcms):
+            with mock.patch.object(parapermanent, "_factorial_product_table", tables):
+                with pytest.raises(OverflowError):
+                    scale_columns(matrix, check)
+        assert (lcms.call_count, tables.call_count) == ((stop - 1) * matrix.order, 0)
 
     @pytest.mark.parametrize("kind", ["prime-powers", "shared"])
     def test_large_denominators_scale_by_columns(self, kind):
@@ -363,8 +390,7 @@ class TestRationalTables:
                 for i in range(1, 13)
             )
             scales = [shared] * 12
-        assert column_denominators(rows) == scales
-        _assert_column_scaled(rows)
+        _assert_column_scaled(rows, scales)
 
     @pytest.mark.parametrize(
         "bits,order",
@@ -405,7 +431,7 @@ class TestRationalTables:
 
     def test_other_scalars_keep_their_type(self):
         matrix = TriangularMatrix(((QuadExt(1, 1),), (QuadExt(2), QuadExt(0, 1))))
-        assert _column_scaled(matrix) is None
+        assert scale_columns(matrix) is None
         expected = QuadExt(2) * QuadExt(0, 1) + QuadExt(1, 1) * QuadExt(0, 1)
         assert pper_by_last_row(matrix, QuadExt.one()) == expected
         assert pper_by_compositions(matrix, QuadExt.one()) == expected

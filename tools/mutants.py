@@ -254,13 +254,26 @@ MUTANTS = (
             f"{PPER}::TestRationalTables::test_column_scaled_path_matches_fraction_recurrence",
             f"{PPER}::TestRationalTables::test_evaluators_agree_on_large_distinct_denominators",
             f"{LPOLY}::TestCoefficients::test_literal_matrix_matches",
+            f"{CLI}::TestPperCommand::test_golden_formats",
+        ),
+    ),
+    Mutant(
+        "readout-skips-first-column",
+        "zetapoly/parapermanent.py",
+        "math.prod(scales)",
+        "math.prod(scales[1:])",
+        (
+            f"{PPER}::TestRationalTables::test_column_lcm_divides_the_table_lcm",
+            f"{PPER}::TestRationalTables::test_readings_for_a_budget",
+            f"{CLI}::TestPperCommand::test_golden_formats",
+            f"{CLI}::TestPperCommand::test_reads_table",
         ),
     ),
     Mutant(
         "row-lcm-for-column-lcm",
         "zetapoly/parapermanent.py",
-        "row[k].denominator for row in rows[k:]",
-        "entry.denominator for entry in rows[k]",
+        "math.lcm(*(row[k].denominator for row in rows[k:]))",
+        "math.lcm(*(entry.denominator for entry in rows[k]))",
         (
             f"{PPER}::TestRationalTables::test_scaled_table_is_integer",
             f"{PPER}::TestRationalTables::test_column_lcm_divides_the_table_lcm",
@@ -287,10 +300,23 @@ MUTANTS = (
     ),
     Mutant(
         "walk-estimate-largest-denominator-only",
-        "zetapoly/cli.py",
-        "return estimate(sum(c.bit_length() for c in column_denominators(rows)))",
-        "return estimate(lower)",
-        (f"{CLI}::TestPperCommand::test_work_budget_refuses_large_denominators",),
+        "zetapoly/parapermanent.py",
+        "check(sum(c.bit_length() for c in scales) + numerator_bits)",
+        "check(sum(d.bit_length() for d in largest) + numerator_bits)",
+        (
+            f"{PPER}::TestRationalTables::test_readings_for_a_budget",
+            f"{CLI}::TestPperCommand::test_work_budget_refuses_large_denominators",
+        ),
+    ),
+    Mutant(
+        "exact-reading-drops-column-bits",
+        "zetapoly/parapermanent.py",
+        "check(sum(c.bit_length() for c in scales) + numerator_bits)",
+        "check(numerator_bits)",
+        (
+            f"{PPER}::TestRationalTables::test_readings_for_a_budget",
+            f"{CLI}::TestPperCommand::test_work_budget_refuses_large_denominators",
+        ),
     ),
     Mutant(
         "route-check-compares-value-to-itself",
