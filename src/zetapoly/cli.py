@@ -87,8 +87,10 @@ _MAX_DEFECT2_N = 24
 _MAX_WALK_ORDER = 20
 
 # The walk visits 2^order - 1 compositions of integers, whose products have
-# at most the bits that parapermanent.scale_columns reads off the table,
-# and multiplying b-bit integers costs about b^log2(3) (Karatsuba).
+# at most the bits that parapermanent.scale_columns reads off the table
+# (pper) or _composition_walk_bits off the S-values (lpoly --method
+# compositions), and multiplying b-bit integers costs about b^log2(3)
+# (Karatsuba).
 # Seconds per walked composition, and per composition and unit of that
 # cost (Python 3.11, 2 cores).  The fit predates the column
 # scaling and both walk folds, so the estimate errs high; the constants
@@ -337,6 +339,9 @@ def _lpoly_command(source: str) -> _Handler:
             s, oracle = lpoly.s_from_traces(field), lpoly.oracle_expand(field)
         else:
             s = field
+        if ns.method == "compositions":
+            refused = "S-values too large for --method compositions"
+            _refuse_slow_walk(s.g, _composition_walk_bits(s), refused)
         half, methods = _half_coefficients(s, ns.method)
         full = lpoly.complete(half, s.q)
         if oracle is not None:
@@ -579,15 +584,27 @@ def _load_matrix_file(path: str) -> list[list[Fraction]]:
     return rows
 
 
-def _refuse_slow_walk(order: int, product_bits: int) -> None:
+def _refuse_slow_walk(
+    order: int, product_bits: int, refused: str = "table too large to walk"
+) -> None:
     # the estimated seconds of a composition walk over integers of at most
     # product_bits bits, refused past the budget
     seconds = (2**order - 1) * (_INTEGER_NODE_S + _INTEGER_WALK_S * product_bits**_KARATSUBA)
     if seconds > _MAX_PPER_SECONDS:
         raise ValidationError(
-            f"table too large to walk: its composition walk is estimated at "
+            f"{refused}: its composition walk is estimated at "
             f"{seconds:.3g} s or more, past the {_MAX_PPER_SECONDS} s budget"
         )
+
+
+def _composition_walk_bits(s: lpoly.SSequence) -> int:
+    # lpoly's walk takes the keys S_{i+1-j} (i-1)!/(j-1)!, so the product
+    # at the keys of a composition of N <= g is at most N! times the parts'
+    # S_m: bits(g!) + g * max_m ceil(bits(S_m) / m) bits
+    per_unit = max(
+        (-(-abs(value).bit_length() // m) for m, value in enumerate(s.s, start=1)), default=0
+    )
+    return math.factorial(s.g).bit_length() + s.g * per_unit
 
 
 def _cmd_pper(args: list[str], out: TextIO, err: TextIO) -> int:

@@ -63,7 +63,7 @@ from .arith import QuadExt, pow2_half
 from .compositions import Composition
 from .errors import ConsistencyError, _Frozen, describe
 from .lpoly import SSequence, _s_values, coeffs_by_parapermanent, coeffs_by_recurrence
-from .parapermanent import pper_prefixes
+from .parapermanent import _last_row
 
 
 class Theta(enum.Enum):
@@ -148,24 +148,28 @@ def _pass_weights(max_n: int, g: int, theta: Theta) -> tuple[int, ...]:
     # F(m) = -2 * 2^(m/2) * C_theta(m).  For odd m the weight is content *
     # sqrt(2)/2, for even m it is content itself, so F(m) = -content *
     # 2^(m//2 + 1); any other shape would leave a sqrt(2) or a fraction that
-    # the pass's integers cannot hold, so it raises.  The prefix sums are
-    # positive, so a term's sign is the product of its parts' signs of F(m),
-    # and the parity-class rule (claimed for g > 2) holds for every term
-    # exactly when it holds for every part of nonzero weight (zero weights
-    # occur only for g <= 2).
+    # the pass's integers cannot hold, so it raises.  The shape is read off
+    # the integers of the component that must vanish and of the one that
+    # holds content / halves, halves = 2 for odd m and 1 for even m: the
+    # first must have numerator 0, and the second a denominator that divides
+    # halves.  The prefix sums are positive, so a term's sign is the product
+    # of its parts' signs of F(m), and the parity-class rule (claimed for
+    # g > 2) holds for every term exactly when it holds for every part of
+    # nonzero weight (zero weights occur only for g <= 2).
     classes = _PARITY_CLASSES[theta]
     weights = []
     for m in range(1, max_n + 1):
         c = c_theta(m, g, theta)
-        if m % 2:
-            content, stray, shape = 2 * c.irr, c.rat, "an integer times sqrt(2)/2"
+        if m & 1:
+            part, stray, halves, shape = c.irr, c.rat, 2, "an integer times sqrt(2)/2"
         else:
-            content, stray, shape = c.rat, c.irr, "an integer"
-        if stray != 0 or content.denominator != 1:
+            part, stray, halves, shape = c.rat, c.irr, 1, "an integer"
+        denominator = part.denominator
+        if stray.numerator or halves % denominator:
             raise ConsistencyError(
                 f"C_theta({m}) = {c} for g={g}, theta={theta.value} is not {shape}"
             )
-        weight = -content.numerator << (m // 2 + 1)
+        weight = -(part.numerator * (halves // denominator)) << (m // 2 + 1)
         if g > 2 and weight and (weight < 0) is not (residue_class(m) in classes):
             raise ConsistencyError(
                 f"a term of a_{m} has the sign opposite to the parity-class rule"
@@ -178,10 +182,13 @@ def _tallies(weights: Sequence[int]) -> list[tuple[int, int]]:
     # (P+, P-) for n = 0..len(weights).  A term's sign is the product of its
     # parts' signs, so the parapermanent of the parts' signs sums P+ - P-
     # and that of their absolute values P+ + P-; a part of weight zero
-    # drops out of both, as its terms are zero.
+    # drops out of both, as its terms are zero.  fp(i, j) is the sign of
+    # part i + 1 - j, so row i is the slice of parts i..1.
     signs = [(weight > 0) - (weight < 0) for weight in weights]
-    signed = pper_prefixes(len(signs), lambda i, j: signs[i - j], 1)
-    total = pper_prefixes(len(signs), lambda i, j: abs(signs[i - j]), 1)
+    sizes = [abs(sign) for sign in signs]
+    orders = range(1, len(signs) + 1)
+    signed = _last_row((signs[i - 1::-1] for i in orders), 1)
+    total = _last_row((sizes[i - 1::-1] for i in orders), 1)
     return [((both + net) // 2, (both - net) // 2) for net, both in zip(signed, total)]
 
 
@@ -545,11 +552,11 @@ def analyze(
 
     Each selected branch's S-values give its a_1..a_max_n (max_n in
     1..g, g by default) by lpoly's parapermanent route and its term sign
-    tallies (g > 2) as parapermanents of their signs.  Row by row it checks
-    the termwise symmetry (both branches only), the sign-tally claims and
-    the sign/growth claims, and it cross-checks the coefficients against
-    both the branch's trace product in closed form and the linear
-    recurrence.
+    tallies (g > 2) as parapermanents of their signs.  Each branch's
+    columns (cells, sign-tally verdicts, sign/growth claims) are built once
+    and the rows are read across them, with the termwise symmetry verdicts
+    (both branches only).  The coefficients are cross-checked against both
+    the branch's trace product in closed form and the linear recurrence.
     Any cross-check mismatch raises ConsistencyError; claim verdicts land
     in the report.
     """
@@ -566,54 +573,53 @@ def analyze(
             raise ValueError("no branch selected")
 
     _check_threads(threads)
-    weights = {theta: _pass_weights(max_n, g, theta) for theta in selected}
+    weights = [_pass_weights(max_n, g, theta) for theta in selected]
     symmetric: Optional[list[bool]] = None
     if len(selected) == 2:
-        symmetric = _symmetry_verdicts(weights[Theta.PI_4], weights[Theta.THREE_PI_4])
-    coefficients: dict[Theta, list[int]] = {}
-    tallies: dict[Theta, list] = {}
-    for theta in selected:
-        values = coeffs_by_parapermanent(SSequence(2, weights[theta]))
-        _check_agreement("trace route", values, _branch_coeffs(max_n, g, theta), g, theta)
-        _check_agreement("recurrence", values, a_list_theta_recurrence(max_n, g, theta), g, theta)
-        coefficients[theta] = values
-        tallies[theta] = _tallies(weights[theta]) if g > 2 else [(None, None)] * (max_n + 1)
-
+        symmetric = _symmetry_verdicts(*weights)
     theorem_mode = _theorem_mode(g)
 
-    rows = []
-    for n in range(1, max_n + 1):
-        cells: dict[Theta, ThetaCell] = {}
-        for theta in selected:
-            cells[theta] = ThetaCell(coefficients[theta][n], *tallies[theta][n])
-
-        symmetry_ok = None if symmetric is None else symmetric[n]
-
-        if g > 2 and n >= 2:
-            tally_ok: Optional[bool] = True
-            for theta in selected:
-                cell = cells[theta]
-                prev_delta = None
-                if n >= 3:
-                    prev_delta = rows[-1].cells[theta].delta
-                signed = cell.p_plus - cell.p_minus
-                if not _tally_checks(n, theta, cell.delta, signed, prev_delta):
-                    tally_ok = False
+    # each branch's columns over n = 1..max_n: its cells, its tally
+    # verdicts and its claims on |a_n|; then the rows across them
+    cells, tally_columns, claim_columns = [], [], []
+    for theta, branch in zip(selected, weights):
+        values = coeffs_by_parapermanent(SSequence(2, branch))
+        _check_agreement("trace route", values, _branch_coeffs(max_n, g, theta), g, theta)
+        _check_agreement("recurrence", values, a_list_theta_recurrence(max_n, g, theta), g, theta)
+        if g > 2:
+            tallies = _tallies(branch)
+            deltas = [abs(plus - minus) for plus, minus in tallies]
+            cells.append([ThetaCell(a, *tally) for a, tally in zip(values[1:], tallies[1:])])
+            column = []
+            for n, (plus, minus) in enumerate(tallies[2:], start=2):
+                previous = deltas[n - 1] if n >= 3 else None
+                column.append(_tally_checks(n, theta, deltas[n], plus - minus, previous))
+            tally_columns.append(column)
         else:
-            tally_ok = None
-
-        if theorem_mode == "vacuous":
-            theorem_ok: Union[bool, str, None] = "vacuous"
-        else:
-            claims = all(
-                all(_claims(coefficients[theta], n, theta)[:2]) for theta in selected
+            cells.append([ThetaCell(a, None, None) for a in values[1:]])
+        if theorem_mode != "vacuous":
+            claim_columns.append(
+                [all(_claims(values, n, theta)[:2]) for n in range(1, max_n + 1)]
             )
-            if theorem_mode == "proven":
-                theorem_ok = claims
-            else:
-                theorem_ok = "conjecture" if claims else False
 
-        rows.append(ReportRow(n, cells, symmetry_ok, tally_ok, theorem_ok))
+    tally_verdicts: list[Optional[bool]] = [None] * max_n
+    if g > 2:
+        tally_verdicts[1:] = map(all, zip(*tally_columns))
+    if theorem_mode == "vacuous":
+        theorem_verdicts: list[Union[bool, str, None]] = ["vacuous"] * max_n
+    else:
+        holds = list(map(all, zip(*claim_columns)))
+        if theorem_mode == "proven":
+            theorem_verdicts = holds
+        else:
+            theorem_verdicts = ["conjecture" if claims else False for claims in holds]
+    symmetry_verdicts = [None] * max_n if symmetric is None else symmetric[1:]
+    rows = [
+        ReportRow(n, dict(zip(selected, row_cells)), symmetry_ok, tally_ok, theorem_ok)
+        for n, row_cells, symmetry_ok, tally_ok, theorem_ok in zip(
+            range(1, max_n + 1), zip(*cells), symmetry_verdicts, tally_verdicts, theorem_verdicts
+        )
+    ]
 
     return Defect2Report(
         g=g,

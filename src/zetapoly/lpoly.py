@@ -19,7 +19,8 @@ row i's diagonal denominator i (pper_prefixes' denominator): every
 factorial product of row i carries that one 1/i, so the row's sum is
 divided once and prefix i is a_i itself, an int while the division is
 exact.  It does the recurrence's arithmetic in parapermanent.py's generic
-loop, so a fault in either loop shows as a disagreement.  The composition
+last-row loop, row i being the slice S_i..S_1, so a fault in either loop
+shows as a disagreement.  The composition
 route walks the same table with the same row denominators: the walk takes
 each key S_{i+1-j}/i times i!/(j-1)!, i.e. S_{i+1-j} (i-1)!/(j-1)!, so the
 product at the keys of a composition of N carries N! and each order's sum
@@ -49,7 +50,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ConsistencyError, _Frozen, describe
-from .parapermanent import TriangularMatrix, iter_pper_prefixes, pper_composition_sums
+from .parapermanent import TriangularMatrix, _last_row, pper_composition_sums
 
 COMPOSITION_CAP = 30
 
@@ -235,10 +236,11 @@ def _recurrence(s: SSequence) -> Iterator[Union[int, Fraction]]:
 
 def _parapermanent(s: SSequence) -> Iterator[Union[int, Fraction]]:
     # factorial products S_{i+1-j} with row i over i: the telescoped
-    # S_{i+1-j}/i, divided once per row, so prefix i is a_i itself; lazy,
-    # like _recurrence, so the integer route stops at the first Fraction
+    # S_{i+1-j}/i, divided once per row, so prefix i is a_i itself.  Row i
+    # is S_i..S_1, one slice; lazy, like _recurrence, so the integer route
+    # stops at the first Fraction
     values = s.s
-    return iter_pper_prefixes(s.g, lambda i, j: values[i - j], 1, lambda i: i)
+    return _last_row((values[i - 1::-1] for i in range(1, s.g + 1)), 1, lambda i: i)
 
 
 def _compositions(s: SSequence) -> list[Union[int, Fraction]]:

@@ -12,7 +12,11 @@ that forms and adds each term on its own, and pper_prefixes unrolls the
 sum along the last row into an O(n^2)-multiplication recurrence over prefix
 parapermanents.  Both take an optional denominator d(i) for each row's
 diagonal entry, which keeps lpoly's prefixes at the size of its
-coefficients.
+coefficients.  The recurrence is one loop, _last_row, that takes row i's
+factorial products fp(i, 1..i) as a sequence: pper_prefixes builds the
+rows from fp, pper_by_last_row hands it its factorial-product table, and
+a caller whose fp(i, j) depends only on i - j (lpoly's route, defect2's
+tallies) hands it slices of one sequence.
 
 Entries may be any exact scalar supporting + and * (Fraction, QuadExt, or
 similar); evaluators take the multiplicative identity of that scalar type.
@@ -31,7 +35,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Optional
+from operator import mul
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import _Frozen
 
@@ -115,20 +120,31 @@ def iter_pper_prefixes(
     """pper_prefixes, each prefix yielded as it is found.
 
     A caller can stop early, for example at the first prefix that is not
-    an int.
+    an int; fp is called for a row only when its prefix is asked for.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
-    prefixes: list[Any] = [one]
+    rows = ([fp(i, s) for s in range(1, i + 1)] for i in range(1, n + 1))
+    return _last_row(rows, one, denominator)
+
+
+def _last_row(
+    rows: Iterable[Sequence[Any]],
+    one: Any,
+    denominator: Optional[Callable[[int], Any]] = None,
+) -> Iterator[Any]:
+    # the prefixes pper(0) = one, pper(1), ... for rows 1, 2, ..., row i
+    # holding the factorial products fp(i, 1..i): pper(i) = sum_s fp(i, s)
+    # * pper(s-1), divided by denominator(i) when given
+    prefixes = [one]
     yield one
-    for i in range(1, n + 1):
-        acc = fp(i, 1) * prefixes[0]
-        for s in range(2, i + 1):
-            acc = acc + fp(i, s) * prefixes[s - 1]
+    for i, row in enumerate(rows, start=1):
+        products = map(mul, row, prefixes)
+        total = sum(products, next(products))
         if denominator is not None:
-            acc = _divide(acc, denominator(i))
-        prefixes.append(acc)
-        yield acc
+            total = _divide(total, denominator(i))
+        prefixes.append(total)
+        yield total
 
 
 def _divide(value: Any, divisor: Any) -> Any:
@@ -286,26 +302,33 @@ def scale_columns(
 
 
 def _evaluate(
-    evaluator: Callable[[int, FactorialProduct, Any], list[Any]],
-    matrix: TriangularMatrix,
-    one: Any,
+    evaluator: Callable[[list[list[Any]], Any], Any], matrix: TriangularMatrix, one: Any
 ) -> Any:
     # a rational table is walked once scaled and its sum read out, a
-    # ScaledTable as it stands, and a table of other scalars over its entries
+    # ScaledTable as it stands, and a table of other scalars over its
+    # entries; evaluator takes the 1-based factorial-product table
     scaled = matrix if isinstance(matrix, ScaledTable) else scale_columns(matrix)
     if scaled is None:
-        table = _factorial_product_table(matrix)
-        return evaluator(matrix.order, lambda i, j: table[i][j], one)[matrix.order]
-    products = scaled.products
-    value = evaluator(scaled.order, lambda i, j: products[i][j], 1)[scaled.order]
+        return evaluator(_factorial_product_table(matrix), one)
+    value = evaluator(scaled.products, 1)
     return one * (value if scaled is matrix else scaled.read_out(value))
+
+
+def _by_last_row(table: list[list[Any]], one: Any) -> Any:
+    *_, value = _last_row((row[1:] for row in table[1:]), one)
+    return value
+
+
+def _by_compositions(table: list[list[Any]], one: Any) -> Any:
+    order = len(table) - 1
+    return pper_composition_sums(order, lambda i, j: table[i][j], one)[order]
 
 
 def pper_by_last_row(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:
     """Parapermanent of the table by the last-row recurrence."""
-    return _evaluate(pper_prefixes, matrix, one)
+    return _evaluate(_by_last_row, matrix, one)
 
 
 def pper_by_compositions(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:
     """Parapermanent of the table by direct composition enumeration."""
-    return _evaluate(pper_composition_sums, matrix, one)
+    return _evaluate(_by_compositions, matrix, one)

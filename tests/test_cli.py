@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zetapoly import cli, parapermanent
+from zetapoly.compositions import iter_parts
 from zetapoly.lpoly import TraceData, coeffs_from_traces, n_from_traces, s_from_traces
 
 
@@ -282,6 +283,44 @@ class TestLPolyCommand:
         assert time.perf_counter() - started < 1.5
         assert (code, err) == (cli.EXIT_OK, "")
         assert json.loads(out)["oracle_agrees"] is True
+
+    def test_composition_walk_refused_past_budget(self, monkeypatch):
+        # at q = 10^200 the walk's products reach about 6,800 bits, and the
+        # walk took 6.5 s; it is refused from the S-values before any route
+        q = 10**200
+        bound = math.isqrt(4 * q)
+        rng = random.Random(1)
+        traces = ",".join(str(rng.randint(-bound, bound)) for _ in range(cli._MAX_WALK_ORDER))
+        monkeypatch.setattr(cli.lpoly, "coeffs_by_compositions", None)
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            "lpoly", "from-traces", "--q", str(q), "--traces", traces,
+            "--method", "compositions", "--no-validate",
+        )
+        assert time.perf_counter() - started < 0.1
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err == (
+            "error: S-values too large for --method compositions: its composition walk "
+            "is estimated at 15.2 s or more, past the 1.5 s budget\n"
+        )
+
+    def test_composition_walk_bits_bound_the_products(self):
+        # every product the walk forms, S_{m_1}..S_{m_r} times N!, has at
+        # most the bits the estimate reads off the S-values; 3! * 255 has
+        # 11 bits, and bits(3!) + 3 * ceil(8 / 3) = 12
+        assert cli._composition_walk_bits(cli.lpoly.SSequence(2, (1, 1, 255))) == 12
+        rng = random.Random(3)
+        cases = [cli.lpoly.SSequence(2, (1, 1, 255))]
+        for g in (1, 2, 5, 9):
+            cases.append(
+                cli.lpoly.SSequence(7, [rng.randint(-(7**m), 7**m) or 1 for m in range(1, g + 1)])
+            )
+        for s in cases:
+            g, bits = s.g, cli._composition_walk_bits(s)
+            for n in range(1, g + 1):
+                for parts in itertools.islice(iter_parts(n), 64):
+                    product = math.factorial(n) * math.prod(s.s[m - 1] for m in parts)
+                    assert abs(product).bit_length() <= bits
 
     def test_no_validate_skips_prime_power(self):
         code, out, _ = run_cli(
@@ -758,6 +797,16 @@ class TestDefect2Command:
             expected,
             "",
         )
+
+    # the JSON report for g in {1, 2, 3, 7, 20}, each --theta, with --max-n
+    # at its default and at 1, pinned byte for byte
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "golden" / "defect2_analyze.json").read_text(encoding="utf-8")
+    )
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"][2:]))
+    def test_json_golden(self, case):
+        assert run_cli(*case["argv"]) == (cli.EXIT_OK, case["stdout"], "")
 
     def test_deterministic_output(self):
         first = run_cli("defect2", "analyze", "--g", "5")

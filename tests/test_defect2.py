@@ -407,6 +407,26 @@ class TestPrefixWalk:
                 assert read.pop() == s_values
                 assert defect2._pass_weights(g, g, theta) == s_values
 
+    @pytest.mark.parametrize("g,max_n", [(1, 1), (2, 2), (3, 1), (7, 4), (20, 20), (30, 26)])
+    def test_pass_reads_every_weight_once(self, monkeypatch, g, max_n):
+        # the pass calls c_theta once for each m = 1..max_n on each branch
+        # it sums, and for no other m
+        real = defect2.c_theta
+        calls = []
+        monkeypatch.setattr(
+            defect2, "c_theta", lambda m, g, theta: calls.append((m, theta)) or real(m, g, theta)
+        )
+        every_m = sorted((m, theta.value) for m in range(1, max_n + 1) for theta in BOTH)
+        analyze(g, max_n)
+        assert sorted((m, theta.value) for m, theta in calls) == every_m
+        for theta in BOTH:
+            calls.clear()
+            analyze(g, max_n, (theta,))
+            assert calls == [(m, theta) for m in range(1, max_n + 1)]
+            calls.clear()
+            a_list_theta(max_n, g, theta)
+            assert calls == [(m, theta) for m in range(1, max_n + 1)]
+
     def test_analyze_independent_of_workers(self):
         sequential = analyze(18, threads=1).to_json_dict()
         assert analyze(18, threads=2).to_json_dict() == sequential

@@ -71,8 +71,8 @@ MUTANTS = (
     Mutant(
         "weight-power-halved",
         "zetapoly/defect2.py",
-        "weight = -content.numerator << (m // 2 + 1)",
-        "weight = -content.numerator << (m // 2)",
+        "weight = -(part.numerator * (halves // denominator)) << (m // 2 + 1)",
+        "weight = -(part.numerator * (halves // denominator)) << (m // 2)",
         (
             f"{DEFECT2}::TestPrefixWalk::test_sums_equal_term_sums",
             f"{DEFECT2}::TestPrefixWalk::test_weights_are_the_branch_s_values",
@@ -103,8 +103,8 @@ MUTANTS = (
     Mutant(
         "row-denominator-off-by-one",
         "zetapoly/lpoly.py",
-        "iter_pper_prefixes(s.g, lambda i, j: values[i - j], 1, lambda i: i)",
-        "iter_pper_prefixes(s.g, lambda i, j: values[i - j], 1, lambda i: i + 1)",
+        "for i in range(1, s.g + 1)), 1, lambda i: i)",
+        "for i in range(1, s.g + 1)), 1, lambda i: i + 1)",
         (
             f"{LPOLY}::TestCoefficients::test_pinned_small",
             f"{LPOLY}::TestCoefficients::test_three_methods_agree",
@@ -114,12 +114,40 @@ MUTANTS = (
     Mutant(
         "row-table-s-index-shifted",
         "zetapoly/lpoly.py",
-        "iter_pper_prefixes(s.g, lambda i, j: values[i - j], 1, lambda i: i)",
-        "iter_pper_prefixes(s.g, lambda i, j: values[i - j - 1], 1, lambda i: i)",
+        "_last_row((values[i - 1::-1] for i",
+        "_last_row((values[i::-1] for i",
         (
             f"{LPOLY}::TestCoefficients::test_pinned_small",
             f"{LPOLY}::TestIntegerRoutes::test_routes_match_fraction_recurrence",
             f"{DEFECT2}::TestPrefixWalk::test_sums_equal_term_sums",
+        ),
+    ),
+    Mutant(
+        "tally-row-slice-start-off-by-one",
+        "zetapoly/defect2.py",
+        "_last_row((signs[i - 1::-1] for i",
+        "_last_row((signs[i - 2::-1] for i",
+        (
+            f"{DEFECT2}::TestSignClassification::test_counts_match_classification",
+            f"{DEFECT2}::TestPrefixWalk::test_tallies_equal_classification",
+            f"{CLI}::TestDefect2Command::test_json_golden",
+        ),
+    ),
+    Mutant(
+        "weight-shape-skips-denominator",
+        "zetapoly/defect2.py",
+        "if stray.numerator or halves % denominator:",
+        "if stray.numerator:",
+        (f"{DEFECT2}::TestPairedWalk::test_malformed_weight_raises",),
+    ),
+    Mutant(
+        "tally-previous-delta-is-own",
+        "zetapoly/defect2.py",
+        "previous = deltas[n - 1] if n >= 3 else None",
+        "previous = deltas[n] if n >= 3 else None",
+        (
+            f"{CLI}::TestDefect2Command::test_rows_stop_at_24_golden",
+            f"{CLI}::TestDefect2Command::test_json_golden",
         ),
     ),
     Mutant(
@@ -317,6 +345,13 @@ MUTANTS = (
             f"{PPER}::TestRationalTables::test_readings_for_a_budget",
             f"{CLI}::TestPperCommand::test_work_budget_refuses_large_denominators",
         ),
+    ),
+    Mutant(
+        "walk-bits-floor-per-unit",
+        "zetapoly/cli.py",
+        "(-(-abs(value).bit_length() // m) for m",
+        "(abs(value).bit_length() // m for m",
+        (f"{CLI}::TestLPolyCommand::test_composition_walk_bits_bound_the_products",),
     ),
     Mutant(
         "route-check-compares-value-to-itself",
