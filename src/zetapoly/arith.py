@@ -62,10 +62,6 @@ class QuadExt:
     def sqrt2(cls) -> "QuadExt":
         return cls(0, 1)
 
-    @property
-    def is_rational(self) -> bool:
-        return self._irr == 0
-
     def __bool__(self) -> bool:
         return self._rat != 0 or self._irr != 0
 

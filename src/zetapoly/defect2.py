@@ -25,10 +25,11 @@ no composition is ever listed.  A term is the product of its parts' F(m)
 and positive 1/N_s, so F decides both claims about terms: the
 parity-class sign rule holds for every term when it holds for every part,
 and the branches agree termwise, v_pi/4 == (-1)^n v_3pi/4, up to n while
-F_pi/4(m) == (-1)^m F_3pi/4(m) for every m <= n.  The sign tallies are
-parapermanents as well: over the table of the parts' signs each term is
-its own sign, so the sum is P+ - P-, and over their absolute values it is
-P+ + P-.  A call for both branches sums each branch's own S-values.
+F_pi/4(m) == (-1)^m F_3pi/4(m) for every m <= n.  The sign tallies come
+from one parapermanent as well: over the table of the parts' signs each
+term is its own sign, so the sum is P+ - P-, and as no weight vanishes
+for g > 2, P+ + P- is the count 2^(n-1) of compositions of n.  A call
+for both branches sums each branch's own S-values.
 cr_theta stays the paper's term formula and the tests' check on the pass;
 it never feeds it.  Nothing lists compositions, so no entry point caps n
 below g.
@@ -154,8 +155,9 @@ def _pass_weights(max_n: int, g: int, theta: Theta) -> tuple[int, ...]:
     # first must have numerator 0, and the second a denominator that divides
     # halves.  The prefix sums are positive, so a term's sign is the product
     # of its parts' signs of F(m), and the parity-class rule (claimed for
-    # g > 2) holds for every term exactly when it holds for every part of
-    # nonzero weight (zero weights occur only for g <= 2).
+    # g > 2) holds for every term exactly when it holds for every part.  A
+    # weight vanishes only for g <= 2; for g > 2 a zero weight raises, as
+    # the sign tallies count every composition as a term of sign +-1.
     classes = _PARITY_CLASSES[theta]
     weights = []
     for m in range(1, max_n + 1):
@@ -170,7 +172,11 @@ def _pass_weights(max_n: int, g: int, theta: Theta) -> tuple[int, ...]:
                 f"C_theta({m}) = {c} for g={g}, theta={theta.value} is not {shape}"
             )
         weight = -(part.numerator * (halves // denominator)) << (m // 2 + 1)
-        if g > 2 and weight and (weight < 0) is not (residue_class(m) in classes):
+        if g > 2 and not weight:
+            raise ConsistencyError(
+                f"C_theta({m}) = 0 for g={g}, theta={theta.value}; no weight vanishes for g > 2"
+            )
+        if g > 2 and (weight < 0) is not (residue_class(m) in classes):
             raise ConsistencyError(
                 f"a term of a_{m} has the sign opposite to the parity-class rule"
             )
@@ -179,17 +185,15 @@ def _pass_weights(max_n: int, g: int, theta: Theta) -> tuple[int, ...]:
 
 
 def _tallies(weights: Sequence[int]) -> list[tuple[int, int]]:
-    # (P+, P-) for n = 0..len(weights).  A term's sign is the product of its
-    # parts' signs, so the parapermanent of the parts' signs sums P+ - P-
-    # and that of their absolute values P+ + P-; a part of weight zero
-    # drops out of both, as its terms are zero.  fp(i, j) is the sign of
-    # part i + 1 - j, so row i is the slice of parts i..1.
-    signs = [(weight > 0) - (weight < 0) for weight in weights]
-    sizes = [abs(sign) for sign in signs]
-    orders = range(1, len(signs) + 1)
-    signed = _last_row((signs[i - 1::-1] for i in orders), 1)
-    total = _last_row((sizes[i - 1::-1] for i in orders), 1)
-    return [((both + net) // 2, (both - net) // 2) for net, both in zip(signed, total)]
+    # (P+, P-) for n = 0..len(weights), from nonzero weights (g > 2).  A
+    # term's sign is the product of its parts' signs, so the parapermanent
+    # of the parts' signs sums P+ - P-, and P+ + P- counts the compositions:
+    # 2^(n-1), and 1 for the empty one.  fp(i, j) is the sign of part
+    # i + 1 - j, so row i is the slice of parts i..1.
+    signs = [1 if weight > 0 else -1 for weight in weights]
+    signed = _last_row((signs[i - 1::-1] for i in range(1, len(signs) + 1)), 1)
+    counts = [1] + [1 << (n - 1) for n in range(1, len(signs) + 1)]
+    return [((both + net) // 2, (both - net) // 2) for net, both in zip(signed, counts)]
 
 
 def _symmetry_verdicts(weights: Sequence[int], weights3: Sequence[int]) -> list[bool]:
@@ -210,42 +214,41 @@ def _symmetry_verdicts(weights: Sequence[int], weights3: Sequence[int]) -> list[
 
 
 def _check_threads(threads: Optional[int]) -> None:
-    # threads stays in the signatures for their callers; everything runs in
-    # this process, so it changes neither the results nor the processes
+    # threads stays on analyze, a_n_theta and count_signs for their
+    # callers; everything runs in this process, so it changes neither the
+    # results nor the processes
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
 
-def _check_range(n: int, g: int, threads: Optional[int]) -> None:
+def _check_range(n: int, g: int) -> None:
     # the entry points that read a_1..a_n need 1 <= n <= g
     if not 1 <= n <= g:
         raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
-    _check_threads(threads)
 
 
-def a_n_theta_exact(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> QuadExt:
+def a_n_theta_exact(n: int, g: int, theta: Theta) -> QuadExt:
     """a_n as an exact Q(sqrt 2) number; 1 <= n <= g.
 
     a_n comes from lpoly's last-row parapermanent route.
     """
-    return QuadExt(a_list_theta(n, g, theta, threads)[n])
+    return QuadExt(a_list_theta(n, g, theta)[n])
 
 
-def a_list_theta(
-    max_n: int, g: int, theta: Theta, threads: Optional[int] = None
-) -> list[int]:
+def a_list_theta(max_n: int, g: int, theta: Theta) -> list[int]:
     """a_0..a_max_n as integers from one parapermanent pass; 1 <= max_n <= g.
 
     The pass is lpoly's last-row parapermanent route over the branch's
     S-values.
     """
-    _check_range(max_n, g, threads)
+    _check_range(max_n, g)
     return coeffs_by_parapermanent(SSequence(2, _pass_weights(max_n, g, theta)))
 
 
 def a_n_theta(n: int, g: int, theta: Theta, threads: Optional[int] = None) -> int:
     """a_n as an integer via lpoly's last-row parapermanent route."""
-    return a_list_theta(n, g, theta, threads)[n]
+    _check_threads(threads)
+    return a_list_theta(n, g, theta)[n]
 
 
 def a_list_theta_recurrence(n_max: int, g: int, theta: Theta) -> list[int]:
@@ -269,23 +272,20 @@ def a_n_theta_recurrence(n: int, g: int, theta: Theta) -> int:
     return a_list_theta_recurrence(n, g, theta)[n]
 
 
-def sign_tallies(
-    max_n: int, g: int, theta: Theta, threads: Optional[int] = None
-) -> list[tuple[int, int]]:
+def sign_tallies(max_n: int, g: int, theta: Theta) -> list[tuple[int, int]]:
     """(P+, P-) for every n <= max_n; max_n >= 1, not bounded by g.
 
     Entry n counts the compositions of n whose terms are positive and
     negative; entry 0 is the empty composition, whose term a_0 = 1 is
-    positive.  Both counts come from two parapermanents of the branch's
-    part signs: P+ - P- over the signs, P+ + P- over their absolute
-    values.  The split depends only on theta once g > 2; g is required
-    to guard that.
+    positive.  P+ - P- is the parapermanent of the branch's part signs,
+    and P+ + P- the number of compositions of n, as no weight vanishes.
+    The split depends only on theta once g > 2; g is required to guard
+    that.
     """
     if g <= 2:
         raise ValueError(f"sign counting needs g > 2, got g={g}")
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    _check_threads(threads)
     return _tallies(_pass_weights(max_n, g, theta))
 
 
@@ -298,7 +298,8 @@ def count_signs(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return sign_tallies(n, g, theta, threads)[n]
+    _check_threads(threads)
+    return sign_tallies(n, g, theta)[n]
 
 
 def _branch_coeffs(max_n: int, g: int, theta: Theta) -> list[int]:
@@ -342,7 +343,7 @@ def verify_symmetry(n: int, g: int) -> bool:
     [t^n] (1 -+ 2t + 2t^2)^(g-1) (1 + 2t^2), which reads neither c_theta
     nor the pass; a disagreement there raises ConsistencyError.
     """
-    _check_range(n, g, None)
+    _check_range(n, g)
     weights = {theta: _pass_weights(n, g, theta) for theta in _THETAS}
     if not _symmetry_verdicts(weights[Theta.PI_4], weights[Theta.THREE_PI_4])[n]:
         return False
@@ -552,7 +553,7 @@ def analyze(
 
     Each selected branch's S-values give its a_1..a_max_n (max_n in
     1..g, g by default) by lpoly's parapermanent route and its term sign
-    tallies (g > 2) as parapermanents of their signs.  Each branch's
+    tallies (g > 2) from the parapermanent of their signs.  Each branch's
     columns (cells, sign-tally verdicts, sign/growth claims) are built once
     and the rows are read across them, with the termwise symmetry verdicts
     (both branches only).  The coefficients are cross-checked against both

@@ -16,7 +16,7 @@ coefficients.  The recurrence is one loop, _last_row, that takes row i's
 factorial products fp(i, 1..i) as a sequence: pper_prefixes builds the
 rows from fp, pper_by_last_row hands it its factorial-product table, and
 a caller whose fp(i, j) depends only on i - j (lpoly's route, defect2's
-tallies) hands it slices of one sequence.
+sign tallies) hands it slices of one sequence.
 
 Entries may be any exact scalar supporting + and * (Fraction, QuadExt, or
 similar); evaluators take the multiplicative identity of that scalar type.
@@ -108,24 +108,10 @@ def pper_prefixes(
     denominator stays an int when the division is exact and becomes a
     Fraction when it is not; any other sum is divided with /.
     """
-    return list(iter_pper_prefixes(n, fp, one, denominator))
-
-
-def iter_pper_prefixes(
-    n: int,
-    fp: FactorialProduct,
-    one: Any = Fraction(1),
-    denominator: Optional[Callable[[int], Any]] = None,
-) -> Iterator[Any]:
-    """pper_prefixes, each prefix yielded as it is found.
-
-    A caller can stop early, for example at the first prefix that is not
-    an int; fp is called for a row only when its prefix is asked for.
-    """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
     rows = ([fp(i, s) for s in range(1, i + 1)] for i in range(1, n + 1))
-    return _last_row(rows, one, denominator)
+    return list(_last_row(rows, one, denominator))
 
 
 def _last_row(
@@ -135,7 +121,9 @@ def _last_row(
 ) -> Iterator[Any]:
     # the prefixes pper(0) = one, pper(1), ... for rows 1, 2, ..., row i
     # holding the factorial products fp(i, 1..i): pper(i) = sum_s fp(i, s)
-    # * pper(s-1), divided by denominator(i) when given
+    # * pper(s-1), divided by denominator(i) when given.  Each prefix is
+    # yielded as it is found, and row i is taken only when pper(i) is asked
+    # for, so lpoly's integer route can stop at its first Fraction.
     prefixes = [one]
     yield one
     for i, row in enumerate(rows, start=1):

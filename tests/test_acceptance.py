@@ -236,7 +236,7 @@ def test_criterion_07_sign_tally_values_and_growth():
     deltas: dict[tuple[Theta, int], int] = {}
     majority: dict[tuple[Theta, int], bool] = {}
     for theta in (Theta.PI_4, Theta.THREE_PI_4):
-        tallies = defect2.sign_tallies(20, g, theta, threads=8)
+        tallies = defect2.sign_tallies(20, g, theta)
         for n in range(2, 21):
             plus, minus = tallies[n]
             deltas[theta, n] = abs(plus - minus)
@@ -364,7 +364,7 @@ def test_criterion_12_performance_envelope():
     # any child reaped during the call would change the children's totals
     children_before = resource.getrusage(resource.RUSAGE_CHILDREN)
     scan_started = time.perf_counter()
-    value = defect2.a_n_theta_exact(24, 24, Theta.THREE_PI_4, threads=8)
+    value = defect2.a_n_theta_exact(24, 24, Theta.THREE_PI_4)
     scan_elapsed = time.perf_counter() - scan_started
     grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before_kb
     no_children = resource.getrusage(resource.RUSAGE_CHILDREN) == children_before

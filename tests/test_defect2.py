@@ -447,6 +447,18 @@ class TestPrefixWalk:
         with pytest.raises(ConsistencyError, match="a term of a_8 has the sign opposite"):
             count_signs(9, 5, Theta.THREE_PI_4)
 
+    def test_zero_weight_raises_for_g_above_two(self, monkeypatch):
+        # P+ + P- is read as the 2^(n-1) compositions of n, so every term
+        # must have a sign: a vanishing weight for g > 2 is refused, not
+        # tallied
+        patched = _with_weight(defect2.c_theta, (4,), BOTH, lambda g: QuadExt(0))
+        monkeypatch.setattr(defect2, "c_theta", patched)
+        for theta in BOTH:
+            with pytest.raises(ConsistencyError, match=r"C_theta\(4\) = 0 for g=5"):
+                sign_tallies(6, 5, theta)
+        with pytest.raises(ConsistencyError, match=r"C_theta\(4\) = 0 for g=5"):
+            analyze(5)
+
     def test_wrong_weight_caught_by_trace_route(self, monkeypatch):
         # only the pass reads c_theta, so a wrong weight (same sign, so the
         # parity check passes) moves it alone; analyze checks the trace-data
@@ -484,7 +496,7 @@ class TestPrefixWalk:
             "import sys, zetapoly",
             "from zetapoly.defect2 import Theta, a_list_theta, analyze",
             "analyze(20, threads=8)",
-            "[a_list_theta(24, 24, theta, threads=8) for theta in Theta]",
+            "[a_list_theta(24, 24, theta) for theta in Theta]",
             "print([name for name in ('multiprocessing', 'concurrent.futures.process')"
             " if name in sys.modules])",
         ])
@@ -706,7 +718,7 @@ class TestListApis:
         with pytest.raises(ValueError):
             sign_tallies(0, 5, Theta.PI_4)
         with pytest.raises(ValueError):
-            sign_tallies(2, 5, Theta.PI_4, threads=0)
+            count_signs(2, 5, Theta.PI_4, threads=0)
 
 
 class TestPastTwentyFour:

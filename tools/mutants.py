@@ -141,6 +141,13 @@ MUTANTS = (
         (f"{DEFECT2}::TestPairedWalk::test_malformed_weight_raises",),
     ),
     Mutant(
+        "zero-weight-tallied",
+        "zetapoly/defect2.py",
+        "if g > 2 and not weight:",
+        "if False:",
+        (f"{DEFECT2}::TestPrefixWalk::test_zero_weight_raises_for_g_above_two",),
+    ),
+    Mutant(
         "tally-previous-delta-is-own",
         "zetapoly/defect2.py",
         "previous = deltas[n - 1] if n >= 3 else None",
