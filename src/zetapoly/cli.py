@@ -9,8 +9,9 @@ The field commands (lpoly from-counts, lpoly from-traces, classnumber)
 share one option builder, one reader of --q and the counts or traces, and
 one check that raises every S-value route disagreement.  A report integer
 past the int-to-str limit exits 1 before any route runs wherever the input
-fixes a printed value (_refuse_unprintable), else when it is printed;
-counts input runs the recurrence first, so a non-integral a_i exits 2.
+fixes a printed value (_refuse_unprintable; defect2 analyze reads its a_n
+off defect2's closed form), else when it is printed; counts input runs the
+recurrence first, so a non-integral a_i exits 2.
 
 pper keeps only its time budget: parapermanent.scale_columns hands it the
 size of the walk before it forms any lcm and again before it builds the
@@ -88,7 +89,7 @@ _MAX_WALK_ORDER = 20
 
 # The walk visits 2^order - 1 compositions of integers, whose products have
 # at most the bits that parapermanent.scale_columns reads off the table
-# (pper) or _composition_walk_bits off the S-values (lpoly --method
+# (pper) or lpoly._composition_walk_bits off the S-values (lpoly --method
 # compositions), and multiplying b-bit integers costs about b^log2(3)
 # (Karatsuba).
 # Seconds per walked composition, and per composition and unit of that
@@ -341,7 +342,7 @@ def _lpoly_command(source: str) -> _Handler:
             s = field
         if ns.method == "compositions":
             refused = "S-values too large for --method compositions"
-            _refuse_slow_walk(s.g, _composition_walk_bits(s), refused)
+            _refuse_slow_walk(s.g, lpoly._composition_walk_bits(s), refused)
         half, methods = _half_coefficients(s, ns.method)
         full = lpoly.complete(half, s.q)
         if oracle is not None:
@@ -440,7 +441,7 @@ def _defect2_flat_row(row: dict) -> list[str]:
 
 
 def _emit_defect2(report: defect2.Defect2Report, fmt: str, out: TextIO) -> None:
-    payload = report.to_json_dict(_decimal)
+    payload = report.to_json_dict()
     header = list(_DEFECT2_VALUE_COLUMNS) + [
         f"check_{check}" for check in _DEFECT2_CHECK_COLUMNS
     ]
@@ -474,13 +475,12 @@ def _emit_defect2(report: defect2.Defect2Report, fmt: str, out: TextIO) -> None:
 
 
 def _refuse_huge_defect2(g: int, max_n: int) -> None:
-    # both branches have |a_n| >= C(g-1, n) 2^n for n <= g-1 (every term of
-    # (1 + 2t + 2t^2)^(g-1) (1 + 2t^2) is nonnegative), so a report past the
-    # int-to-str limit is refused before any route runs; the library
-    # refuses a bad g and a max_n past g itself
+    # the report prints a_1..a_max_n of each branch, the same up to sign on
+    # both, so one branch's closed form refuses exactly the reports past the
+    # int-to-str limit before any route runs; the library refuses a bad g
+    # and a max_n past g itself
     if 1 <= max_n <= g:
-        n = min(max_n, g - 1)
-        _refuse_unprintable(math.comb(g - 1, n) << n)
+        _refuse_unprintable(max(map(abs, defect2._branch_coeffs(max_n, g, defect2.Theta.PI_4))))
 
 
 def _cmd_defect2_analyze(args: list[str], out: TextIO, err: TextIO) -> int:
@@ -595,16 +595,6 @@ def _refuse_slow_walk(
             f"{refused}: its composition walk is estimated at "
             f"{seconds:.3g} s or more, past the {_MAX_PPER_SECONDS} s budget"
         )
-
-
-def _composition_walk_bits(s: lpoly.SSequence) -> int:
-    # lpoly's walk takes the keys S_{i+1-j} (i-1)!/(j-1)!, so the product
-    # at the keys of a composition of N <= g is at most N! times the parts'
-    # S_m: bits(g!) + g * max_m ceil(bits(S_m) / m) bits
-    per_unit = max(
-        (-(-abs(value).bit_length() // m) for m, value in enumerate(s.s, start=1)), default=0
-    )
-    return math.factorial(s.g).bit_length() + s.g * per_unit
 
 
 def _cmd_pper(args: list[str], out: TextIO, err: TextIO) -> int:

@@ -42,10 +42,10 @@ recurrence as the power sums of the branch's traces, g - 1 copies of +-2
 and one 0, in lpoly's _s_values, the loop behind s_from_traces.  Only the
 pass reads c_theta, so a wrong weight splits it from the recurrence.  The
 branch's trace product in closed form, [t^n] (1 -+ 2t + 2t^2)^(g-1)
-(1 + 2t^2), a binomial sum of O(n^2) steps, reads neither c_theta nor
-the pass nor the S-values: it is the algebraically independent check,
-and it stands in for the trace-data L-polynomial in verify_symmetry and
-analyze.
+(1 + 2t^2), J. C. P. Miller's power recurrence of O(n) steps, reads
+neither c_theta nor the pass nor the S-values: it is the algebraically
+independent check, it stands in for the trace-data L-polynomial in
+verify_symmetry and analyze, and the command line sizes a report by it.
 
 On top of it sit the sign bookkeeping (classify, count_signs,
 sign_tallies), the pi/4 <-> 3pi/4 symmetry check, the sign/growth
@@ -56,9 +56,8 @@ against the closed form and the recurrence.
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .arith import QuadExt, pow2_half
 from .compositions import Composition
@@ -304,21 +303,16 @@ def count_signs(
 
 def _branch_coeffs(max_n: int, g: int, theta: Theta) -> list[int]:
     # a_0..a_max_n in closed form: the branch's L-polynomial is the trace
-    # product (1 - 2st + 2t^2)^(g-1) (1 + 2t^2) with s = +-1 the sign of
-    # its trace.  With u = 2t(t - s), (1 + u)^k = sum_j C(k, j) u^j and
-    # [t^n] u^j = 2^j C(j, n-j) (-s)^n.  O(max_n^2) big-integer steps; it
-    # reads neither c_theta nor the pass.
-    k = g - 1
-    choose = [math.comb(k, j) for j in range(max_n + 1)]
-    flip = theta.trace_value > 0
-    power = []
-    for n in range(max_n + 1):
-        total = sum(
-            choose[j] * math.comb(j, n - j) << j
-            for j in range((n + 1) // 2, min(n, k) + 1)
-        )
-        power.append(-total if flip and n % 2 else total)
-    return [power[n] + 2 * power[n - 2] if n >= 2 else power[n] for n in range(max_n + 1)]
+    # product P (1 + 2t^2), P = f^k with f = 1 + f1 t + 2t^2, f1 = -trace
+    # and k = g - 1.  f P' = k f' P gives J. C. P. Miller's power recurrence
+    # n p_n = (k + 1 - n) f1 p_(n-1) + 2 (2k + 2 - n) p_(n-2), each division
+    # exact: O(max_n) big-integer steps.  It reads neither c_theta nor the
+    # pass nor the S-values.
+    k, f1 = g - 1, -theta.trace_value
+    p = [0, 0, 1]  # p_(-2), p_(-1), p_0
+    for n in range(1, max_n + 1):
+        p.append(((k + 1 - n) * f1 * p[-1] + 2 * (2 * k + 2 - n) * p[-2]) // n)
+    return [p[n + 2] + 2 * p[n] for n in range(max_n + 1)]
 
 
 def _check_agreement(
@@ -493,8 +487,8 @@ class Defect2Report(_Frozen):
         fields["oracle_match"] = oracle_match
         fields["recurrence_match"] = recurrence_match
 
-    def to_json_dict(self, decimal: Callable[[int], str] = str) -> dict:
-        """The report as JSON-ready data; decimal renders its big integers."""
+    def to_json_dict(self) -> dict:
+        """The report as JSON-ready data, its integers as decimal strings."""
         rows = []
         for row in self.rows:
             entry: dict[str, object] = {"n": row.n}
@@ -504,7 +498,7 @@ class Defect2Report(_Frozen):
                     cell.a, cell.p_plus, cell.p_minus, cell.delta
                 )
                 for key, value in zip(("a", "p_plus", "p_minus", "delta"), values):
-                    entry[f"{key}_{theta.value}"] = None if value is None else decimal(value)
+                    entry[f"{key}_{theta.value}"] = None if value is None else str(value)
             entry["checks"] = {
                 "symmetry": row.symmetry_ok,
                 "tallies": row.tally_ok,
@@ -569,7 +563,8 @@ def analyze(
     if thetas is None:
         selected = _THETAS
     else:
-        selected = tuple(theta for theta in _THETAS if theta in tuple(thetas))
+        wanted = tuple(thetas)
+        selected = tuple(theta for theta in _THETAS if theta in wanted)
         if not selected:
             raise ValueError("no branch selected")
 

@@ -44,6 +44,7 @@ weights, and the recurrence over the power sums of the branch's traces.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -252,6 +253,16 @@ def _compositions(s: SSequence) -> list[Union[int, Fraction]]:
         )
     values = s.s
     return pper_composition_sums(s.g, lambda i, j: values[i - j], 1, lambda i: i)
+
+
+def _composition_walk_bits(s: SSequence) -> int:
+    # the walk takes the keys S_{i+1-j} (i-1)!/(j-1)!, so the product at the
+    # keys of a composition of N <= g is at most N! times the parts' S_m:
+    # bits(g!) + g * max_m ceil(bits(S_m) / m) bits
+    per_unit = max(
+        (-(-abs(value).bit_length() // m) for m, value in enumerate(s.s, start=1)), default=0
+    )
+    return math.factorial(s.g).bit_length() + s.g * per_unit
 
 
 def coeffs_by_recurrence_exact(s: SSequence) -> list[Fraction]:

@@ -54,6 +54,17 @@ class TestDispatch:
         assert code == cli.EXIT_OK
         assert "commands:" in out
 
+    @pytest.mark.parametrize(
+        "command,usage",
+        [
+            ("lpoly", "usage: zetapoly lpoly {from-counts,from-traces} ...\n"),
+            ("defect2", "usage: zetapoly defect2 analyze ...\n"),
+        ],
+    )
+    def test_subcommand_help(self, command, usage):
+        for flag in ("--help", "-h"):
+            assert run_cli(command, flag) == (cli.EXIT_OK, usage, "")
+
     def test_unknown_command(self):
         code, _, err = run_cli("frobnicate")
         assert code == cli.EXIT_USAGE
@@ -141,12 +152,14 @@ class TestLPolyCommand:
         assert "--q must be >= 2" in err
 
     def test_single_method(self):
-        code, out, _ = run_cli(
-            "lpoly", "from-counts", "--q", "3", "--counts", "6,12", "--method", "pper"
-        )
-        assert code == cli.EXIT_OK
-        payload = json.loads(out)
-        assert payload["methods_run"] == ["pper"]
+        for method in ("pper", "recurrence"):
+            code, out, _ = run_cli(
+                "lpoly", "from-counts", "--q", "3", "--counts", "6,12", "--method", method
+            )
+            assert code == cli.EXIT_OK
+            payload = json.loads(out)
+            assert payload["methods_run"] == [method]
+            assert payload["coeffs"] == ["1", "2", "3", "6", "9"]
 
     def test_default_method_bounds_the_composition_route(self):
         # past g = 18 the default leaves the 2^g - 1 composition terms out
@@ -308,7 +321,7 @@ class TestLPolyCommand:
         # every product the walk forms, S_{m_1}..S_{m_r} times N!, has at
         # most the bits the estimate reads off the S-values; 3! * 255 has
         # 11 bits, and bits(3!) + 3 * ceil(8 / 3) = 12
-        assert cli._composition_walk_bits(cli.lpoly.SSequence(2, (1, 1, 255))) == 12
+        assert cli.lpoly._composition_walk_bits(cli.lpoly.SSequence(2, (1, 1, 255))) == 12
         rng = random.Random(3)
         cases = [cli.lpoly.SSequence(2, (1, 1, 255))]
         for g in (1, 2, 5, 9):
@@ -316,7 +329,7 @@ class TestLPolyCommand:
                 cli.lpoly.SSequence(7, [rng.randint(-(7**m), 7**m) or 1 for m in range(1, g + 1)])
             )
         for s in cases:
-            g, bits = s.g, cli._composition_walk_bits(s)
+            g, bits = s.g, cli.lpoly._composition_walk_bits(s)
             for n in range(1, g + 1):
                 for parts in itertools.islice(iter_parts(n), 64):
                     product = math.factorial(n) * math.prod(s.s[m - 1] for m in parts)
@@ -586,7 +599,7 @@ class TestOutputLimits:
         assert "PYTHONINTMAXSTRDIGITS" in err
 
     def test_huge_defect2_report_refused_before_any_route(self, default_digit_limit):
-        # C(g-1, 24) 2^24 bounds |a_24| from below, so the report is refused
+        # the closed form gives |a_1|..|a_24|, so the report is refused
         # before the routes that took 1.1-1.9 s at this genus run
         started = time.perf_counter()
         code, out, err = run_cli("defect2", "analyze", "--g", str(10**4000))
@@ -594,6 +607,33 @@ class TestOutputLimits:
         assert code == cli.EXIT_VALIDATION
         assert out == ""
         assert err == f"error: {cli._digit_limit_error()}\n"
+
+    def test_defect2_refusal_is_exact(self, monkeypatch, default_digit_limit):
+        # C(g-1, 24) 2^24 is a lower bound on |a_24|: at the largest g where
+        # it is printable, a_24 itself is not, and the report is refused
+        # before analyze runs.  The refusal starts at the first g whose
+        # largest |a_n| (by the recurrence route) has more than 4300 digits.
+        top, high = 25, 10**200
+        while high - top > 1:
+            mid = (top + high) // 2
+            top, high = (mid, high) if math.comb(mid - 1, 24) << 24 < 10**4300 else (top, mid)
+
+        def largest(g):
+            return max(map(abs, cli.defect2.a_list_theta_recurrence(24, g, cli.defect2.Theta.PI_4)))
+
+        printable = next(g for g in range(top, top - 100, -1) if largest(g) < 10**4300)
+        assert printable < top
+        code, out, err = run_cli("defect2", "analyze", "--g", str(printable), "--format", "csv")
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert len(out.splitlines()) == 25
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("analyze ran before the refusal")
+
+        monkeypatch.setattr(cli.defect2, "analyze", forbidden)
+        for g in (printable + 1, top):
+            result = run_cli("defect2", "analyze", "--g", str(g))
+            assert result == (cli.EXIT_VALIDATION, "", f"error: {cli._digit_limit_error()}\n")
 
     def test_no_digit_limit_skips_defect2_bound(self):
         if not hasattr(sys, "set_int_max_str_digits"):

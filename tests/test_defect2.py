@@ -113,6 +113,8 @@ class TestCrTheta:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             cr_theta(Composition(()), 5, Theta.PI_4)
+        with pytest.raises(ValueError, match="^composition must have at least one part$"):
+            classify(Composition(()), 5, Theta.PI_4)
 
 
 class TestCoefficientRoutes:
@@ -155,6 +157,8 @@ class TestCoefficientRoutes:
             a_n_theta(41, 40, Theta.PI_4)
         with pytest.raises(ValueError):
             a_list_theta_recurrence(5, 4, Theta.PI_4)
+        with pytest.raises(ValueError, match="^g must be >= 1, got 0$"):
+            a_list_theta_recurrence(0, 0, Theta.PI_4)
         with pytest.raises(ValueError):
             a_n_theta(2, 3, Theta.PI_4, threads=0)
 
@@ -266,6 +270,10 @@ class TestTheoremSigns:
         assert report.holds()
         assert report.holds(strict=True)
 
+    def test_rejects_genus_zero(self):
+        with pytest.raises(ValueError, match="^g must be >= 1, got 0$"):
+            verify_theorem_signs(0)
+
     def test_conjecture_mode(self):
         report = verify_theorem_signs(9)
         assert report.mode == "conjecture"
@@ -310,6 +318,11 @@ class TestAnalyze:
         payload = report.to_json_dict()
         assert payload["rows"][0]["a_pi4"] is None
         assert payload["rows"][0]["a_3pi4"] == "4"
+
+    def test_thetas_read_once(self):
+        # a one-shot iterable selects its branches as a tuple does
+        report = analyze(5, thetas=iter([Theta.THREE_PI_4]))
+        assert report == analyze(5, thetas=(Theta.THREE_PI_4,))
 
     def test_genus_one_vacuous(self):
         report = analyze(1)
@@ -717,6 +730,8 @@ class TestListApis:
             sign_tallies(4, 2, Theta.PI_4)
         with pytest.raises(ValueError):
             sign_tallies(0, 5, Theta.PI_4)
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            count_signs(0, 5, Theta.THREE_PI_4)
         with pytest.raises(ValueError):
             count_signs(2, 5, Theta.PI_4, threads=0)
 

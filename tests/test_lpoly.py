@@ -183,6 +183,11 @@ class TestCoefficients:
             value = pper_by_last_row(literal_matrix(s, n))
             assert value == coeffs_by_recurrence_exact(s)[n]
 
+    def test_literal_matrix_order_bounded_by_genus(self):
+        s = SSequence(2, (4, 4, -2, 6))
+        with pytest.raises(ValueError, match=r"^order must be in \[0, 4\], got 5$"):
+            literal_matrix(s, s.g + 1)
+
     def test_literal_matrix_needs_nonzero_s(self):
         s = SSequence(2, (0, 4))
         with pytest.raises(ValueError):
@@ -389,6 +394,10 @@ class TestClassNumber:
         full = complete([1, 4, 10], 2)
         assert class_number(full) == 27
         assert class_number_formula(SSequence(2, (4, 4))) == 27
+
+    def test_formula_needs_genus(self):
+        with pytest.raises(ValueError, match="^need g >= 1$"):
+            class_number_formula(SSequence(2, ()))
 
     def test_nonpositive_rejected(self):
         broken = LPolynomial(2, 1, (1, -3, 2))

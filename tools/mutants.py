@@ -228,12 +228,26 @@ MUTANTS = (
     Mutant(
         "branch-coeffs-sign-flipped",
         "zetapoly/defect2.py",
-        "flip = theta.trace_value > 0",
-        "flip = theta.trace_value < 0",
+        "k, f1 = g - 1, -theta.trace_value",
+        "k, f1 = g - 1, theta.trace_value",
         (
             f"{DEFECT2}::TestClosedForm::test_equals_trace_route",
             f"{DEFECT2}::TestSymmetry::test_holds",
         ),
+    ),
+    Mutant(
+        "branch-coeffs-power-index-shifted",
+        "zetapoly/defect2.py",
+        "((k + 1 - n) * f1 * p[-1]",
+        "((k - n) * f1 * p[-1]",
+        (f"{DEFECT2}::TestClosedForm::test_equals_trace_route",),
+    ),
+    Mutant(
+        "defect2-refusal-one-row-short",
+        "zetapoly/cli.py",
+        "defect2._branch_coeffs(max_n, g, ",
+        "defect2._branch_coeffs(max_n - 1, g, ",
+        (f"{CLI}::TestOutputLimits::test_defect2_refusal_is_exact",),
     ),
     Mutant(
         "walk-drops-folded-leaf",
@@ -355,7 +369,7 @@ MUTANTS = (
     ),
     Mutant(
         "walk-bits-floor-per-unit",
-        "zetapoly/cli.py",
+        "zetapoly/lpoly.py",
         "(-(-abs(value).bit_length() // m) for m",
         "(abs(value).bit_length() // m for m",
         (f"{CLI}::TestLPolyCommand::test_composition_walk_bits_bound_the_products",),
