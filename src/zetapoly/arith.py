@@ -1,17 +1,16 @@
 """Exact scalar arithmetic: rationals and the quadratic ring Q(sqrt 2).
 
-Rationals are `fractions.Fraction` throughout the package; this module adds
-string round-tripping for them plus `QuadExt`, the ring of numbers
-``rat + irr*sqrt(2)`` with rational components.  Every sign decision is made
-by exact integer comparison.  No floating point is used anywhere.
+Rationals are `fractions.Fraction` throughout the package; this module
+parses them from "p" or "p/q" text (their str is that same text) and adds
+`QuadExt`, the ring of numbers ``rat + irr*sqrt(2)`` with rational
+components, and `pow2_half` for 2^(n/2).  Every sign decision is made by
+exact integer comparison.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Union
-
-Rational = Fraction
 
 _Scalar = Union[int, Fraction]
 
@@ -23,14 +22,6 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
     return value
-
-
-def format_rational(value: _Scalar) -> str:
-    """Render a rational as "p" or "p/q" with a reduced, positive denominator."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 class QuadExt:
@@ -49,18 +40,6 @@ class QuadExt:
     @property
     def irr(self) -> Fraction:
         return self._irr
-
-    @classmethod
-    def zero(cls) -> "QuadExt":
-        return cls(0, 0)
-
-    @classmethod
-    def one(cls) -> "QuadExt":
-        return cls(1, 0)
-
-    @classmethod
-    def sqrt2(cls) -> "QuadExt":
-        return cls(0, 1)
 
     def __bool__(self) -> bool:
         return self._rat != 0 or self._irr != 0
@@ -82,12 +61,12 @@ class QuadExt:
 
     def __str__(self) -> str:
         if self._irr == 0:
-            return format_rational(self._rat)
-        irr_part = f"{format_rational(abs(self._irr))}*sqrt2"
+            return str(self._rat)
+        irr_part = f"{abs(self._irr)}*sqrt2"
         if self._rat == 0:
             return irr_part if self._irr > 0 else f"-{irr_part}"
         sign = "+" if self._irr > 0 else "-"
-        return f"{format_rational(self._rat)} {sign} {irr_part}"
+        return f"{self._rat} {sign} {irr_part}"
 
     def __neg__(self) -> "QuadExt":
         return QuadExt(-self._rat, -self._irr)
@@ -147,14 +126,6 @@ class QuadExt:
             # rat^2 == 2*irr^2 is impossible for nonzero rationals
             return 1 if irr_positive else -1
         return 1 if rat_positive else -1
-
-    def to_json_dict(self) -> dict[str, str]:
-        return {"rat": format_rational(self._rat), "irr": format_rational(self._irr)}
-
-
-def quad_sign(value: QuadExt) -> int:
-    """Exact sign of a Q(sqrt 2) element: -1, 0 or +1."""
-    return value.sign()
 
 
 def pow2_half(n: int) -> QuadExt:

@@ -542,7 +542,8 @@ def _load_matrix_file(path: str) -> list[list[Fraction]]:
             data = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read --file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the parser's depth
         raise ValidationError(f"--file {path} is not valid JSON: {exc}") from None
     except ValueError as exc:
         # an integer literal past the interpreter's int-to-str digit limit

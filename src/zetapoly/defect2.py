@@ -137,7 +137,7 @@ def classify(composition: Composition, g: int, theta: Theta) -> int:
     classes = _PARITY_CLASSES[theta]
     parity = 0
     for part in composition.parts:
-        if (part - 1) % 8 + 1 in classes:
+        if residue_class(part) in classes:
             parity ^= 1
     return -1 if parity else 1
 
@@ -226,14 +226,6 @@ def _check_range(n: int, g: int) -> None:
         raise ValueError(f"need 1 <= n <= g, got n={n}, g={g}")
 
 
-def a_n_theta_exact(n: int, g: int, theta: Theta) -> QuadExt:
-    """a_n as an exact Q(sqrt 2) number; 1 <= n <= g.
-
-    a_n comes from lpoly's last-row parapermanent route.
-    """
-    return QuadExt(a_list_theta(n, g, theta)[n])
-
-
 def a_list_theta(max_n: int, g: int, theta: Theta) -> list[int]:
     """a_0..a_max_n as integers from one parapermanent pass; 1 <= max_n <= g.
 
@@ -264,11 +256,6 @@ def a_list_theta_recurrence(n_max: int, g: int, theta: Theta) -> list[int]:
         raise ValueError(f"need 0 <= n_max <= g, got n_max={n_max}, g={g}")
     traces = {theta.trace_value: g - 1, 0: 1}
     return coeffs_by_recurrence(SSequence(2, _s_values(traces, 2, n_max)))
-
-
-def a_n_theta_recurrence(n: int, g: int, theta: Theta) -> int:
-    """a_n via the linear recurrence; n <= g."""
-    return a_list_theta_recurrence(n, g, theta)[n]
 
 
 def sign_tallies(max_n: int, g: int, theta: Theta) -> list[tuple[int, int]]:
@@ -580,7 +567,7 @@ def analyze(
     cells, tally_columns, claim_columns = [], [], []
     for theta, branch in zip(selected, weights):
         values = coeffs_by_parapermanent(SSequence(2, branch))
-        _check_agreement("trace route", values, _branch_coeffs(max_n, g, theta), g, theta)
+        _check_agreement("closed form", values, _branch_coeffs(max_n, g, theta), g, theta)
         _check_agreement("recurrence", values, a_list_theta_recurrence(max_n, g, theta), g, theta)
         if g > 2:
             tallies = _tallies(branch)

@@ -115,17 +115,14 @@ class TraceData(_Frozen):
 class LPolynomial(_Frozen):
     """Coefficients a_0..a_2g of L(t), validated against the functional equation."""
 
-    __match_args__ = ("q", "g", "coeffs")
+    __match_args__ = ("q", "coeffs")
 
-    def __init__(self, q: int, g: int, coeffs: Iterable[int]) -> None:
+    def __init__(self, q: int, coeffs: Iterable[int]) -> None:
         coeffs = tuple(coeffs)
         _check_q(q)
-        if not isinstance(g, int) or g < 0:
-            raise ValueError(f"g must be a nonnegative integer, got {g!r}")
-        if len(coeffs) != 2 * g + 1:
-            raise ValueError(
-                f"need {2 * g + 1} coefficients for genus {g}, got {len(coeffs)}"
-            )
+        if len(coeffs) % 2 == 0:
+            raise ValueError(f"need 2g + 1 coefficients a_0..a_2g, got {len(coeffs)}")
+        g = len(coeffs) // 2
         for i, a in enumerate(coeffs):
             if not isinstance(a, int) or isinstance(a, bool):
                 raise ValueError(f"a_{i} must be an integer, got {a!r}")
@@ -147,8 +144,11 @@ class LPolynomial(_Frozen):
             )
         fields = self.__dict__
         fields["q"] = q
-        fields["g"] = g
         fields["coeffs"] = coeffs
+
+    @property
+    def g(self) -> int:
+        return len(self.coeffs) // 2
 
     def evaluate(self, t: Union[int, Fraction]) -> Union[int, Fraction]:
         value: Union[int, Fraction] = 0
@@ -341,7 +341,7 @@ def complete(coeffs: Sequence[int], q: int) -> LPolynomial:
     for a in reversed(half[:-1]):
         power *= q
         upper.append(power * a)
-    return LPolynomial(q, len(half) - 1, tuple(half + upper))
+    return LPolynomial(q, half + upper)
 
 
 def class_number(lpoly: LPolynomial) -> int:

@@ -70,11 +70,8 @@ def _branch_traces(g: int, theta: Theta) -> TraceData:
     return TraceData(2, (theta.trace_value,) * (g - 1) + (0,))
 
 
-# Shared across criteria: 2 and 6 reuse the same oracle instances; 8 and 10
-# feed the exact branch coefficients they compute into the sentinel pool
-# that criterion 11 inspects.
+# Shared across criteria: 2 and 6 reuse the same oracle instances.
 TRACE_INSTANCES = _trace_instances(200, seed=0xC0FFEE)
-SENTINEL: list[tuple[int, int, Theta, object]] = []
 
 
 def test_criterion_01_three_method_equivalence():
@@ -273,8 +270,6 @@ def test_criterion_08_termwise_symmetry():
         for n in range(1, g + 1):
             if not defect2.verify_symmetry(n, g):
                 failures.append((n, g))
-            for theta in (Theta.PI_4, Theta.THREE_PI_4):
-                SENTINEL.append((n, g, theta, defect2.a_n_theta_exact(n, g, theta)))
             checked += 1
     elapsed = time.perf_counter() - started
     _emit(
@@ -320,11 +315,8 @@ def test_criterion_10_branch_coefficients_match_trace_product():
     for g in range(1, 15):
         for theta in (Theta.PI_4, Theta.THREE_PI_4):
             expected = lpoly.coeffs_from_traces(_branch_traces(g, theta))
-            for n in range(1, g + 1):
-                value = defect2.a_n_theta_exact(n, g, theta)
-                SENTINEL.append((n, g, theta, value))
-                if value != expected.coeffs[n]:
-                    enumeration_ok = False
+            if defect2.a_list_theta(g, g, theta) != list(expected.coeffs[: g + 1]):
+                enumeration_ok = False
     elapsed = time.perf_counter() - started
     _emit(
         10,
@@ -335,18 +327,32 @@ def test_criterion_10_branch_coefficients_match_trace_product():
     )
 
 
-def test_criterion_11_sqrt2_component_sentinel():
-    violations = [
-        (n, g, theta.value)
-        for n, g, theta, value in SENTINEL
-        if value.irr != 0
-    ]
+def test_criterion_11_terms_are_rational():
+    # the paper's terms CR_theta in Q(sqrt 2), one per composition: each
+    # must have no sqrt(2) part, and their sum must be the pass's a_n
+    started = time.perf_counter()
+    checked = 0
+    violations = []
+    for g in range(1, 17):
+        for theta in (Theta.PI_4, Theta.THREE_PI_4):
+            values = defect2.a_list_theta(min(g, 8), g, theta)
+            for n in range(1, min(g, 8) + 1):
+                total = 0
+                for composition in compositions.enumerate_compositions(n):
+                    term = defect2.cr_theta(composition, g, theta)
+                    if term.irr != 0:
+                        violations.append((n, g, theta.value, composition.parts))
+                    total += term
+                if total != values[n]:
+                    violations.append((n, g, theta.value, "sum"))
+                checked += 1
+    elapsed = time.perf_counter() - started
     _emit(
         11,
-        not violations and len(SENTINEL) >= 200,
-        f"the sqrt(2) component vanished on all {len(SENTINEL)} exact branch "
-        f"coefficients collected across the enumeration sweeps "
-        f"(violations: {violations or 'none'})",
+        not violations and checked == 200,
+        f"every CR_theta term has a vanishing sqrt(2) component and the terms "
+        f"sum to a_n for all {checked} (n, g, theta) with n <= min(g, 8), "
+        f"g <= 16 ({elapsed:.2f}s, violations: {violations[:5] or 'none'})",
     )
 
 
@@ -364,7 +370,7 @@ def test_criterion_12_performance_envelope():
     # any child reaped during the call would change the children's totals
     children_before = resource.getrusage(resource.RUSAGE_CHILDREN)
     scan_started = time.perf_counter()
-    value = defect2.a_n_theta_exact(24, 24, Theta.THREE_PI_4)
+    value = defect2.a_n_theta(24, 24, Theta.THREE_PI_4)
     scan_elapsed = time.perf_counter() - scan_started
     grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before_kb
     no_children = resource.getrusage(resource.RUSAGE_CHILDREN) == children_before

@@ -1113,6 +1113,16 @@ class TestPperCommand:
         assert code == cli.EXIT_VALIDATION
         assert "not valid JSON" in err
 
+    def test_deeply_nested_json(self, tmp_path):
+        # nesting past the parser's recursion depth is refused like bad JSON
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        code, out, err = run_cli("pper", "--file", str(path))
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith(f"error: --file {path} is not valid JSON: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 # argv fuzzing: values that parse and values that do not, lists from empty
 # to just past _MAX_G, and pper tables from empty to past _MAX_WALK_ORDER

@@ -9,15 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zetapoly import defect2
-from zetapoly.arith import QuadExt, quad_sign
+from zetapoly.arith import QuadExt
 from zetapoly.compositions import Composition, enumerate_compositions
 from zetapoly.defect2 import (
     Theta,
     a_list_theta,
     a_list_theta_recurrence,
     a_n_theta,
-    a_n_theta_exact,
-    a_n_theta_recurrence,
     analyze,
     c_theta,
     classify,
@@ -105,10 +103,10 @@ class TestCrTheta:
     def test_terms_sum_to_coefficient(self):
         for theta in BOTH:
             for n in range(1, 9):
-                total = QuadExt.zero()
+                total = QuadExt(0)
                 for composition in enumerate_compositions(n):
                     total = total + cr_theta(composition, 9, theta)
-                assert total == a_n_theta_exact(n, 9, theta)
+                assert total == a_n_theta(n, 9, theta)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -129,7 +127,7 @@ class TestCoefficientRoutes:
             recurrence = a_list_theta_recurrence(g, g, theta)
             for n in range(1, g + 1):
                 assert a_n_theta(n, g, theta) == recurrence[n]
-                assert a_n_theta_recurrence(n, g, theta) == recurrence[n]
+                assert a_list_theta_recurrence(n, g, theta)[n] == recurrence[n]
 
     @pytest.mark.parametrize("g", [1, 2, 4, 7, 11])
     def test_routes_match_trace_product(self, g):
@@ -140,9 +138,11 @@ class TestCoefficientRoutes:
             assert list(expected[: g + 1]) == computed
 
     def test_sqrt2_component_cancels(self):
+        # each term of a_n is rational, not only their sum
         for theta in BOTH:
-            for n in range(1, 13):
-                assert a_n_theta_exact(n, 13, theta).irr == 0
+            for n in range(1, 7):
+                for composition in enumerate_compositions(n):
+                    assert cr_theta(composition, 13, theta).irr == 0
 
     def test_parallel_matches_sequential(self):
         value = a_n_theta(18, 20, Theta.THREE_PI_4, threads=1)
@@ -168,7 +168,7 @@ class TestSignClassification:
         for theta in BOTH:
             for n in range(1, 11):
                 for composition in enumerate_compositions(n):
-                    expected = quad_sign(cr_theta(composition, 5, theta))
+                    expected = cr_theta(composition, 5, theta).sign()
                     assert expected != 0
                     assert classify(composition, 5, theta) == expected
 
@@ -359,9 +359,7 @@ class TestAnalyze:
 
 class TestConsistencyGuards:
     def test_integer_result_guard(self):
-        value = a_n_theta_exact(3, 4, Theta.PI_4)
-        assert value.irr == 0
-        assert value.rat.denominator == 1
+        assert type(a_n_theta(3, 4, Theta.PI_4)) is int
 
     def test_recurrence_weights_are_integers(self):
         for theta in BOTH:
@@ -378,12 +376,6 @@ class TestConsistencyGuards:
             with pytest.raises(ConsistencyError, match="a_2 is not an integer"):
                 a_list_theta_recurrence(2, 6, theta)
 
-    def test_exact_matches_integer_route(self):
-        for theta in BOTH:
-            for n in range(1, 9):
-                exact = a_n_theta_exact(n, 9, theta)
-                assert exact == QuadExt(a_n_theta(n, 9, theta))
-
 
 class TestPrefixWalk:
     @pytest.mark.parametrize("g", [1, 2, 3, 5, 9])
@@ -393,7 +385,7 @@ class TestPrefixWalk:
         for theta in BOTH:
             values = coeffs_by_parapermanent(SSequence(2, defect2._pass_weights(10, g, theta)))
             for n in range(1, 11):
-                total = QuadExt.zero()
+                total = QuadExt(0)
                 for composition in enumerate_compositions(n):
                     total = total + cr_theta(composition, g, theta)
                 assert QuadExt(values[n]) == total
@@ -472,10 +464,10 @@ class TestPrefixWalk:
         with pytest.raises(ConsistencyError, match=r"C_theta\(4\) = 0 for g=5"):
             analyze(5)
 
-    def test_wrong_weight_caught_by_trace_route(self, monkeypatch):
+    def test_wrong_weight_caught_by_closed_form(self, monkeypatch):
         # only the pass reads c_theta, so a wrong weight (same sign, so the
-        # parity check passes) moves it alone; analyze checks the trace-data
-        # route first, which does not use the weight and must disagree
+        # parity check passes) moves it alone; analyze checks the closed
+        # form first, which does not use the weight and must disagree
         real = defect2.c_theta
 
         def wrong(m, g, theta):
@@ -484,7 +476,7 @@ class TestPrefixWalk:
             return real(m, g, theta)
 
         monkeypatch.setattr(defect2, "c_theta", wrong)
-        with pytest.raises(ConsistencyError, match="trace route at n=4, g=6"):
+        with pytest.raises(ConsistencyError, match="closed form at n=4, g=6"):
             analyze(6)
 
     def test_wrong_weight_caught_by_recurrence(self, monkeypatch):
@@ -643,7 +635,7 @@ class TestPairedWalk:
             ((1,), lambda w: QuadExt(2 * w.irr)),  # odd part, rational weight
             ((3,), lambda w: w / 12),  # odd part, 2*irr = +-1/2
             ((1,), lambda w: w + 1),  # odd part with a rational part
-            ((2,), lambda w: w + QuadExt.sqrt2()),  # even part with a sqrt(2) part
+            ((2,), lambda w: w + QuadExt(0, 1)),  # even part with a sqrt(2) part
             ((4,), lambda w: w / 2),  # even part, -5/2
         ],
     )

@@ -311,14 +311,14 @@ class TestLPolynomial:
     def test_complete_validates_length(self):
         # the genus is len(coeffs) - 1, so only an empty list is too short,
         # and LPolynomial refuses it
-        with pytest.raises(ValueError, match="^g must be a nonnegative integer, got -1$"):
+        with pytest.raises(ValueError, match="^need 2g \\+ 1 coefficients a_0..a_2g, got 0$"):
             complete([], 2)
 
     def test_functional_equation_enforced(self):
         with pytest.raises(ValueError):
-            LPolynomial(2, 1, (1, 2, 3))
+            LPolynomial(2, (1, 2, 3))
         with pytest.raises(ValueError):
-            LPolynomial(2, 1, (2, 2, 4))
+            LPolynomial(2, (2, 2, 4))
 
     @pytest.mark.parametrize(
         "g, broken, i",
@@ -336,7 +336,7 @@ class TestLPolynomial:
             f"a_{2 * g - i}={expected + 1}, q^(g-i)*a_{i}={expected}"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
-            LPolynomial(q, g, tuple(coeffs))
+            LPolynomial(q, coeffs)
 
     def test_evaluate(self):
         full = complete([1, 2], 2)
@@ -400,7 +400,7 @@ class TestClassNumber:
             class_number_formula(SSequence(2, ()))
 
     def test_nonpositive_rejected(self):
-        broken = LPolynomial(2, 1, (1, -3, 2))
+        broken = LPolynomial(2, (1, -3, 2))
         with pytest.raises(ConsistencyError):
             class_number(broken)
 

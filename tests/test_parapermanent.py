@@ -175,7 +175,7 @@ class TestGenericEvaluators:
         rng = random.Random(kind)
         order = 8
         if kind == "quadext":
-            one = QuadExt.one()
+            one = QuadExt(1)
 
             def entry():
                 return QuadExt(
@@ -424,7 +424,7 @@ class TestRationalTables:
                 for i in range(1, order + 1)
             )
         )
-        one = QuadExt.one()
+        one = QuadExt(1)
         by_rows = pper_by_last_row(matrix, one)
         assert isinstance(by_rows, QuadExt)
         assert by_rows == pper_by_compositions(matrix, one)
@@ -433,8 +433,8 @@ class TestRationalTables:
         matrix = TriangularMatrix(((QuadExt(1, 1),), (QuadExt(2), QuadExt(0, 1))))
         assert scale_columns(matrix) is None
         expected = QuadExt(2) * QuadExt(0, 1) + QuadExt(1, 1) * QuadExt(0, 1)
-        assert pper_by_last_row(matrix, QuadExt.one()) == expected
-        assert pper_by_compositions(matrix, QuadExt.one()) == expected
+        assert pper_by_last_row(matrix, QuadExt(1)) == expected
+        assert pper_by_compositions(matrix, QuadExt(1)) == expected
 
 
 divisors = st.integers(1, 7).flatmap(lambda d: st.sampled_from((d, -d)))

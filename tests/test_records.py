@@ -1,4 +1,4 @@
-"""Value semantics of the package's nine record classes.
+"""Value semantics of the package's ten record classes.
 
 Each record is immutable, equal only to a record of the same class with
 equal fields, hashed as the tuple of its fields and shown as
@@ -8,6 +8,7 @@ to the frozen-record behaviour the classes have always had.
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -20,9 +21,11 @@ from zetapoly import (
     TraceData,
     TriangularMatrix,
     analyze,
+    pper_by_last_row,
     verify_theorem_signs,
 )
 from zetapoly.defect2 import ReportRow, Theta, ThetaCell
+from zetapoly.parapermanent import ScaledTable, scale_columns
 
 _ROW = ReportRow(1, {Theta.PI_4: ThetaCell(-1, 0, 1)}, None, None, "vacuous")
 
@@ -42,6 +45,12 @@ RECORDS = [
         [TriangularMatrix([[1], [2, 4]])],
     ),
     (
+        ScaledTable([[1], [2, 3]], 6),
+        ("rows", "readout"),
+        "ScaledTable(rows=((1,), (2, 3)), readout=6)",
+        [ScaledTable([[1], [2, 4]], 6), ScaledTable([[1], [2, 3]], 5)],
+    ),
+    (
         SSequence(q=2, s=(1, 2)),
         ("q", "s"),
         "SSequence(q=2, s=(1, 2))",
@@ -54,10 +63,10 @@ RECORDS = [
         [TraceData(5, (1, -2)), TraceData(4, (1, 2))],
     ),
     (
-        LPolynomial(2, 1, (1, 0, 2)),
-        ("q", "g", "coeffs"),
-        "LPolynomial(q=2, g=1, coeffs=(1, 0, 2))",
-        [LPolynomial(3, 1, (1, 0, 3)), LPolynomial(2, 1, (1, 1, 2)), LPolynomial(2, 0, (1,))],
+        LPolynomial(2, (1, 0, 2)),
+        ("q", "coeffs"),
+        "LPolynomial(q=2, coeffs=(1, 0, 2))",
+        [LPolynomial(3, (1, 0, 3)), LPolynomial(2, (1, 1, 2)), LPolynomial(2, (1,))],
     ),
     (
         SignReport(1, "vacuous", {Theta.PI_4: (1,)}, {}, {}, {}),
@@ -186,6 +195,17 @@ def test_computed_reports_round_trip():
         assert copy.deepcopy(report) == report
 
 
+def test_scaled_table_twins_evaluate_equal():
+    # a twin restores the factorial products with the rest of __dict__
+    matrix = TriangularMatrix([[Fraction(1, 2)], [Fraction(2, 3), Fraction(3, 4)]])
+    table = scale_columns(matrix)
+    value = pper_by_last_row(table)
+    assert table.read_out(value) == pper_by_last_row(matrix)
+    for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+        assert twin == table
+        assert pper_by_last_row(twin) == value
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -198,14 +218,13 @@ def test_computed_reports_round_trip():
         (lambda: TraceData(1, (0,)), "q must be an integer >= 2, got 1"),
         (lambda: TraceData(2, ("a",)), "trace 1 must be an integer, got 'a'"),
         (lambda: TraceData(2, (0, 3)), "trace 2 violates t^2 <= 4q: t=3, q=2"),
-        (lambda: LPolynomial(1, 0, (1,)), "q must be an integer >= 2, got 1"),
-        (lambda: LPolynomial(2, -1, ()), "g must be a nonnegative integer, got -1"),
-        (lambda: LPolynomial(2, "1", (1,)), "g must be a nonnegative integer, got '1'"),
-        (lambda: LPolynomial(2, 1, (1, 0)), "need 3 coefficients for genus 1, got 2"),
-        (lambda: LPolynomial(2, 1, (1, 0.5, 2)), "a_1 must be an integer, got 0.5"),
-        (lambda: LPolynomial(2, 1, (2, 0, 4)), "a_0 must be 1, got 2"),
+        (lambda: LPolynomial(1, (1,)), "q must be an integer >= 2, got 1"),
+        (lambda: LPolynomial(2, ()), "need 2g + 1 coefficients a_0..a_2g, got 0"),
+        (lambda: LPolynomial(2, (1, 0)), "need 2g + 1 coefficients a_0..a_2g, got 2"),
+        (lambda: LPolynomial(2, (1, 0.5, 2)), "a_1 must be an integer, got 0.5"),
+        (lambda: LPolynomial(2, (2, 0, 4)), "a_0 must be 1, got 2"),
         (
-            lambda: LPolynomial(2, 2, (1, 1, 1, 1, 1)),
+            lambda: LPolynomial(2, (1, 1, 1, 1, 1)),
             "functional equation broken at i=0: a_4=1, q^(g-i)*a_0=4",
         ),
     ],

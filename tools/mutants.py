@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
+ACCEPTANCE = "tests/test_acceptance.py"
 CLI = "tests/test_cli.py"
 DEFECT2 = "tests/test_defect2.py"
 LPOLY = "tests/test_lpoly.py"
@@ -47,6 +48,13 @@ class Mutant:
 
 
 MUTANTS = (
+    Mutant(
+        "term-power-off-by-one",
+        "zetapoly/defect2.py",
+        "value = pow2_half(n)",
+        "value = pow2_half(n + 1)",
+        (f"{ACCEPTANCE}::test_criterion_11_terms_are_rational",),
+    ),
     Mutant(
         "tally-halves-swapped",
         "zetapoly/defect2.py",
@@ -402,8 +410,8 @@ MUTANTS = (
     Mutant(
         "complete-genus-off-by-one",
         "zetapoly/lpoly.py",
-        "return LPolynomial(q, len(half) - 1, ",
-        "return LPolynomial(q, len(half), ",
+        "return len(self.coeffs) // 2",
+        "return len(self.coeffs) // 2 + 1",
         (
             f"{LPOLY}::TestLPolynomial::test_complete",
             f"{LPOLY}::TestLPolynomial::test_complete_small_genus",
