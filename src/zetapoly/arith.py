@@ -3,8 +3,11 @@
 Rationals are `fractions.Fraction` throughout the package; this module
 parses them from "p" or "p/q" text (their str is that same text) and adds
 `QuadExt`, the ring of numbers ``rat + irr*sqrt(2)`` with rational
-components, and `pow2_half` for 2^(n/2).  Every sign decision is made by
-exact integer comparison.  No floating point is used anywhere.
+components, and `pow2_half` for 2^(n/2).  A component that is already
+exactly a Fraction is kept as it is (Fractions are immutable), and every
+zero component left to its default is one shared Fraction(0).  Every sign
+decision is made by exact integer comparison.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from fractions import Fraction
 from typing import Union
 
 _Scalar = Union[int, Fraction]
+_ZERO = Fraction(0)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -29,9 +33,10 @@ class QuadExt:
 
     __slots__ = ("_rat", "_irr")
 
-    def __init__(self, rat: _Scalar = 0, irr: _Scalar = 0) -> None:
-        self._rat = Fraction(rat)
-        self._irr = Fraction(irr)
+    def __init__(self, rat: _Scalar = _ZERO, irr: _Scalar = _ZERO) -> None:
+        # a Fraction is immutable, so one that is exactly a Fraction is kept
+        self._rat = rat if type(rat) is Fraction else Fraction(rat)
+        self._irr = irr if type(irr) is Fraction else Fraction(irr)
 
     @property
     def rat(self) -> Fraction:

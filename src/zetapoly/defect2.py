@@ -102,7 +102,7 @@ def c_theta(m: int, g: int, theta: Theta) -> QuadExt:
     res = residue_class(m)
     if res % 2:
         sign = 1 if res in _ODD_PLUS[theta] else -1
-        return QuadExt(0, Fraction(sign * (g - 1), 2))
+        return QuadExt(irr=Fraction(sign * (g - 1), 2))
     if res in (2, 6):
         return QuadExt(-1)
     if res == 4:

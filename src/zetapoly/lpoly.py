@@ -48,6 +48,7 @@ import math
 import warnings
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ConsistencyError, _Frozen, describe
@@ -221,15 +222,14 @@ def s_from_traces(data: TraceData) -> SSequence:
 
 
 def _recurrence(s: SSequence) -> Iterator[Union[int, Fraction]]:
-    # a_i stays an int while every division by i is exact; each a_i is
-    # yielded as it is found, so a caller can stop at the first Fraction
+    # i * a_i = S_1 a_(i-1) + ... + S_i a_0; a_i stays an int while every
+    # division by i is exact; each a_i is yielded as it is found, so a
+    # caller can stop at the first Fraction
     values = s.s
     coeffs: list[Union[int, Fraction]] = [1]
     yield 1
     for i in range(1, s.g + 1):
-        total = 0
-        for j in range(1, i + 1):
-            total += values[j - 1] * coeffs[i - j]
+        total = sum(map(mul, values[:i], reversed(coeffs)))
         quotient, remainder = divmod(total, i)
         coeffs.append(Fraction(total, i) if remainder else quotient)
         yield coeffs[i]
@@ -285,7 +285,7 @@ def _as_integers(
 ) -> list[int]:
     integers = []
     for i, value in enumerate(values):
-        if isinstance(value, Fraction):
+        if not isinstance(value, int):
             raise ConsistencyError(
                 f"a_{i} is not an integer ({describe(value)}) for q={s.q}, "
                 f"S={describe(list(s.s))} "

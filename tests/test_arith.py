@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zetapoly.arith import QuadExt, parse_rational, pow2_half
+from zetapoly.defect2 import Theta, c_theta
 
 rationals = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**4
@@ -95,6 +96,46 @@ class TestQuadExtRing:
         assert str(QuadExt(0, 1)) == "1*sqrt2"
         assert str(QuadExt(0, -1)) == "-1*sqrt2"
         assert str(QuadExt(Fraction(3, 2), Fraction(-1, 2))) == "3/2 - 1/2*sqrt2"
+
+
+class FractionSubclass(Fraction):
+    pass
+
+
+class TestQuadExtComponents:
+    @pytest.mark.parametrize(
+        "args,rat,irr",
+        [
+            ((), 0, 0),
+            ((3,), 3, 0),
+            ((True, -2), 1, -2),
+            ((Fraction(3, 4),), Fraction(3, 4), 0),
+            ((0, Fraction(-5, 2)), 0, Fraction(-5, 2)),
+            ((FractionSubclass(1, 2), FractionSubclass(-7, 2)), Fraction(1, 2), Fraction(-7, 2)),
+        ],
+    )
+    def test_components_are_exactly_fractions(self, args, rat, irr):
+        value = QuadExt(*args)
+        assert type(value.rat) is Fraction and value.rat == rat
+        assert type(value.irr) is Fraction and value.irr == irr
+
+    def test_values_sharing_zero_stay_independent(self):
+        a, b = QuadExt(3), QuadExt(irr=2)
+        assert a.irr is b.rat
+        total, product, difference = a + b, a * b, a - b
+        a += b
+        assert (total, product, difference, a) == (
+            QuadExt(3, 2),
+            QuadExt(0, 6),
+            QuadExt(3, -2),
+            QuadExt(3, 2),
+        )
+        assert (b.rat, b.irr) == (0, 2)
+        assert QuadExt(3).irr == 0 and QuadExt(irr=2).rat == 0
+
+    def test_weight_repr_pinned(self):
+        assert repr(c_theta(1, 5, Theta.PI_4)) == "QuadExt(Fraction(0, 1), Fraction(2, 1))"
+        assert repr(c_theta(4, 5, Theta.PI_4)) == "QuadExt(Fraction(-3, 1), Fraction(0, 1))"
 
 
 class TestQuadSign:

@@ -283,6 +283,29 @@ class TestIntegerRoutes:
             else:
                 assert route(s) == [int(a) for a in expected]
 
+    @given(trace_data(max_g=10).map(s_from_traces))
+    @settings(deadline=None)
+    def test_integer_routes_give_plain_ints(self, s):
+        for route in INTEGER_ROUTES.values():
+            assert all(type(a) is int for a in route(s))
+
+    def test_exact_recurrence_on_fraction_data_pinned(self):
+        # a_2 = 1/2, so from a_3 on the inner sum mixes ints and Fractions;
+        # S is not palindromic, so pairing S_j with a_(j-1) shows
+        s = SSequence(2, (1, 0, 3, -2, 5))
+        reference = [Fraction(1)]
+        for i in range(1, s.g + 1):
+            total = Fraction(0)
+            for j in range(1, i + 1):
+                total += s.s[j - 1] * reference[i - j]
+            reference.append(total / i)
+        assert reference == [
+            1, 1, Fraction(1, 2), Fraction(7, 6), Fraction(13, 24), Fraction(121, 120)
+        ]
+        values = coeffs_by_recurrence_exact(s)
+        assert all(type(a) is Fraction for a in values)
+        assert values == reference
+
     def test_integral_input_builds_no_fraction(self, monkeypatch):
         class NoFraction(Fraction):
             def __new__(cls, *args, **kwargs):

@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 ACCEPTANCE = "tests/test_acceptance.py"
+ARITH = "tests/test_arith.py"
 CLI = "tests/test_cli.py"
 DEFECT2 = "tests/test_defect2.py"
 LPOLY = "tests/test_lpoly.py"
@@ -131,6 +132,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "recurrence-coefficients-not-reversed",
+        "zetapoly/lpoly.py",
+        "sum(map(mul, values[:i], reversed(coeffs)))",
+        "sum(map(mul, values[:i], coeffs))",
+        (
+            f"{LPOLY}::TestIntegerRoutes::test_exact_recurrence_on_fraction_data_pinned",
+            f"{LPOLY}::TestIntegerRoutes::test_routes_match_fraction_recurrence",
+            f"{LPOLY}::TestOracle::test_recurrence_equals_product",
+        ),
+    ),
+    Mutant(
         "tally-row-slice-start-off-by-one",
         "zetapoly/defect2.py",
         "_last_row((signs[i - 1::-1] for i",
@@ -186,6 +198,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "integer-check-passes-fractions",
+        "zetapoly/lpoly.py",
+        "if not isinstance(value, int):",
+        "if isinstance(value, bool):",
+        (
+            f"{LPOLY}::TestIntegerRoutes::test_integrality_error_pinned",
+            f"{LPOLY}::TestCoefficients::test_integrality_enforced",
+        ),
+    ),
+    Mutant(
         "c-theta-class-4-weight",
         "zetapoly/defect2.py",
         "return QuadExt(-(g - 2))",
@@ -195,6 +217,16 @@ MUTANTS = (
             f"{DEFECT2}::TestPrefixWalk::test_weights_are_the_branch_s_values",
             f"{DEFECT2}::TestPrefixWalk::test_wrong_weight_caught_by_recurrence",
             f"{DEFECT2}::TestAnalyze::test_report_genus_four",
+        ),
+    ),
+    Mutant(
+        "quad-component-not-converted",
+        "zetapoly/arith.py",
+        "rat if type(rat) is Fraction else Fraction(rat)",
+        "rat",
+        (
+            f"{ARITH}::TestQuadExtComponents::test_components_are_exactly_fractions",
+            f"{ARITH}::TestQuadExtComponents::test_weight_repr_pinned",
         ),
     ),
     Mutant(
