@@ -82,7 +82,7 @@ _MAX_DEFECT2_N = 24
 
 # every composition walk (pper --file: 2^(n-1) terms; lpoly --method
 # compositions: 2^g - 1) stops at this order or genus: pper order 20 took
-# 0.12-0.17 s on entries +-(1..9)/(1..9), lpoly g=20 0.12-0.16 s and the
+# 0.08-0.11 s on entries +-(1..9)/(1..9), lpoly g=20 0.12-0.16 s and the
 # library's composition route at g=22 0.47-0.61 s (Python 3.11, 2 cores),
 # and each order doubles it
 _MAX_WALK_ORDER = 20
@@ -94,8 +94,9 @@ _MAX_WALK_ORDER = 20
 # (Karatsuba).
 # Seconds per walked composition, and per composition and unit of that
 # cost (Python 3.11, 2 cores).  The fit predates the column
-# scaling and both walk folds, so the estimate errs high; the constants
-# are kept so that pper accepts and refuses the tables it always has.
+# scaling, both walk folds and pper's walk that adds only its own order's
+# terms, so the estimate errs high; the constants are kept so that pper
+# accepts and refuses the tables it always has.
 _INTEGER_NODE_S = 3.5e-7
 _INTEGER_WALK_S = 1.2e-11
 _MAX_PPER_SECONDS = 1.5

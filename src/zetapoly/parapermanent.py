@@ -16,7 +16,11 @@ coefficients.  The recurrence is one loop, _last_row, that takes row i's
 factorial products fp(i, 1..i) as a sequence: pper_prefixes builds the
 rows from fp, pper_by_last_row hands it its factorial-product table, and
 a caller whose fp(i, j) depends only on i - j (lpoly's route, defect2's
-sign tallies) hands it slices of one sequence.
+sign tallies) hands it slices of one sequence.  pper_by_compositions needs
+one order only, so its walk forms the same 2**n - 1 nodes, each from its
+parent's product, but adds only the 2**(n-1) terms of order n; it shares
+pper_composition_sums' per-prefix child records and nothing with the
+recurrence.
 
 Entries may be any exact scalar supporting + and * (Fraction, QuadExt, or
 similar); evaluators take the multiplicative identity of that scalar type.
@@ -204,13 +208,7 @@ def _walk(n: int, keys: list[list[Any]], one: Any) -> list[Any]:
     if n == 2:
         sums[2] += sums[1] * leaf
         return sums
-    # children[N] for N <= n-3: the (order, key) pairs of the children that
-    # are pushed, then the keys of the order-(n-2), order-(n-1) and order-n
-    # children
-    children = [
-        (list(enumerate(row[:-3], start=prefix + 1)), row[-3], row[-2], row[-1])
-        for prefix, row in enumerate(keys[: n - 2])
-    ]
+    children = _child_records(n, keys)
     # a prefix-(n-2) node's children: order n-1, then order n
     inner, outer = keys[n - 2]
     low = sums[n - 2]
@@ -237,6 +235,41 @@ def _walk(n: int, keys: list[list[Any]], one: Any) -> list[Any]:
     sums[n - 1] = middle
     sums[n] = top
     return sums
+
+
+def _child_records(n: int, keys: list[list[Any]]) -> list[Any]:
+    # children[N] for N <= n-3: the (order, key) pairs of the children that
+    # are pushed, then the keys of the order-(n-2), order-(n-1) and order-n
+    # children
+    return [
+        (list(enumerate(row[:-3], start=prefix + 1)), row[-3], row[-2], row[-1])
+        for prefix, row in enumerate(keys[: n - 2])
+    ]
+
+
+def _walk_top(n: int, keys: list[list[Any]], one: Any) -> Any:
+    # _walk's sum of order n alone: the same nodes, each formed from its
+    # parent's product, but only the order-n terms are added
+    if n < 3:
+        return _walk(n, keys, one)[n]
+    leaf = keys[n - 1][0]
+    inner, outer = keys[n - 2]
+    children = _child_records(n, keys)
+    first = [one * key for key in keys[0]]
+    # a node's order-n terms: those under its order-(n-2) child low, under
+    # its order-(n-1) child middle, and its own order-n child
+    low, middle, top = first[n - 3 :]
+    top += low * inner * leaf + low * outer + middle * leaf
+    stack = list(zip(range(1, n - 2), first[: n - 3]))
+    while stack:
+        prefix, product = stack.pop()
+        pushed, low_key, middle_key, top_key = children[prefix]
+        for order, key in pushed:
+            stack.append((order, product * key))
+        low = product * low_key
+        middle = product * middle_key
+        top += low * inner * leaf + low * outer + middle * leaf + product * top_key
+    return top
 
 
 class ScaledTable(TriangularMatrix):
@@ -309,7 +342,8 @@ def _by_last_row(table: list[list[Any]], one: Any) -> Any:
 
 def _by_compositions(table: list[list[Any]], one: Any) -> Any:
     order = len(table) - 1
-    return pper_composition_sums(order, lambda i, j: table[i][j], one)[order]
+    keys = [[row[prefix + 1] for row in table[prefix + 1 :]] for prefix in range(order + 1)]
+    return _walk_top(order, keys, one)
 
 
 def pper_by_last_row(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:
@@ -318,5 +352,10 @@ def pper_by_last_row(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:
 
 
 def pper_by_compositions(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:
-    """Parapermanent of the table by direct composition enumeration."""
+    """Parapermanent of the table by direct composition enumeration.
+
+    One walk over the compositions of every order <= n, each node formed
+    from its parent's product (2**n - 1 multiplications), that adds only
+    the 2**(n-1) terms of order n.
+    """
     return _evaluate(_by_compositions, matrix, one)

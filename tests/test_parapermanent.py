@@ -13,6 +13,7 @@ from zetapoly import parapermanent
 from zetapoly.parapermanent import (
     ScaledTable,
     TriangularMatrix,
+    _by_compositions,
     _factorial_product_table,
     _last_row,
     factorial_product,
@@ -588,13 +589,18 @@ class TestOperationScaling:
     def test_walk_forms_each_term_once(self, order):
         # one multiplication per composition of each order 1..order, and
         # every sum equal to its terms added one by one; orders <= 3 leave
-        # the stack empty after the root (orders <= 2 never build it)
+        # the stack empty after the root (orders <= 2 never build it).  The
+        # one-order walk forms the same nodes and adds only order's terms
         table = _factorial_product_table(_counting_matrix(order, order))
         CountingScalar.mults = 0
         sums = pper_composition_sums(order, lambda i, j: table[i][j], CountingScalar(1))
         assert CountingScalar.mults == (1 << order) - 1
         expected = term_sums(order, lambda i, j: table[i][j].value, Fraction(1))
         assert [total.value for total in sums] == expected
+        CountingScalar.mults = 0
+        top = _by_compositions(table, CountingScalar(1))
+        assert CountingScalar.mults == (1 << order) - 1
+        assert top.value == expected[order]
 
     @pytest.mark.parametrize("order", range(10))
     def test_walk_over_integers_with_zero_and_negative_keys(self, order):
@@ -609,15 +615,21 @@ class TestOperationScaling:
                 rows[i - 1][i - 1] = 0
         table = _factorial_product_table(TriangularMatrix(tuple(map(tuple, rows))))
         sums = pper_composition_sums(order, lambda i, j: table[i][j], 1)
-        assert sums == term_sums(order, lambda i, j: table[i][j], 1)
+        expected = term_sums(order, lambda i, j: table[i][j], 1)
+        assert sums == expected
+        assert _by_compositions(table, 1) == expected[order]
         if order >= 3:
             assert sums[order - 2] == sums[order - 1] == 0
         counting = _factorial_product_table(
             TriangularMatrix(tuple(tuple(map(CountingScalar, row)) for row in rows))
         )
-        CountingScalar.mults = 0
-        pper_composition_sums(order, lambda i, j: counting[i][j], CountingScalar(1))
-        assert CountingScalar.mults == (1 << order) - 1
+        for walk in (
+            lambda: pper_composition_sums(order, lambda i, j: counting[i][j], CountingScalar(1)),
+            lambda: _by_compositions(counting, CountingScalar(1)),
+        ):
+            CountingScalar.mults = 0
+            walk()
+            assert CountingScalar.mults == (1 << order) - 1
 
     def test_both_agree_while_counting(self):
         matrix = _counting_matrix(9, 3)

@@ -325,6 +325,38 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "walk-top-drops-second-level-term",
+        "zetapoly/parapermanent.py",
+        "+ low * outer + middle * leaf + product * top_key",
+        "+ middle * leaf + product * top_key",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestOperationScaling::test_walk_over_integers_with_zero_and_negative_keys",
+            f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
+        ),
+    ),
+    Mutant(
+        "walk-top-root-leaf-wrong-key",
+        "zetapoly/parapermanent.py",
+        "+ low * outer + middle * leaf\n",
+        "+ low * outer + middle * inner\n",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
+        ),
+    ),
+    Mutant(
+        "walk-top-small-orders-too-few",
+        "zetapoly/parapermanent.py",
+        "if n < 3:\n        return _walk(n, keys, one)[n]",
+        "if n < 2:\n        return _walk(n, keys, one)[n]",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestOperationScaling::test_walk_over_integers_with_zero_and_negative_keys",
+            f"{PPER}::TestSmallOrders::test_order_two",
+        ),
+    ),
+    Mutant(
         "column-scale-squared",
         "zetapoly/parapermanent.py",
         "entry.numerator * (c // entry.denominator) for",
