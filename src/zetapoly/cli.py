@@ -67,7 +67,8 @@ run 'zetapoly <command> --help' for options
 _MAX_COMPOSITION_N = 62
 
 # --method all runs the composition route (2^g - 1 terms, 0.015-0.04 s at
-# g=18 and doubling per g) only up to this genus; --method compositions
+# g=18 and doubling per g) only up to this genus, and only while
+# _walk_seconds puts it within _MAX_PPER_SECONDS; --method compositions
 # still reaches _MAX_WALK_ORDER
 _ALL_COMPOSITION_MAX_G = 18
 
@@ -90,7 +91,7 @@ _MAX_WALK_ORDER = 20
 # The walk visits 2^order - 1 compositions of integers, whose products have
 # at most the bits that parapermanent.scale_columns reads off the table
 # (pper) or lpoly._composition_walk_bits off the S-values (lpoly --method
-# compositions), and multiplying b-bit integers costs about b^log2(3)
+# compositions or all), and multiplying b-bit integers costs about b^log2(3)
 # (Karatsuba).
 # Seconds per walked composition, and per composition and unit of that
 # cost (Python 3.11, 2 cores).  The fit predates the column
@@ -311,7 +312,11 @@ def _half_coefficients(s: lpoly.SSequence, method: str) -> tuple[list[int], list
     by_recurrence = lpoly.coeffs_by_recurrence(s)
     by_pper = lpoly.coeffs_by_parapermanent(s)
     _check_routes("recurrence and parapermanent disagree", s, by_recurrence, by_pper)
-    if s.g > _ALL_COMPOSITION_MAX_G:
+    # the genus first, so a wide genus never counts the S-values' bits
+    if (
+        s.g > _ALL_COMPOSITION_MAX_G
+        or _walk_seconds(s.g, lpoly._composition_walk_bits(s)) > _MAX_PPER_SECONDS
+    ):
         return by_recurrence, ["recurrence", "pper"]
     by_compositions = lpoly.coeffs_by_compositions(s)
     _check_routes("composition sum disagrees", s, by_recurrence, by_compositions)
@@ -586,12 +591,17 @@ def _load_matrix_file(path: str) -> list[list[Fraction]]:
     return rows
 
 
+def _walk_seconds(order: int, product_bits: int) -> float:
+    # the estimated seconds of a composition walk over integers of at most
+    # product_bits bits
+    return (2**order - 1) * (_INTEGER_NODE_S + _INTEGER_WALK_S * product_bits**_KARATSUBA)
+
+
 def _refuse_slow_walk(
     order: int, product_bits: int, refused: str = "table too large to walk"
 ) -> None:
-    # the estimated seconds of a composition walk over integers of at most
-    # product_bits bits, refused past the budget
-    seconds = (2**order - 1) * (_INTEGER_NODE_S + _INTEGER_WALK_S * product_bits**_KARATSUBA)
+    # _walk_seconds' estimate, refused past the budget
+    seconds = _walk_seconds(order, product_bits)
     if seconds > _MAX_PPER_SECONDS:
         raise ValidationError(
             f"{refused}: its composition walk is estimated at "

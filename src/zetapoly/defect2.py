@@ -190,7 +190,7 @@ def _tallies(weights: Sequence[int]) -> list[tuple[int, int]]:
     # 2^(n-1), and 1 for the empty one.  fp(i, j) is the sign of part
     # i + 1 - j, so row i is the slice of parts i..1.
     signs = [1 if weight > 0 else -1 for weight in weights]
-    signed = _last_row((signs[i - 1::-1] for i in range(1, len(signs) + 1)), 1)
+    signed = _last_row(signs[i - 1::-1] for i in range(1, len(signs) + 1))
     counts = [1] + [1 << (n - 1) for n in range(1, len(signs) + 1)]
     return [((both + net) // 2, (both - net) // 2) for net, both in zip(signed, counts)]
 

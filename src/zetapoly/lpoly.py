@@ -15,7 +15,7 @@ Everything is exact and runs in plain integers.  The recurrence divides by
 i at each step and keeps a_i an int while every division is exact (a
 Fraction from the first one that is not, where the integer route stops).
 The last-row parapermanent takes the factorial products S_{i+1-j} with
-row i's diagonal denominator i (pper_prefixes' denominator): every
+row i's diagonal denominator i (_last_row's denominator): every
 factorial product of row i carries that one 1/i, so the row's sum is
 divided once and prefix i is a_i itself, an int while the division is
 exact.  It does the recurrence's arithmetic in parapermanent.py's generic
@@ -241,7 +241,7 @@ def _parapermanent(s: SSequence) -> Iterator[Union[int, Fraction]]:
     # is S_i..S_1, one slice; lazy, like _recurrence, so the integer route
     # stops at the first Fraction
     values = s.s
-    return _last_row((values[i - 1::-1] for i in range(1, s.g + 1)), 1, lambda i: i)
+    return _last_row((values[i - 1::-1] for i in range(1, s.g + 1)), lambda i: i)
 
 
 def _compositions(s: SSequence) -> list[Union[int, Fraction]]:
@@ -252,7 +252,7 @@ def _compositions(s: SSequence) -> list[Union[int, Fraction]]:
             f"composition enumeration capped at g <= {COMPOSITION_CAP}, got g={s.g}"
         )
     values = s.s
-    return pper_composition_sums(s.g, lambda i, j: values[i - j], 1, lambda i: i)
+    return pper_composition_sums(s.g, lambda i, j: values[i - j], lambda i: i)
 
 
 def _composition_walk_bits(s: SSequence) -> int:

@@ -10,20 +10,21 @@ Two evaluators are kept and must agree: pper_composition_sums follows the
 definition, one depth-first walk over the compositions of every order <= n
 that forms and adds each term on its own, and pper_prefixes unrolls the
 sum along the last row into an O(n^2)-multiplication recurrence over prefix
-parapermanents.  Both take an optional denominator d(i) for each row's
+parapermanents.  The recurrence is one loop, _last_row, that takes row
+i's factorial products fp(i, 1..i) as a sequence: pper_prefixes builds
+the rows from fp, pper_by_last_row hands it its factorial-product table,
+and a caller whose fp(i, j) depends only on i - j (lpoly's route, defect2's
+sign tallies) hands it slices of one sequence.  _last_row and
+pper_composition_sums take an optional denominator d(i) for each row's
 diagonal entry, which keeps lpoly's prefixes at the size of its
-coefficients.  The recurrence is one loop, _last_row, that takes row i's
-factorial products fp(i, 1..i) as a sequence: pper_prefixes builds the
-rows from fp, pper_by_last_row hands it its factorial-product table, and
-a caller whose fp(i, j) depends only on i - j (lpoly's route, defect2's
-sign tallies) hands it slices of one sequence.  pper_by_compositions needs
-one order only, so its walk forms the same 2**n - 1 nodes, each from its
-parent's product, but adds only the 2**(n-1) terms of order n; it shares
-pper_composition_sums' per-prefix child records and nothing with the
-recurrence.
+coefficients.  pper_by_compositions needs one order only, so its walk
+forms the same 2**n - 1 nodes, each from its parent's product, but adds
+only the 2**(n-1) terms of order n; it shares pper_composition_sums'
+per-prefix child records and nothing with the recurrence.
 
 Entries may be any exact scalar supporting + and * (Fraction, QuadExt, or
-similar); evaluators take the multiplicative identity of that scalar type.
+similar) that also multiplies with an int: every evaluator starts its
+products from the int 1, the parapermanent of the order-0 table.
 A rational table (every entry an int or a Fraction) is evaluated in plain
 integers, and the rule for that lives here alone: scale_columns multiplies
 entry (i, k) by c_k, the lcm of the denominators of column k, once.  A
@@ -94,42 +95,29 @@ def _factorial_product_table(matrix: TriangularMatrix) -> list[list[Any]]:
     return table
 
 
-def pper_prefixes(
-    n: int,
-    fp: FactorialProduct,
-    one: Any = Fraction(1),
-    denominator: Optional[Callable[[int], Any]] = None,
-) -> list[Any]:
+def pper_prefixes(n: int, fp: FactorialProduct) -> list[Any]:
     """Parapermanents of all prefix tables of orders 0..n.
 
     Uses the last-row recurrence pper(n) = sum_s fp(n, s) * pper(s-1) with
-    pper(0) = one; O(n^2) multiplications total.
-
-    With denominator, the table's diagonal entry (i, i) is divided by
-    denominator(i), so every factorial product of row i is fp(i, s) /
-    denominator(i) and row i's sum is divided once: pper(i) = (sum_s
-    fp(i, s) * pper(s-1)) / denominator(i).  An int sum over an int
-    denominator stays an int when the division is exact and becomes a
-    Fraction when it is not; any other sum is divided with /.
+    pper(0) = 1; O(n^2) multiplications total.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
     rows = ([fp(i, s) for s in range(1, i + 1)] for i in range(1, n + 1))
-    return list(_last_row(rows, one, denominator))
+    return list(_last_row(rows))
 
 
 def _last_row(
-    rows: Iterable[Sequence[Any]],
-    one: Any,
-    denominator: Optional[Callable[[int], Any]] = None,
+    rows: Iterable[Sequence[Any]], denominator: Optional[Callable[[int], Any]] = None
 ) -> Iterator[Any]:
-    # the prefixes pper(0) = one, pper(1), ... for rows 1, 2, ..., row i
+    # the prefixes pper(0) = 1, pper(1), ... for rows 1, 2, ..., row i
     # holding the factorial products fp(i, 1..i): pper(i) = sum_s fp(i, s)
-    # * pper(s-1), divided by denominator(i) when given.  Each prefix is
+    # * pper(s-1), divided once by denominator(i), row i's diagonal divisor,
+    # when given (an int while the division is exact).  Each prefix is
     # yielded as it is found, and row i is taken only when pper(i) is asked
     # for, so lpoly's integer route can stop at its first Fraction.
-    prefixes = [one]
-    yield one
+    prefixes = [1]
+    yield 1
     for i, row in enumerate(rows, start=1):
         products = map(mul, row, prefixes)
         total = sum(products, next(products))
@@ -147,10 +135,7 @@ def _divide(value: Any, divisor: Any) -> Any:
 
 
 def pper_composition_sums(
-    n: int,
-    fp: FactorialProduct,
-    one: Any = Fraction(1),
-    denominator: Optional[Callable[[int], Any]] = None,
+    n: int, fp: FactorialProduct, denominator: Optional[Callable[[int], Any]] = None
 ) -> list[Any]:
     """Parapermanents of orders 0..n straight from the definition.
 
@@ -171,10 +156,10 @@ def pper_composition_sums(
     its own order-n child go there too.  Every term is still formed from
     its parent's product.
 
-    denominator is pper_prefixes': the key fp(i, j) / d(i) is taken times
-    prod_{k=j..i} d(k), i.e. as fp(i, j) * prod_{k=j..i-1} d(k), so every
-    term of order N carries prod_{k<=N} d(k) and each order's sum is
-    divided by it once, an int while that division is exact.
+    denominator d(i) divides row i's diagonal entry: the key fp(i, j) / d(i)
+    is taken times prod_{k=j..i} d(k), i.e. as fp(i, j) * prod_{k=j..i-1}
+    d(k), so every term of order N carries prod_{k<=N} d(k) and each order's
+    sum is divided by it once, an int while that division is exact.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
@@ -183,14 +168,14 @@ def pper_composition_sums(
         [fp(i, prefix + 1) for i in range(prefix + 1, n + 1)] for prefix in range(n + 1)
     ]
     if denominator is None:
-        return _walk(n, keys, one)
+        return _walk(n, keys)
     divisors = [denominator(i) for i in range(1, n + 1)]
     for prefix, row in enumerate(keys):
         scale = 1
         for m, i in enumerate(range(prefix + 1, n + 1)):
             row[m] *= scale
             scale *= divisors[i - 1]
-    sums = _walk(n, keys, one)
+    sums = _walk(n, keys)
     scale = 1
     for order in range(1, n + 1):
         scale *= divisors[order - 1]
@@ -198,10 +183,10 @@ def pper_composition_sums(
     return sums
 
 
-def _walk(n: int, keys: list[list[Any]], one: Any) -> list[Any]:
+def _walk(n: int, keys: list[list[Any]]) -> list[Any]:
     # the sums of orders 0..n over keys[N][m-1], the factor for appending
     # part m at prefix N
-    sums = [one] + [one * key for key in keys[0]]
+    sums = [1] + [1 * key for key in keys[0]]
     if n < 2:
         return sums
     leaf = keys[n - 1][0]
@@ -247,15 +232,15 @@ def _child_records(n: int, keys: list[list[Any]]) -> list[Any]:
     ]
 
 
-def _walk_top(n: int, keys: list[list[Any]], one: Any) -> Any:
+def _walk_top(n: int, keys: list[list[Any]]) -> Any:
     # _walk's sum of order n alone: the same nodes, each formed from its
     # parent's product, but only the order-n terms are added
     if n < 3:
-        return _walk(n, keys, one)[n]
+        return _walk(n, keys)[n]
     leaf = keys[n - 1][0]
     inner, outer = keys[n - 2]
     children = _child_records(n, keys)
-    first = [one * key for key in keys[0]]
+    first = [1 * key for key in keys[0]]
     # a node's order-n terms: those under its order-(n-2) child low, under
     # its order-(n-1) child middle, and its own order-n child
     low, middle, top = first[n - 3 :]
@@ -322,40 +307,38 @@ def scale_columns(
     )
 
 
-def _evaluate(
-    evaluator: Callable[[list[list[Any]], Any], Any], matrix: TriangularMatrix, one: Any
-) -> Any:
+def _evaluate(evaluator: Callable[[list[list[Any]]], Any], matrix: TriangularMatrix) -> Any:
     # a rational table is walked once scaled and its sum read out, a
     # ScaledTable as it stands, and a table of other scalars over its
     # entries; evaluator takes the 1-based factorial-product table
     scaled = matrix if isinstance(matrix, ScaledTable) else scale_columns(matrix)
     if scaled is None:
-        return evaluator(_factorial_product_table(matrix), one)
-    value = evaluator(scaled.products, 1)
-    return one * (value if scaled is matrix else scaled.read_out(value))
+        return evaluator(_factorial_product_table(matrix))
+    value = evaluator(scaled.products)
+    return value if scaled is matrix else scaled.read_out(value)
 
 
-def _by_last_row(table: list[list[Any]], one: Any) -> Any:
-    *_, value = _last_row((row[1:] for row in table[1:]), one)
+def _by_last_row(table: list[list[Any]]) -> Any:
+    *_, value = _last_row(row[1:] for row in table[1:])
     return value
 
 
-def _by_compositions(table: list[list[Any]], one: Any) -> Any:
+def _by_compositions(table: list[list[Any]]) -> Any:
     order = len(table) - 1
     keys = [[row[prefix + 1] for row in table[prefix + 1 :]] for prefix in range(order + 1)]
-    return _walk_top(order, keys, one)
+    return _walk_top(order, keys)
 
 
-def pper_by_last_row(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:
+def pper_by_last_row(matrix: TriangularMatrix) -> Any:
     """Parapermanent of the table by the last-row recurrence."""
-    return _evaluate(_by_last_row, matrix, one)
+    return _evaluate(_by_last_row, matrix)
 
 
-def pper_by_compositions(matrix: TriangularMatrix, one: Any = Fraction(1)) -> Any:
+def pper_by_compositions(matrix: TriangularMatrix) -> Any:
     """Parapermanent of the table by direct composition enumeration.
 
     One walk over the compositions of every order <= n, each node formed
     from its parent's product (2**n - 1 multiplications), that adds only
     the 2**(n-1) terms of order n.
     """
-    return _evaluate(_by_compositions, matrix, one)
+    return _evaluate(_by_compositions, matrix)

@@ -317,6 +317,22 @@ class TestLPolyCommand:
             "is estimated at 15.2 s or more, past the 1.5 s budget\n"
         )
 
+    def test_all_skips_walk_past_budget(self, monkeypatch):
+        # at q = 10^200 and g = 18 the walk is estimated at 3.22 s (it ran in
+        # 0.9 s): --method all skips it, as it does past g = 18, and says so
+        q = 10**200
+        bound = math.isqrt(4 * q)
+        rng = random.Random(1)
+        traces = ",".join(str(rng.randint(-bound, bound)) for _ in range(18))
+        monkeypatch.setattr(cli.lpoly, "coeffs_by_compositions", None)
+        code, out, err = run_cli(
+            "lpoly", "from-traces", "--q", str(q), "--traces", traces, "--no-validate"
+        )
+        assert (code, err) == (cli.EXIT_OK, "")
+        payload = json.loads(out)
+        assert payload["methods_run"] == ["recurrence", "pper"]
+        assert payload["methods_agree"] is payload["oracle_agrees"] is True
+
     def test_composition_walk_bits_bound_the_products(self):
         # every product the walk forms, S_{m_1}..S_{m_r} times N!, has at
         # most the bits the estimate reads off the S-values; 3! * 255 has
@@ -1218,6 +1234,13 @@ _NEAR_MAX_G_COUNTS = ",".join(
     str(s + 1031**r + 1) for r, s in enumerate(s_from_traces(_NEAR_MAX_G).s[:-1], start=1)
 )
 
+# 18 counts over q = 2 with S_r = 10^800 18! (r + 1): the composition walk
+# is estimated at 85 s, so --method all skips it, and the int-to-str limit
+# then refuses the output
+_HUGE_S_COUNTS = ",".join(
+    str(10**800 * math.factorial(18) * (r + 1) + 2**r + 1) for r in range(1, 19)
+)
+
 
 def _check_exit_code_and_time(argv):
     started = time.perf_counter()
@@ -1237,6 +1260,7 @@ class TestArgvFuzz:
     @example(["classnumber", "--q", "1031", "--counts", _NEAR_MAX_G_COUNTS])
     @example(["lpoly", "from-counts", "--method", "pper", "--q", "1031", "--counts", _NEAR_MAX_G_COUNTS])
     @example(["classnumber", "--q", "1031", "--traces", _NEAR_MAX_G_TRACES + ",0"])
+    @example(["lpoly", "from-counts", "--q", "2", "--counts", _HUGE_S_COUNTS])
     def test_exit_codes_and_time(self, case):
         if isinstance(case, dict):
             with tempfile.TemporaryDirectory() as tmp:

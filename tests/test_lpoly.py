@@ -249,7 +249,7 @@ class TestIntegerRoutes:
         def fp(i, j):
             return s.s[i - j] * math.factorial(i - 1) // math.factorial(j - 1)
 
-        for values in (pper_prefixes(s.g, fp, 1), pper_composition_sums(s.g, fp, 1)):
+        for values in (pper_prefixes(s.g, fp), pper_composition_sums(s.g, fp)):
             assert all(type(value) is int for value in values)
             assert values == expected
 

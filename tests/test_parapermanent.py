@@ -198,10 +198,10 @@ class TestGenericEvaluators:
         def fp(i, j):
             return factorial_product(matrix, i, j)
 
-        sums = pper_composition_sums(order, fp, one)
+        sums = pper_composition_sums(order, fp)
         assert sums == term_sums(order, fp, one)
         for k in range(order + 1):
-            assert sums[: k + 1] == pper_composition_sums(k, fp, one)
+            assert sums[: k + 1] == pper_composition_sums(k, fp)
 
 
 def term_sums(order, fp, one):
@@ -425,17 +425,31 @@ class TestRationalTables:
                 for i in range(1, order + 1)
             )
         )
-        one = QuadExt(1)
-        by_rows = pper_by_last_row(matrix, one)
+        by_rows = pper_by_last_row(matrix)
         assert isinstance(by_rows, QuadExt)
-        assert by_rows == pper_by_compositions(matrix, one)
+        assert by_rows == pper_by_compositions(matrix)
 
     def test_other_scalars_keep_their_type(self):
         matrix = TriangularMatrix(((QuadExt(1, 1),), (QuadExt(2), QuadExt(0, 1))))
         assert scale_columns(matrix) is None
         expected = QuadExt(2) * QuadExt(0, 1) + QuadExt(1, 1) * QuadExt(0, 1)
-        assert pper_by_last_row(matrix, QuadExt(1)) == expected
-        assert pper_by_compositions(matrix, QuadExt(1)) == expected
+        assert pper_by_last_row(matrix) == expected
+        assert pper_by_compositions(matrix) == expected
+        # every order >= 1 starts its products from the int 1 and still
+        # gives a QuadExt; the order-0 table's value is that 1 itself
+        rng = random.Random(0)
+        rows = [
+            [QuadExt(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(i)]
+            for i in range(1, 7)
+        ]
+        for order in range(7):
+            prefix = TriangularMatrix(rows[:order])
+            for evaluate in (pper_by_last_row, pper_by_compositions):
+                value = evaluate(prefix)
+                if order:
+                    assert type(value) is QuadExt
+                else:
+                    assert value == 1 == QuadExt(1)
 
 
 divisors = st.integers(1, 7).flatmap(lambda d: st.sampled_from((d, -d)))
@@ -458,8 +472,8 @@ integer_rows = st.integers(0, 8).flatmap(
 
 
 def _divided_prefixes(rows, row_divisors):
-    # pper_prefixes and the walk with row i over d_i, and the same tables
-    # in Fractions with the diagonal entry of row i divided by d_i
+    # the last-row loop and the walk with row i over d_i, and the same
+    # tables in Fractions with the diagonal entry of row i divided by d_i
     table = _factorial_product_table(TriangularMatrix(rows))
 
     def fp(i, j):
@@ -468,8 +482,8 @@ def _divided_prefixes(rows, row_divisors):
     def divisor(i):
         return row_divisors[i - 1]
 
-    prefixes = pper_prefixes(len(rows), fp, 1, divisor)
-    walked = pper_composition_sums(len(rows), fp, 1, divisor)
+    prefixes = list(_last_row((table[i][1:] for i in range(1, len(rows) + 1)), divisor))
+    walked = pper_composition_sums(len(rows), fp, divisor)
     divided = [
         tuple(row[:-1]) + (Fraction(row[-1]) / d,) for row, d in zip(rows, row_divisors)
     ]
@@ -519,8 +533,9 @@ class TestRowDenominator:
                 rows_seen.append(i)
                 yield [fp(i, s) for s in range(1, i + 1)]
 
-        first = list(itertools.islice(_last_row(rows(), 1, lambda i: i), 3))
-        assert first == pper_prefixes(2, fp, 1, lambda i: i)
+        first = list(itertools.islice(_last_row(rows(), lambda i: i), 3))
+        # pper(1) = fp(1, 1) / 1, pper(2) = (fp(2, 1) + fp(2, 2) pper(1)) / 2
+        assert first == [1, 2, Fraction(11, 2)]
         assert max(rows_seen) == 2
 
 
@@ -534,7 +549,11 @@ class CountingScalar:
 
     def __mul__(self, other):
         CountingScalar.mults += 1
-        return CountingScalar(self.value * other.value)
+        if isinstance(other, CountingScalar):
+            other = other.value
+        return CountingScalar(self.value * other)
+
+    __rmul__ = __mul__
 
     def __add__(self, other):
         return CountingScalar(self.value + other.value)
@@ -559,7 +578,7 @@ class TestOperationScaling:
     def _mults(self, evaluator, order):
         matrix = _counting_matrix(order, order)
         CountingScalar.mults = 0
-        evaluator(matrix, CountingScalar(1))
+        evaluator(matrix)
         return CountingScalar.mults
 
     def test_last_row_is_quadratic(self):
@@ -570,7 +589,7 @@ class TestOperationScaling:
         # the walk alone, over a factorial-product table built beforehand
         table = _factorial_product_table(_counting_matrix(order, order))
         CountingScalar.mults = 0
-        pper_composition_sums(order, lambda i, j: table[i][j], CountingScalar(1))
+        pper_composition_sums(order, lambda i, j: table[i][j])
         return CountingScalar.mults
 
     def test_composition_sum_is_exponential(self):
@@ -580,9 +599,7 @@ class TestOperationScaling:
         assert large >= 8 * small
         for order, mults in ((10, small), (13, large)):
             assert mults == (1 << order) - 1
-            table_mults = self._mults(
-                lambda matrix, _: _factorial_product_table(matrix), order
-            )
+            table_mults = self._mults(_factorial_product_table, order)
             assert self._mults(pper_by_compositions, order) == mults + table_mults
 
     @pytest.mark.parametrize("order", range(14))
@@ -593,14 +610,14 @@ class TestOperationScaling:
         # one-order walk forms the same nodes and adds only order's terms
         table = _factorial_product_table(_counting_matrix(order, order))
         CountingScalar.mults = 0
-        sums = pper_composition_sums(order, lambda i, j: table[i][j], CountingScalar(1))
+        sums = pper_composition_sums(order, lambda i, j: table[i][j])
         assert CountingScalar.mults == (1 << order) - 1
         expected = term_sums(order, lambda i, j: table[i][j].value, Fraction(1))
-        assert [total.value for total in sums] == expected
+        assert sums == expected
         CountingScalar.mults = 0
-        top = _by_compositions(table, CountingScalar(1))
+        top = _by_compositions(table)
         assert CountingScalar.mults == (1 << order) - 1
-        assert top.value == expected[order]
+        assert top == expected[order]
 
     @pytest.mark.parametrize("order", range(10))
     def test_walk_over_integers_with_zero_and_negative_keys(self, order):
@@ -614,18 +631,18 @@ class TestOperationScaling:
             if i >= 1:
                 rows[i - 1][i - 1] = 0
         table = _factorial_product_table(TriangularMatrix(tuple(map(tuple, rows))))
-        sums = pper_composition_sums(order, lambda i, j: table[i][j], 1)
+        sums = pper_composition_sums(order, lambda i, j: table[i][j])
         expected = term_sums(order, lambda i, j: table[i][j], 1)
         assert sums == expected
-        assert _by_compositions(table, 1) == expected[order]
+        assert _by_compositions(table) == expected[order]
         if order >= 3:
             assert sums[order - 2] == sums[order - 1] == 0
         counting = _factorial_product_table(
             TriangularMatrix(tuple(tuple(map(CountingScalar, row)) for row in rows))
         )
         for walk in (
-            lambda: pper_composition_sums(order, lambda i, j: counting[i][j], CountingScalar(1)),
-            lambda: _by_compositions(counting, CountingScalar(1)),
+            lambda: pper_composition_sums(order, lambda i, j: counting[i][j]),
+            lambda: _by_compositions(counting),
         ):
             CountingScalar.mults = 0
             walk()
@@ -633,6 +650,4 @@ class TestOperationScaling:
 
     def test_both_agree_while_counting(self):
         matrix = _counting_matrix(9, 3)
-        assert pper_by_last_row(matrix, CountingScalar(1)) == pper_by_compositions(
-            matrix, CountingScalar(1)
-        )
+        assert pper_by_last_row(matrix) == pper_by_compositions(matrix)

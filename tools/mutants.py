@@ -112,8 +112,8 @@ MUTANTS = (
     Mutant(
         "row-denominator-off-by-one",
         "zetapoly/lpoly.py",
-        "for i in range(1, s.g + 1)), 1, lambda i: i)",
-        "for i in range(1, s.g + 1)), 1, lambda i: i + 1)",
+        "for i in range(1, s.g + 1)), lambda i: i)",
+        "for i in range(1, s.g + 1)), lambda i: i + 1)",
         (
             f"{LPOLY}::TestCoefficients::test_pinned_small",
             f"{LPOLY}::TestCoefficients::test_three_methods_agree",
@@ -145,8 +145,8 @@ MUTANTS = (
     Mutant(
         "tally-row-slice-start-off-by-one",
         "zetapoly/defect2.py",
-        "_last_row((signs[i - 1::-1] for i",
-        "_last_row((signs[i - 2::-1] for i",
+        "_last_row(signs[i - 1::-1] for i",
+        "_last_row(signs[i - 2::-1] for i",
         (
             f"{DEFECT2}::TestSignClassification::test_counts_match_classification",
             f"{DEFECT2}::TestPrefixWalk::test_tallies_equal_classification",
@@ -180,8 +180,8 @@ MUTANTS = (
     Mutant(
         "composition-route-denominator-off-by-one",
         "zetapoly/lpoly.py",
-        "pper_composition_sums(s.g, lambda i, j: values[i - j], 1, lambda i: i)",
-        "pper_composition_sums(s.g, lambda i, j: values[i - j], 1, lambda i: i + 1)",
+        "pper_composition_sums(s.g, lambda i, j: values[i - j], lambda i: i)",
+        "pper_composition_sums(s.g, lambda i, j: values[i - j], lambda i: i + 1)",
         (
             f"{LPOLY}::TestCoefficients::test_three_methods_agree",
             f"{LPOLY}::TestIntegerRoutes::test_routes_match_fraction_recurrence",
@@ -298,7 +298,7 @@ MUTANTS = (
             f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
             f"{PPER}::TestOperationScaling::test_walk_over_integers_with_zero_and_negative_keys",
             f"{PPER}::TestGenericEvaluators::test_composition_sums_match_definition",
-            f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
+            f"{LPOLY}::TestCoefficients::test_three_methods_agree",
         ),
     ),
     Mutant(
@@ -321,7 +321,7 @@ MUTANTS = (
             f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
             f"{PPER}::TestOperationScaling::test_walk_over_integers_with_zero_and_negative_keys",
             f"{PPER}::TestGenericEvaluators::test_composition_sums_match_definition",
-            f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
+            f"{LPOLY}::TestCoefficients::test_three_methods_agree",
         ),
     ),
     Mutant(
@@ -348,8 +348,8 @@ MUTANTS = (
     Mutant(
         "walk-top-small-orders-too-few",
         "zetapoly/parapermanent.py",
-        "if n < 3:\n        return _walk(n, keys, one)[n]",
-        "if n < 2:\n        return _walk(n, keys, one)[n]",
+        "if n < 3:\n        return _walk(n, keys)[n]",
+        "if n < 2:\n        return _walk(n, keys)[n]",
         (
             f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
             f"{PPER}::TestOperationScaling::test_walk_over_integers_with_zero_and_negative_keys",
@@ -410,6 +410,36 @@ MUTANTS = (
             f"{DEFECT2}::TestPastTwentyFour::test_coefficients_at_one_hundred",
             f"{DEFECT2}::TestSymmetry::test_holds",
             f"{DEFECT2}::TestListApis::test_coefficients_equal_per_n_calls",
+        ),
+    ),
+    Mutant(
+        "all-runs-walk-past-budget",
+        "zetapoly/cli.py",
+        "\n        or _walk_seconds(s.g, lpoly._composition_walk_bits(s)) > _MAX_PPER_SECONDS\n",
+        "\n",
+        (
+            f"{CLI}::TestLPolyCommand::test_all_skips_walk_past_budget",
+            f"{CLI}::TestArgvFuzz::test_exit_codes_and_time",
+        ),
+    ),
+    Mutant(
+        "walk-root-skips-its-multiplication",
+        "zetapoly/parapermanent.py",
+        "sums = [1] + [1 * key for key in keys[0]]",
+        "sums = [1] + keys[0]",
+        (
+            f"{PPER}::TestOperationScaling::test_composition_sum_is_exponential",
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+        ),
+    ),
+    Mutant(
+        "scaled-table-read-out-twice",
+        "zetapoly/parapermanent.py",
+        "return value if scaled is matrix else scaled.read_out(value)",
+        "return scaled.read_out(value)",
+        (
+            f"{RECORDS}::test_scaled_table_twins_evaluate_equal",
+            f"{CLI}::TestPperCommand::test_golden_formats",
         ),
     ),
     Mutant(
