@@ -94,10 +94,11 @@ _MAX_WALK_ORDER = 20
 # compositions or all), and multiplying b-bit integers costs about b^log2(3)
 # (Karatsuba).
 # Seconds per walked composition, and per composition and unit of that
-# cost (Python 3.11, 2 cores).  The fit predates the column
-# scaling, both walk folds and pper's walk that adds only its own order's
-# terms, so the estimate errs high; the constants are kept so that pper
-# accepts and refuses the tables it always has.
+# cost (Python 3.11, 2 cores).  The fit predates the column scaling, the
+# walks' three folded levels (only nodes with four or more children are
+# pushed) and pper's walk that adds only its own order's terms, so the
+# estimate errs high, and further with each of them; the constants are
+# kept so that pper accepts and refuses the tables it always has.
 _INTEGER_NODE_S = 3.5e-7
 _INTEGER_WALK_S = 1.2e-11
 _MAX_PPER_SECONDS = 1.5
@@ -520,7 +521,13 @@ def _cmd_defect2_analyze(args: list[str], out: TextIO, err: TextIO) -> int:
 
 def _cmd_compositions(args: list[str], out: TextIO, err: TextIO) -> int:
     parser = _Parser(prog="zetapoly compositions", add_help=True)
-    parser.add_argument("--n", required=True)
+    parser.add_argument(
+        "--n",
+        required=True,
+        help=f"0 <= N <= {_MAX_COMPOSITION_N}; lists all 2^(N-1) compositions of N, an "
+        "unbounded stream with no time budget that doubles with each N (N = 22 writes "
+        "over two million lines, 12-14 s to /dev/null)",
+    )
     _add_format_option(parser)
     ns = parser.parse_args(args)
     n = _int_option("--n", ns.n)

@@ -17,10 +17,10 @@ and a caller whose fp(i, j) depends only on i - j (lpoly's route, defect2's
 sign tallies) hands it slices of one sequence.  _last_row and
 pper_composition_sums take an optional denominator d(i) for each row's
 diagonal entry, which keeps lpoly's prefixes at the size of its
-coefficients.  pper_by_compositions needs one order only, so its walk
-forms the same 2**n - 1 nodes, each from its parent's product, but adds
-only the 2**(n-1) terms of order n; it shares pper_composition_sums'
-per-prefix child records and nothing with the recurrence.
+coefficients.  pper_by_compositions needs one order only: its walk forms
+the same 2**n - 1 nodes, each from its parent's product, and folds the
+same last three levels, but adds only the 2**(n-1) terms of order n.  It
+shares pper_composition_sums' child records and nothing with the recurrence.
 
 Entries may be any exact scalar supporting + and * (Fraction, QuadExt, or
 similar) that also multiplies with an int: every evaluator starts its
@@ -146,15 +146,15 @@ def pper_composition_sums(
     multiplication each, plus O(n^2) calls to fp.
 
     The root is expanded first, so its children give every order its first
-    term.  Only nodes with three or more children are pushed; the last two
+    term.  Only nodes with four or more children are pushed; the last three
     levels are expanded where their parent forms them.  A node at prefix
-    n-1 has one child, the leaf fp(n, n) away, and a node at prefix n-2
-    has two: order n-1, whose own leaf is at order n, and order n.  So
-    when a node forms its order-(n-2) child it adds that child, its
-    order-(n-1) child and their two order-n terms to running totals for
-    orders n-2, n-1 and n; its own order-(n-1) child, that child's leaf and
-    its own order-n child go there too.  Every term is still formed from
-    its parent's product.
+    n-1 has one node below it, the leaf fp(n, n) away, a node at prefix
+    n-2 has three (order n-1, its leaf, and order n), and a node at prefix
+    n-3 has seven.  So a popped node forms its children of orders n-3,
+    n-2, n-1 and n and the 7, 3 and 1 nodes under the first three, 15 in
+    all, and adds each to a running total for its order.  Orders below 4
+    are too short to fold and are walked plainly.  Every term is still
+    formed from its parent's product.
 
     denominator d(i) divides row i's diagonal entry: the key fp(i, j) / d(i)
     is taken times prod_{k=j..i} d(k), i.e. as fp(i, j) * prod_{k=j..i-1}
@@ -187,27 +187,47 @@ def _walk(n: int, keys: list[list[Any]]) -> list[Any]:
     # the sums of orders 0..n over keys[N][m-1], the factor for appending
     # part m at prefix N
     sums = [1] + [1 * key for key in keys[0]]
-    if n < 2:
+    if n < 4:
+        # too short to fold: every node is pushed
+        stack = list(zip(range(1, n + 1), sums[1:]))
+        while stack:
+            prefix, product = stack.pop()
+            for order, key in enumerate(keys[prefix], start=prefix + 1):
+                term = product * key
+                sums[order] += term
+                stack.append((order, term))
         return sums
     leaf = keys[n - 1][0]
-    if n == 2:
-        sums[2] += sums[1] * leaf
-        return sums
-    children = _child_records(n, keys)
-    # a prefix-(n-2) node's children: order n-1, then order n
     inner, outer = keys[n - 2]
-    low = sums[n - 2]
-    child = low * inner
-    middle = sums[n - 1] + child
-    top = sums[n] + sums[n - 1] * leaf + child * leaf + low * outer
-    stack = list(zip(range(1, n - 2), sums[1 : n - 2]))
+    near, mid, far = keys[n - 3]
+    children = _child_records(n, keys)
+    # the root's order-(n-3) child deep, order-(n-2) child low and
+    # order-(n-1) child middle, and the nodes under them
+    deep, low, middle = sums[n - 3 : n]
+    child = deep * near
+    grand = child * inner
+    side = deep * mid
+    term = low * inner
+    top = sums[n] + grand * leaf + child * outer + side * leaf + deep * far
+    top += term * leaf + low * outer + middle * leaf
+    low += child
+    middle += grand + side + term
+    stack = list(zip(range(1, n - 3), sums[1 : n - 3]))
     while stack:
         prefix, product = stack.pop()
-        pushed, low_key, middle_key, top_key = children[prefix]
+        pushed, deep_key, low_key, middle_key, top_key = children[prefix]
         for order, key in pushed:
             term = product * key
             sums[order] += term
             stack.append((order, term))
+        term = product * deep_key
+        child = term * near
+        grand = child * inner
+        side = term * mid
+        deep += term
+        low += child
+        middle += grand + side
+        top += grand * leaf + child * outer + side * leaf + term * far
         term = product * low_key
         child = term * inner
         low += term
@@ -216,6 +236,7 @@ def _walk(n: int, keys: list[list[Any]]) -> list[Any]:
         term = product * middle_key
         middle += term
         top += term * leaf + product * top_key
+    sums[n - 3] = deep
     sums[n - 2] = low
     sums[n - 1] = middle
     sums[n] = top
@@ -223,37 +244,44 @@ def _walk(n: int, keys: list[list[Any]]) -> list[Any]:
 
 
 def _child_records(n: int, keys: list[list[Any]]) -> list[Any]:
-    # children[N] for N <= n-3: the (order, key) pairs of the children that
-    # are pushed, then the keys of the order-(n-2), order-(n-1) and order-n
-    # children
+    # children[N] for N <= n-4: the (order, key) pairs of the children that
+    # are pushed, then the keys of the order-(n-3), order-(n-2), order-(n-1)
+    # and order-n children
     return [
-        (list(enumerate(row[:-3], start=prefix + 1)), row[-3], row[-2], row[-1])
-        for prefix, row in enumerate(keys[: n - 2])
+        (list(enumerate(row[:-4], start=prefix + 1)), row[-4], row[-3], row[-2], row[-1])
+        for prefix, row in enumerate(keys[: n - 3])
     ]
 
 
 def _walk_top(n: int, keys: list[list[Any]]) -> Any:
     # _walk's sum of order n alone: the same nodes, each formed from its
     # parent's product, but only the order-n terms are added
-    if n < 3:
+    if n < 4:
         return _walk(n, keys)[n]
     leaf = keys[n - 1][0]
     inner, outer = keys[n - 2]
+    near, mid, far = keys[n - 3]
     children = _child_records(n, keys)
     first = [1 * key for key in keys[0]]
-    # a node's order-n terms: those under its order-(n-2) child low, under
-    # its order-(n-1) child middle, and its own order-n child
-    low, middle, top = first[n - 3 :]
+    # a node's order-n terms: those under its order-(n-3) child deep, under
+    # its order-(n-2) child low, under its order-(n-1) child middle, and its
+    # own order-n child
+    deep, low, middle, top = first[n - 4 :]
+    child = deep * near
+    top += child * inner * leaf + child * outer + deep * mid * leaf + deep * far
     top += low * inner * leaf + low * outer + middle * leaf
-    stack = list(zip(range(1, n - 2), first[: n - 3]))
+    stack = list(zip(range(1, n - 3), first[: n - 4]))
     while stack:
         prefix, product = stack.pop()
-        pushed, low_key, middle_key, top_key = children[prefix]
+        pushed, deep_key, low_key, middle_key, top_key = children[prefix]
         for order, key in pushed:
             stack.append((order, product * key))
+        deep = product * deep_key
+        child = deep * near
         low = product * low_key
-        middle = product * middle_key
-        top += low * inner * leaf + low * outer + middle * leaf + product * top_key
+        top += child * inner * leaf + child * outer + deep * mid * leaf + deep * far
+        top += low * inner * leaf + low * outer + product * middle_key * leaf
+        top += product * top_key
     return top
 
 

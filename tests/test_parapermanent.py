@@ -605,9 +605,10 @@ class TestOperationScaling:
     @pytest.mark.parametrize("order", range(14))
     def test_walk_forms_each_term_once(self, order):
         # one multiplication per composition of each order 1..order, and
-        # every sum equal to its terms added one by one; orders <= 3 leave
-        # the stack empty after the root (orders <= 2 never build it).  The
-        # one-order walk forms the same nodes and adds only order's terms
+        # every sum equal to its terms added one by one; orders <= 3 take
+        # the unfolded walk, and order 4 leaves the stack empty after the
+        # root.  The one-order walk forms the same nodes and adds only
+        # order's terms
         table = _factorial_product_table(_counting_matrix(order, order))
         CountingScalar.mults = 0
         sums = pper_composition_sums(order, lambda i, j: table[i][j])
@@ -621,13 +622,14 @@ class TestOperationScaling:
 
     @pytest.mark.parametrize("order", range(10))
     def test_walk_over_integers_with_zero_and_negative_keys(self, order):
-        # entries in -3..3, with the diagonal entries (n-2, n-2) and
-        # (n-1, n-1) set to zero: every order-(n-2) term and the key from
-        # prefix n-2 to order n-1 are then zero, and the folded levels
-        # must still add, and multiply, every term
+        # entries in -3..3, with the diagonal entries (n-3, n-3), (n-2, n-2)
+        # and (n-1, n-1) set to zero: every term of orders n-3, n-2 and n-1
+        # and the keys from prefix n-3 to order n-2 and from prefix n-2 to
+        # order n-1 are then zero, and the folded levels must still add,
+        # and multiply, every term
         rng = random.Random(order)
         rows = [[rng.randint(-3, 3) for _ in range(i)] for i in range(1, order + 1)]
-        for i in (order - 2, order - 1):
+        for i in (order - 3, order - 2, order - 1):
             if i >= 1:
                 rows[i - 1][i - 1] = 0
         table = _factorial_product_table(TriangularMatrix(tuple(map(tuple, rows))))
@@ -635,7 +637,9 @@ class TestOperationScaling:
         expected = term_sums(order, lambda i, j: table[i][j], 1)
         assert sums == expected
         assert _by_compositions(table) == expected[order]
-        if order >= 3:
+        if order >= 4:
+            assert sums[order - 3] == sums[order - 2] == sums[order - 1] == 0
+        elif order == 3:
             assert sums[order - 2] == sums[order - 1] == 0
         counting = _factorial_product_table(
             TriangularMatrix(tuple(tuple(map(CountingScalar, row)) for row in rows))

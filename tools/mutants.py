@@ -304,8 +304,8 @@ MUTANTS = (
     Mutant(
         "walk-top-key-wrong-slot",
         "zetapoly/parapermanent.py",
-        "row[-3], row[-2], row[-1])",
-        "row[-3], row[-2], row[-2])",
+        "row[-4], row[-3], row[-2], row[-1])",
+        "row[-4], row[-3], row[-2], row[-2])",
         (
             f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
             f"{PPER}::TestGenericEvaluators::test_composition_sums_match_definition",
@@ -327,8 +327,8 @@ MUTANTS = (
     Mutant(
         "walk-top-drops-second-level-term",
         "zetapoly/parapermanent.py",
-        "+ low * outer + middle * leaf + product * top_key",
-        "+ middle * leaf + product * top_key",
+        "+ low * outer + product * middle_key * leaf\n",
+        "+ product * middle_key * leaf\n",
         (
             f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
             f"{PPER}::TestOperationScaling::test_walk_over_integers_with_zero_and_negative_keys",
@@ -338,8 +338,8 @@ MUTANTS = (
     Mutant(
         "walk-top-root-leaf-wrong-key",
         "zetapoly/parapermanent.py",
-        "+ low * outer + middle * leaf\n",
-        "+ low * outer + middle * inner\n",
+        "low * outer + middle * leaf\n    stack",
+        "low * outer + middle * inner\n    stack",
         (
             f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
             f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
@@ -348,12 +348,56 @@ MUTANTS = (
     Mutant(
         "walk-top-small-orders-too-few",
         "zetapoly/parapermanent.py",
+        "if n < 4:\n        return _walk(n, keys)[n]",
         "if n < 3:\n        return _walk(n, keys)[n]",
-        "if n < 2:\n        return _walk(n, keys)[n]",
         (
             f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
             f"{PPER}::TestOperationScaling::test_walk_over_integers_with_zero_and_negative_keys",
             f"{PPER}::TestSmallOrders::test_order_two",
+        ),
+    ),
+    Mutant(
+        "walk-drops-third-level-top-term",
+        "zetapoly/parapermanent.py",
+        "+ side * leaf + term * far\n",
+        "+ side * leaf\n",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestOperationScaling::test_walk_over_integers_with_zero_and_negative_keys",
+            f"{PPER}::TestGenericEvaluators::test_composition_sums_match_definition",
+            f"{LPOLY}::TestCoefficients::test_three_methods_agree",
+        ),
+    ),
+    Mutant(
+        "walk-root-drops-third-level-term",
+        "zetapoly/parapermanent.py",
+        "middle += grand + side + term\n",
+        "middle += side + term\n",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestGenericEvaluators::test_composition_sums_match_definition",
+            f"{LPOLY}::TestCoefficients::test_three_methods_agree",
+        ),
+    ),
+    Mutant(
+        "walk-top-third-level-key-wrong-slot",
+        "zetapoly/parapermanent.py",
+        "deep = product * deep_key",
+        "deep = product * low_key",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
+        ),
+    ),
+    Mutant(
+        "walk-top-root-drops-third-level-terms",
+        "zetapoly/parapermanent.py",
+        "\n    top += child * inner * leaf + child * outer",
+        "\n    top += child * outer",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestOperationScaling::test_walk_over_integers_with_zero_and_negative_keys",
+            f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
         ),
     ),
     Mutant(
