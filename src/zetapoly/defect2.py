@@ -48,18 +48,20 @@ independent check, it stands in for the trace-data L-polynomial in
 verify_symmetry and analyze, and the command line sizes a report by it.
 
 On top of it sit the sign bookkeeping (classify, count_signs,
-sign_tallies), the pi/4 <-> 3pi/4 symmetry check, the sign/growth
-verdicts, and a combined report generator that cross-checks everything
-against the closed form and the recurrence.
+sign_tallies), the pi/4 <-> 3pi/4 symmetry check, and the report
+generator analyze, whose verdicts are columns over n from one claim
+rule (_claims, shared with verify_theorem_signs) and one tally rule.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import cycle, repeat
+from operator import eq, ge, gt, mul, sub
 from typing import Optional, Sequence, Union
 
-from .arith import QuadExt, pow2_half
+from .arith import _ZERO, QuadExt, pow2_half
 from .compositions import Composition
 from .errors import ConsistencyError, _Frozen, describe
 from .lpoly import SSequence, _s_values, coeffs_by_parapermanent, coeffs_by_recurrence
@@ -71,6 +73,9 @@ class Theta(enum.Enum):
 
     PI_4 = "pi4"
     THREE_PI_4 = "3pi4"
+
+    # members are singletons: hash them by identity, in C, not by Enum's Python call
+    __hash__ = object.__hash__
 
     @property
     def trace_value(self) -> int:
@@ -99,10 +104,12 @@ def c_theta(m: int, g: int, theta: Theta) -> QuadExt:
     """The per-part weight: one of +-(g-1)sqrt(2)/2, -1, -(g-2), g by m mod 8."""
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
-    res = residue_class(m)
-    if res % 2:
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    res = m & 7  # residue_class(m), with class 8 read as 0
+    if res & 1:
         sign = 1 if res in _ODD_PLUS[theta] else -1
-        return QuadExt(irr=Fraction(sign * (g - 1), 2))
+        return QuadExt(_ZERO, Fraction(sign * (g - 1), 2))
     if res in (2, 6):
         return QuadExt(-1)
     if res == 4:
@@ -305,7 +312,9 @@ def _branch_coeffs(max_n: int, g: int, theta: Theta) -> list[int]:
 def _check_agreement(
     route: str, values: list[int], expected: list[int], g: int, theta: Theta
 ) -> None:
-    # the pass's a_0..a_max_n against another route's; a mismatch raises
+    # the pass's a_0..a_max_n against another route's, compared whole first
+    if values == expected:
+        return
     for n, (value, other) in enumerate(zip(values, expected)):
         if value != other:
             raise ConsistencyError(
@@ -366,16 +375,19 @@ class SignReport(_Frozen):
         return all(self.sign_ok.values()) and all(growth.values())
 
 
-def _sign_claim_ok(n: int, value: int, theta: Theta) -> bool:
-    if theta is Theta.THREE_PI_4:
-        return value > 0
-    return value > 0 if n % 2 == 0 else value < 0
+def _sign_column(values: Sequence[int], theta: Theta) -> list[bool]:
+    # entry n: values[n] has a_n's claimed sign, + on 3pi/4, (-1)^n on pi/4
+    if theta is Theta.PI_4:
+        values = map(mul, values, cycle((1, -1)))
+    return [value > 0 for value in values]
 
 
-def _claims(values: Sequence[int], n: int, theta: Theta) -> tuple[bool, bool, bool]:
-    # the claims on a_n: its sign, |a_n| >= |a_(n-1)| and |a_n| > |a_(n-1)|
-    size, before = abs(values[n]), abs(values[n - 1])
-    return _sign_claim_ok(n, values[n], theta), size >= before, size > before
+def _claims(values: Sequence[int], theta: Theta) -> tuple[list[bool], ...]:
+    # columns over n = 1..len - 1 on a_n = values[n]: its sign claim,
+    # |a_n| >= |a_(n-1)| and |a_n| > |a_(n-1)|
+    sizes = list(map(abs, values))
+    sign = _sign_column(values, theta)[1:]
+    return sign, list(map(ge, sizes[1:], sizes)), list(map(gt, sizes[1:], sizes))
 
 
 def _theorem_mode(g: int) -> str:
@@ -402,9 +414,8 @@ def verify_theorem_signs(g: int) -> SignReport:
     growth_weak = {}
     growth_strict = {}
     for theta in _THETAS:
-        claims = [_claims(a[theta], n, theta) for n in range(1, g + 1)]
-        sign_ok[theta], growth_weak[theta], growth_strict[theta] = (
-            all(column) for column in zip(*claims)
+        sign_ok[theta], growth_weak[theta], growth_strict[theta] = map(
+            all, _claims(a[theta], theta)
         )
     return SignReport(g, mode, a, sign_ok, growth_weak, growth_strict)
 
@@ -507,21 +518,14 @@ class Defect2Report(_Frozen):
         }
 
 
-def _tally_checks(
-    n: int, theta: Theta, delta: int, signed: int, prev_delta: Optional[int]
-) -> bool:
-    # signed = P+ - P- has the sign claimed for a_n; pinned small-n values,
-    # then the > n growth regime
-    if not _sign_claim_ok(n, signed, theta):
-        return False
-    if n in (2, 3):
-        return delta == 2
-    if n in (4, 5):
-        return delta == 4
-    ok = delta > n
-    if n >= 7 and prev_delta is not None:
-        ok = ok and delta > prev_delta
-    return ok
+def _tally_claims(nets: Sequence[int], theta: Theta) -> tuple[list[bool], ...]:
+    # columns over n = 2..len - 1 on P+ - P- = nets[n]: the sign claimed for
+    # a_n; |P+ - P-| = 2, 2, 4, 4 at n = 2..5, > n from 6, rising from n = 7
+    deltas = list(map(abs, nets))
+    sizes = list(map(eq, deltas[2:6], (2, 2, 4, 4)))
+    sizes += map(gt, deltas[6:], range(6, len(deltas)))
+    growth = [True] * 5 + list(map(gt, deltas[7:], deltas[6:]))
+    return _sign_column(nets, theta)[2:], sizes, growth
 
 
 def analyze(
@@ -557,33 +561,26 @@ def analyze(
 
     _check_threads(threads)
     weights = [_pass_weights(max_n, g, theta) for theta in selected]
-    symmetric: Optional[list[bool]] = None
+    symmetry_verdicts: list[Optional[bool]] = [None] * max_n
     if len(selected) == 2:
-        symmetric = _symmetry_verdicts(*weights)
+        symmetry_verdicts = _symmetry_verdicts(*weights)[1:]
     theorem_mode = _theorem_mode(g)
 
-    # each branch's columns over n = 1..max_n: its cells, its tally
-    # verdicts and its claims on |a_n|; then the rows across them
+    # each branch's columns over n = 1..max_n: (theta, cell) pairs, tally
+    # claims, sign and weak growth claims; a row's verdict is all of them
     cells, tally_columns, claim_columns = [], [], []
     for theta, branch in zip(selected, weights):
         values = coeffs_by_parapermanent(SSequence(2, branch))
         _check_agreement("closed form", values, _branch_coeffs(max_n, g, theta), g, theta)
         _check_agreement("recurrence", values, a_list_theta_recurrence(max_n, g, theta), g, theta)
         if g > 2:
-            tallies = _tallies(branch)
-            deltas = [abs(plus - minus) for plus, minus in tallies]
-            cells.append([ThetaCell(a, *tally) for a, tally in zip(values[1:], tallies[1:])])
-            column = []
-            for n, (plus, minus) in enumerate(tallies[2:], start=2):
-                previous = deltas[n - 1] if n >= 3 else None
-                column.append(_tally_checks(n, theta, deltas[n], plus - minus, previous))
-            tally_columns.append(column)
+            plus, minus = zip(*_tallies(branch))
+            tally_columns += _tally_claims(list(map(sub, plus, minus)), theta)
+            plus, minus = plus[1:], minus[1:]
         else:
-            cells.append([ThetaCell(a, None, None) for a in values[1:]])
-        if theorem_mode != "vacuous":
-            claim_columns.append(
-                [all(_claims(values, n, theta)[:2]) for n in range(1, max_n + 1)]
-            )
+            plus = minus = repeat(None)
+        cells.append(zip(repeat(theta), map(ThetaCell, values[1:], plus, minus)))
+        claim_columns += _claims(values, theta)[:2]
 
     tally_verdicts: list[Optional[bool]] = [None] * max_n
     if g > 2:
@@ -591,18 +588,16 @@ def analyze(
     if theorem_mode == "vacuous":
         theorem_verdicts: list[Union[bool, str, None]] = ["vacuous"] * max_n
     else:
-        holds = list(map(all, zip(*claim_columns)))
+        holds = map(all, zip(*claim_columns))
         if theorem_mode == "proven":
-            theorem_verdicts = holds
+            theorem_verdicts = list(holds)
         else:
             theorem_verdicts = ["conjecture" if claims else False for claims in holds]
-    symmetry_verdicts = [None] * max_n if symmetric is None else symmetric[1:]
-    rows = [
-        ReportRow(n, dict(zip(selected, row_cells)), symmetry_ok, tally_ok, theorem_ok)
-        for n, row_cells, symmetry_ok, tally_ok, theorem_ok in zip(
-            range(1, max_n + 1), zip(*cells), symmetry_verdicts, tally_verdicts, theorem_verdicts
-        )
-    ]
+    # a list: tuple() of an iterator resizes, and the freed tuples fill a free list
+    rows = list(map(
+        ReportRow, range(1, max_n + 1), map(dict, zip(*cells)),
+        symmetry_verdicts, tally_verdicts, theorem_verdicts,
+    ))
 
     return Defect2Report(
         g=g,

@@ -70,9 +70,12 @@ class SSequence(_Frozen):
     def __init__(self, q: int, s: Iterable[int]) -> None:
         s = tuple(s)
         _check_q(q)
-        for r, value in enumerate(s, start=1):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"S_{r} must be an integer, got {value!r}")
+        # values of type int itself pass in one C-level scan; only another
+        # type (an int subclass, a bool, a non-integer) takes the loop
+        if not {int}.issuperset(map(type, s)):
+            for r, value in enumerate(s, start=1):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValueError(f"S_{r} must be an integer, got {value!r}")
         fields = self.__dict__
         fields["q"] = q
         fields["s"] = s

@@ -6,7 +6,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zetapoly import defect2
 from zetapoly.arith import QuadExt
@@ -355,6 +355,160 @@ class TestAnalyze:
             analyze(5, max_n=0)
         with pytest.raises(ValueError):
             analyze(5, thetas=())
+
+
+def _sign_rule(n, value, theta):
+    # the sign claimed for a_n: positive on 3pi/4, (-1)^n on pi/4
+    if theta is Theta.THREE_PI_4 or n % 2 == 0:
+        return value > 0
+    return value < 0
+
+
+def _claim_rule(values, n, theta):
+    # the claims on a_n = values[n]: its sign, |a_n| >= |a_(n-1)| and
+    # |a_n| > |a_(n-1)|
+    size, before = abs(values[n]), abs(values[n - 1])
+    return _sign_rule(n, values[n], theta), size >= before, size > before
+
+
+def _tally_rule(nets, n, theta):
+    # the claims on P+ - P- = nets[n] for n >= 2: the sign claimed for a_n,
+    # |P+ - P-| = 2 at n = 2, 3 and 4 at n = 4, 5, then |P+ - P-| > n, and
+    # from n = 7 also |P+ - P-| above its value at n - 1
+    delta = abs(nets[n])
+    if not _sign_rule(n, nets[n], theta):
+        return False
+    if n in (2, 3):
+        return delta == 2
+    if n in (4, 5):
+        return delta == 4
+    return delta > n and (n < 7 or delta > abs(nets[n - 1]))
+
+
+def _rebuilt_report(g, max_n, selected):
+    # analyze's report from the per-n rules above, the recurrence's a_n, the
+    # sign tallies and the per-part symmetry of the branches' S-values
+    values = {theta: a_list_theta_recurrence(max_n, g, theta) for theta in selected}
+    tallies = {theta: sign_tallies(max_n, g, theta) for theta in selected if g > 2}
+    nets = {theta: [plus - minus for plus, minus in tallies[theta]] for theta in tallies}
+    weights = {theta: defect2._pass_weights(max_n, g, theta) for theta in BOTH}
+    mode = "vacuous" if g == 1 else "proven" if g <= 6 else "conjecture"
+    rows = []
+    for n in range(1, max_n + 1):
+        cells = {}
+        for theta in selected:
+            plus, minus = tallies[theta][n] if g > 2 else (None, None)
+            cells[theta] = defect2.ThetaCell(values[theta][n], plus, minus)
+        symmetry_ok = None
+        if len(selected) == 2:
+            symmetry_ok = all(
+                weights[Theta.PI_4][m - 1] == (-1) ** m * weights[Theta.THREE_PI_4][m - 1]
+                for m in range(1, n + 1)
+            )
+        tally_ok = None
+        if g > 2 and n >= 2:
+            tally_ok = all(_tally_rule(nets[theta], n, theta) for theta in selected)
+        claims = all(all(_claim_rule(values[theta], n, theta)[:2]) for theta in selected)
+        if mode == "vacuous":
+            theorem_ok = "vacuous"
+        elif mode == "proven":
+            theorem_ok = claims
+        else:
+            theorem_ok = "conjecture" if claims else False
+        rows.append(defect2.ReportRow(n, cells, symmetry_ok, tally_ok, theorem_ok))
+    every = {theta: True for theta in selected}
+    return defect2.Defect2Report(g, max_n, selected, mode, tuple(rows), every, dict(every))
+
+
+# integers whose magnitudes tie, fall and rise, small enough to meet the
+# pinned deltas 2 and 4 and large enough to pass n
+_NETS = st.lists(st.one_of(st.integers(-6, 6), st.integers(-40, 40)), min_size=1, max_size=30)
+
+
+class TestVerdictColumns:
+    @given(_NETS)
+    @settings(deadline=None, max_examples=300)
+    @example([1, -1, 1, 3, -3, 2, 0])  # ties, falls and rises
+    @example([1, -1, 2, -2, 4, -4, 12, 9, 10])  # pinned deltas; |n = 7| < |n = 6|
+    @example([1, 2, 2, 4, 4, 5, 9, 12])  # 3pi/4 holds throughout
+    def test_columns_follow_the_per_n_rules(self, values):
+        for theta in BOTH:
+            sign, weak, strict = defect2._claims(values, theta)
+            expected = [_claim_rule(values, n, theta) for n in range(1, len(values))]
+            assert list(zip(sign, weak, strict)) == expected
+            verdicts = list(map(all, zip(*defect2._tally_claims(values, theta))))
+            assert verdicts == [_tally_rule(values, n, theta) for n in range(2, len(values))]
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("selected", [BOTH, (Theta.PI_4,), (Theta.THREE_PI_4,)])
+    @pytest.mark.parametrize("g", [8, 12, 20])
+    def test_tally_fault_fails_its_rows(self, monkeypatch, g, selected, swap):
+        # one (P+, P-) pair shifted at n.  Swapped, P+ - P- has the wrong
+        # sign at n; moved 2^n further apart each, |P+ - P-| leaves its
+        # pinned value at n <= 5 and outgrows n + 1's from n = 6.  tally_ok
+        # is False on the rows the per-n rule names, n or n + 1, and True
+        # elsewhere
+        real = defect2._tallies
+        for fault in sorted({2, 3, 5, 6, 7, g - 1} | ({g} if swap else set())):
+
+            def shifted(weights):
+                tallies = real(weights)
+                plus, minus = tallies[fault]
+                step = 1 << fault if plus >= minus else -(1 << fault)
+                tallies[fault] = (minus, plus) if swap else (plus + step, minus - step)
+                return tallies
+
+            monkeypatch.setattr(defect2, "_tallies", shifted)
+            report = analyze(g, thetas=selected)
+            nets = {}
+            for theta in selected:
+                tallies = shifted(defect2._pass_weights(g, g, theta))
+                nets[theta] = [plus - minus for plus, minus in tallies]
+                cell = report.rows[fault - 1].cells[theta]
+                assert (cell.p_plus, cell.p_minus) == tallies[fault]
+            expected = [
+                all(_tally_rule(nets[theta], n, theta) for theta in selected)
+                for n in range(2, g + 1)
+            ]
+            assert [row.tally_ok for row in report.rows] == [None] + expected
+            failed = {n for n, ok in enumerate(expected, start=2) if not ok}
+            if swap:
+                assert fault in failed
+                assert failed <= {fault, fault + 1}
+            else:
+                assert failed == ({fault} if fault <= 5 else {fault + 1})
+
+    def test_report_equals_the_per_n_rules(self):
+        selections = (BOTH, (Theta.PI_4,), (Theta.THREE_PI_4,))
+        for g in range(1, 41):
+            for max_n in range(1, g + 1):
+                for selected in selections:
+                    assert analyze(g, max_n, selected) == _rebuilt_report(g, max_n, selected)
+            report = verify_theorem_signs(g)
+            if g == 1:
+                assert report.sign_ok == report.growth_weak == report.growth_strict == {}
+                continue
+            for theta in BOTH:
+                values = report.a[theta]
+                columns = list(zip(*(_claim_rule(values, n, theta) for n in range(1, g + 1))))
+                assert columns == [tuple(column) for column in defect2._claims(values, theta)]
+                assert report.sign_ok[theta] is all(columns[0])
+                assert report.growth_weak[theta] is all(columns[1])
+                assert report.growth_strict[theta] is all(columns[2])
+
+    def test_disagreement_at_the_last_n_raises(self, monkeypatch):
+        # a class-6 weight of the same sign on both branches moves a_6 alone
+        # (its one-part term), so the routes differ at the last n only
+        patched = _with_weight(defect2.c_theta, (6,), BOTH, lambda g: QuadExt(-4))
+        monkeypatch.setattr(defect2, "c_theta", patched)
+        assert analyze(6, max_n=5).max_n == 5
+        with pytest.raises(ConsistencyError, match="closed form at n=6, g=6, theta=pi4"):
+            analyze(6)
+        with pytest.raises(ConsistencyError, match="closed form at n=6, g=6"):
+            verify_symmetry(6, 6)
+        with pytest.raises(ConsistencyError, match=r"recurrence at n=2, g=5, theta=3pi4: 3 vs 4$"):
+            defect2._check_agreement("recurrence", [1, 2, 3], [1, 2, 4], 5, Theta.THREE_PI_4)
+        defect2._check_agreement("recurrence", [1, 2, 3], [1, 2, 3], 5, Theta.THREE_PI_4)
 
 
 class TestConsistencyGuards:

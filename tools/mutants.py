@@ -170,12 +170,36 @@ MUTANTS = (
     Mutant(
         "tally-previous-delta-is-own",
         "zetapoly/defect2.py",
-        "previous = deltas[n - 1] if n >= 3 else None",
-        "previous = deltas[n] if n >= 3 else None",
+        "deltas[7:], deltas[6:]))",
+        "deltas[7:], deltas[7:]))",
         (
             f"{CLI}::TestDefect2Command::test_rows_stop_at_24_golden",
             f"{CLI}::TestDefect2Command::test_json_golden",
         ),
+    ),
+    Mutant(
+        "tally-growth-from-eight",
+        "zetapoly/defect2.py",
+        "[True] * 5 + list(map(gt, deltas[7:], deltas[6:]))",
+        "[True] * 6 + list(map(gt, deltas[8:], deltas[7:]))",
+        (
+            f"{DEFECT2}::TestVerdictColumns::test_columns_follow_the_per_n_rules",
+            f"{DEFECT2}::TestVerdictColumns::test_tally_fault_fails_its_rows",
+        ),
+    ),
+    Mutant(
+        "claim-weak-growth-strict",
+        "zetapoly/defect2.py",
+        "list(map(ge, sizes[1:], sizes))",
+        "list(map(gt, sizes[1:], sizes))",
+        (f"{DEFECT2}::TestVerdictColumns::test_columns_follow_the_per_n_rules",),
+    ),
+    Mutant(
+        "agreement-fast-path-drops-last-n",
+        "zetapoly/defect2.py",
+        "if values == expected:",
+        "if values[:-1] == expected[:-1]:",
+        (f"{DEFECT2}::TestVerdictColumns::test_disagreement_at_the_last_n_raises",),
     ),
     Mutant(
         "composition-route-denominator-off-by-one",
