@@ -23,8 +23,8 @@ same last three levels, but adds only the 2**(n-1) terms of order n.  It
 shares pper_composition_sums' child records and nothing with the recurrence.
 
 Entries may be any exact scalar supporting + and * (Fraction, QuadExt, or
-similar) that also multiplies with an int: every evaluator starts its
-products from the int 1, the parapermanent of the order-0 table.
+similar) that also adds to the int 0 and multiplies with the int 1: every
+sum starts from 0 and every product from 1, the order-0 parapermanent.
 A rational table (every entry an int or a Fraction) is evaluated in plain
 integers, and the rule for that lives here alone: scale_columns multiplies
 entry (i, k) by c_k, the lcm of the denominators of column k, once.  A
@@ -54,7 +54,7 @@ class TriangularMatrix(_Frozen):
     __match_args__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[Any]]) -> None:
-        rows = tuple(tuple(row) for row in rows)
+        rows = tuple([tuple(row) for row in rows])
         for i, row in enumerate(rows, start=1):
             if len(row) != i:
                 raise ValueError(f"row {i} must have {i} entries, got {len(row)}")
@@ -119,8 +119,7 @@ def _last_row(
     prefixes = [1]
     yield 1
     for i, row in enumerate(rows, start=1):
-        products = map(mul, row, prefixes)
-        total = sum(products, next(products))
+        total = sum(map(mul, row, prefixes))
         if denominator is not None:
             total = _divide(total, denominator(i))
         prefixes.append(total)
@@ -145,16 +144,15 @@ def pper_composition_sums(
     Each node is one term of order N, so the 2**n - 1 terms cost one
     multiplication each, plus O(n^2) calls to fp.
 
-    The root is expanded first, so its children give every order its first
-    term.  Only nodes with four or more children are pushed; the last three
-    levels are expanded where their parent forms them.  A node at prefix
-    n-1 has one node below it, the leaf fp(n, n) away, a node at prefix
-    n-2 has three (order n-1, its leaf, and order n), and a node at prefix
-    n-3 has seven.  So a popped node forms its children of orders n-3,
-    n-2, n-1 and n and the 7, 3 and 1 nodes under the first three, 15 in
-    all, and adds each to a running total for its order.  Orders below 4
-    are too short to fold and are walked plainly.  Every term is still
-    formed from its parent's product.
+    Every order's sum starts from the int 0, and the root, whose product is
+    the int 1, is popped like any other node.  Only nodes with four or more
+    children are pushed; the last three levels are expanded where their
+    parent forms them.  A node at prefix n-1 has one node below it, the leaf
+    fp(n, n) away, a node at prefix n-2 has three (order n-1, its leaf, and
+    order n), and a node at prefix n-3 has seven.  So a popped node forms
+    its children of orders n-3, n-2, n-1 and n and the 7, 3 and 1 nodes
+    under the first three, 15 in all, and adds each to a running total for
+    its order.  Orders below 4 are too short to fold and are walked plainly.
 
     denominator d(i) divides row i's diagonal entry: the key fp(i, j) / d(i)
     is taken times prod_{k=j..i} d(k), i.e. as fp(i, j) * prod_{k=j..i-1}
@@ -186,10 +184,10 @@ def pper_composition_sums(
 def _walk(n: int, keys: list[list[Any]]) -> list[Any]:
     # the sums of orders 0..n over keys[N][m-1], the factor for appending
     # part m at prefix N
-    sums = [1] + [1 * key for key in keys[0]]
+    sums = [1] + [0] * n
+    stack = [(0, 1)]
     if n < 4:
         # too short to fold: every node is pushed
-        stack = list(zip(range(1, n + 1), sums[1:]))
         while stack:
             prefix, product = stack.pop()
             for order, key in enumerate(keys[prefix], start=prefix + 1):
@@ -201,18 +199,8 @@ def _walk(n: int, keys: list[list[Any]]) -> list[Any]:
     inner, outer = keys[n - 2]
     near, mid, far = keys[n - 3]
     children = _child_records(n, keys)
-    # the root's order-(n-3) child deep, order-(n-2) child low and
-    # order-(n-1) child middle, and the nodes under them
-    deep, low, middle = sums[n - 3 : n]
-    child = deep * near
-    grand = child * inner
-    side = deep * mid
-    term = low * inner
-    top = sums[n] + grand * leaf + child * outer + side * leaf + deep * far
-    top += term * leaf + low * outer + middle * leaf
-    low += child
-    middle += grand + side + term
-    stack = list(zip(range(1, n - 3), sums[1 : n - 3]))
+    # the running sums of orders n-3, n-2, n-1 and n
+    deep = low = middle = top = 0
     while stack:
         prefix, product = stack.pop()
         pushed, deep_key, low_key, middle_key, top_key = children[prefix]
@@ -262,15 +250,10 @@ def _walk_top(n: int, keys: list[list[Any]]) -> Any:
     inner, outer = keys[n - 2]
     near, mid, far = keys[n - 3]
     children = _child_records(n, keys)
-    first = [1 * key for key in keys[0]]
-    # a node's order-n terms: those under its order-(n-3) child deep, under
-    # its order-(n-2) child low, under its order-(n-1) child middle, and its
-    # own order-n child
-    deep, low, middle, top = first[n - 4 :]
-    child = deep * near
-    top += child * inner * leaf + child * outer + deep * mid * leaf + deep * far
-    top += low * inner * leaf + low * outer + middle * leaf
-    stack = list(zip(range(1, n - 3), first[: n - 4]))
+    # top adds a node's order-n terms under its children deep (order n-3),
+    # low (n-2) and of order n-1, and its own order-n child
+    top = 0
+    stack = [(0, 1)]
     while stack:
         prefix, product = stack.pop()
         pushed, deep_key, low_key, middle_key, top_key = children[prefix]
@@ -327,10 +310,10 @@ def scale_columns(
     scales = [math.lcm(*(row[k].denominator for row in rows[k:])) for k in range(matrix.order)]
     check(sum(c.bit_length() for c in scales) + numerator_bits)
     return ScaledTable(
-        (
-            tuple(entry.numerator * (c // entry.denominator) for entry, c in zip(row, scales))
+        [
+            [entry.numerator * (c // entry.denominator) for entry, c in zip(row, scales)]
             for row in rows
-        ),
+        ],
         math.prod(scales),
     )
 

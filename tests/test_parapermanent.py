@@ -435,15 +435,20 @@ class TestRationalTables:
         expected = QuadExt(2) * QuadExt(0, 1) + QuadExt(1, 1) * QuadExt(0, 1)
         assert pper_by_last_row(matrix) == expected
         assert pper_by_compositions(matrix) == expected
-        # every order >= 1 starts its products from the int 1 and still
-        # gives a QuadExt; the order-0 table's value is that 1 itself
+        # every order >= 1 starts its sums from the int 0 and its products
+        # from the int 1 and still gives a QuadExt, on the folded walks
+        # (orders >= 4) too; the order-0 table's value is that 1 itself
         rng = random.Random(0)
         rows = [
             [QuadExt(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(i)]
-            for i in range(1, 7)
+            for i in range(1, 9)
         ]
-        for order in range(7):
+        for order in range(9):
             prefix = TriangularMatrix(rows[:order])
+            table = _factorial_product_table(prefix)
+            sums = pper_composition_sums(order, lambda i, j: table[i][j])
+            assert sums[0] == 1
+            assert all(type(value) is QuadExt for value in sums[1:])
             for evaluate in (pper_by_last_row, pper_by_compositions):
                 value = evaluate(prefix)
                 if order:
@@ -558,6 +563,11 @@ class CountingScalar:
     def __add__(self, other):
         return CountingScalar(self.value + other.value)
 
+    def __radd__(self, other):
+        # every sum starts from the int 0
+        assert other == 0
+        return self
+
     def __eq__(self, other):
         if isinstance(other, CountingScalar):
             return self.value == other.value
@@ -606,9 +616,9 @@ class TestOperationScaling:
     def test_walk_forms_each_term_once(self, order):
         # one multiplication per composition of each order 1..order, and
         # every sum equal to its terms added one by one; orders <= 3 take
-        # the unfolded walk, and order 4 leaves the stack empty after the
-        # root.  The one-order walk forms the same nodes and adds only
-        # order's terms
+        # the unfolded walk, and at order 4 the root is the one node popped.
+        # The one-order walk forms the same nodes and adds only order's
+        # terms
         table = _factorial_product_table(_counting_matrix(order, order))
         CountingScalar.mults = 0
         sums = pper_composition_sums(order, lambda i, j: table[i][j])

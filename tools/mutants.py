@@ -9,12 +9,14 @@ tool copies src/ to a temporary directory, applies the replacement
 there, and runs those tests against the copy; the checkout itself is
 never changed.  A mutant is killed when at least one of its tests fails.
 
-First the union of the named tests runs on the unmutated copy: a kill
-means nothing if the tests fail anyway.  The exit status is 1 if that
-run fails, if a replacement string does not occur exactly once in its
-file, if a mutant survives, or if pytest cannot run a mutant's tests
-(for example a test that no longer exists); it is 0 when every mutant is
-killed.  Standard library only; pytest runs in a subprocess.
+First the names are checked: two mutants that share a name would make
+the report ambiguous.  Then the union of the named tests runs on the
+unmutated copy: a kill means nothing if the tests fail anyway.  The exit
+status is 1 if two mutants share a name, if that run fails, if a
+replacement string does not occur exactly once in its file, if a mutant
+survives, or if pytest cannot run a mutant's tests (for example a test
+that no longer exists); it is 0 when every mutant is killed.  Standard
+library only; pytest runs in a subprocess.
 """
 
 from __future__ import annotations
@@ -360,10 +362,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "walk-top-root-leaf-wrong-key",
+        "walk-top-leaf-wrong-key",
         "zetapoly/parapermanent.py",
-        "low * outer + middle * leaf\n    stack",
-        "low * outer + middle * inner\n    stack",
+        "product * middle_key * leaf",
+        "product * middle_key * inner",
         (
             f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
             f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
@@ -393,10 +395,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "walk-root-drops-third-level-term",
+        "walk-drops-third-level-term",
         "zetapoly/parapermanent.py",
-        "middle += grand + side + term\n",
-        "middle += side + term\n",
+        "middle += grand + side\n",
+        "middle += side\n",
         (
             f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
             f"{PPER}::TestGenericEvaluators::test_composition_sums_match_definition",
@@ -414,10 +416,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "walk-top-root-drops-third-level-terms",
+        "walk-top-drops-third-level-terms",
         "zetapoly/parapermanent.py",
-        "\n    top += child * inner * leaf + child * outer",
-        "\n    top += child * outer",
+        "top += child * inner * leaf + child * outer",
+        "top += child * outer",
         (
             f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
             f"{PPER}::TestOperationScaling::test_walk_over_integers_with_zero_and_negative_keys",
@@ -491,13 +493,69 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "walk-root-skips-its-multiplication",
+        "walk-skips-root-multiplications",
         "zetapoly/parapermanent.py",
-        "sums = [1] + [1 * key for key in keys[0]]",
-        "sums = [1] + keys[0]",
+        "in pushed:\n            term = product * key\n",
+        "in pushed:\n            term = product * key if prefix else key\n",
         (
             f"{PPER}::TestOperationScaling::test_composition_sum_is_exponential",
             f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+        ),
+    ),
+    Mutant(
+        "walk-root-product-two",
+        "zetapoly/parapermanent.py",
+        "sums = [1] + [0] * n\n    stack = [(0, 1)]",
+        "sums = [1] + [0] * n\n    stack = [(0, 2)]",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestGenericEvaluators::test_composition_sums_match_definition",
+            f"{LPOLY}::TestCoefficients::test_three_methods_agree",
+        ),
+    ),
+    Mutant(
+        "walk-top-root-product-two",
+        "zetapoly/parapermanent.py",
+        "top = 0\n    stack = [(0, 1)]",
+        "top = 0\n    stack = [(0, 2)]",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
+            f"{CLI}::TestPperCommand::test_golden_formats",
+        ),
+    ),
+    Mutant(
+        "walk-folded-total-starts-at-one",
+        "zetapoly/parapermanent.py",
+        "deep = low = middle = top = 0",
+        "deep = low = top = 0\n    middle = 1",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestGenericEvaluators::test_composition_sums_match_definition",
+            f"{LPOLY}::TestCoefficients::test_three_methods_agree",
+        ),
+    ),
+    Mutant(
+        "walk-top-total-starts-at-one",
+        "zetapoly/parapermanent.py",
+        "top = 0\n    stack = [(0, 1)]",
+        "top = 1\n    stack = [(0, 1)]",
+        (
+            f"{PPER}::TestOperationScaling::test_walk_forms_each_term_once",
+            f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
+            f"{CLI}::TestPperCommand::test_golden_formats",
+        ),
+    ),
+    Mutant(
+        "last-row-drops-first-product",
+        "zetapoly/parapermanent.py",
+        "total = sum(map(mul, row, prefixes))",
+        "total = sum(map(mul, row[1:], prefixes[1:]))",
+        (
+            f"{PPER}::TestGenericEvaluators::test_prefixes_against_matrix",
+            f"{PPER}::TestEvaluatorAgreement::test_orders_up_to_ten",
+            f"{LPOLY}::TestCoefficients::test_pinned_small",
+            f"{DEFECT2}::TestPrefixWalk::test_sums_equal_term_sums",
         ),
     ),
     Mutant(
@@ -634,6 +692,11 @@ def _apply(copy: Path, mutant: Mutant) -> bool:
 
 
 def main() -> int:
+    names = [mutant.name for mutant in MUTANTS]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        print(f"mutant names used more than once: {', '.join(shared)}")
+        return 1
     ok = True
     with tempfile.TemporaryDirectory(prefix="zetapoly-mutants-") as tmp:
         copy = Path(tmp) / "src"
