@@ -573,6 +573,9 @@ def _load_matrix_file(path: str) -> list[list[Fraction]]:
         raise ValidationError(
             f"--file {path}: 'rows' must be a list of {order} rows"
         )
+    # before any entry is parsed: a table past the cap costs no parsing
+    if order > _MAX_WALK_ORDER:
+        raise ValidationError(f"table order capped at {_MAX_WALK_ORDER}, got {order}")
     rows: list[list[Fraction]] = []
     for i, row in enumerate(raw_rows, start=1):
         if not isinstance(row, list) or len(row) != i:
@@ -622,8 +625,6 @@ def _cmd_pper(args: list[str], out: TextIO, err: TextIO) -> int:
     _add_format_option(parser)
     ns = parser.parse_args(args)
     rows = _load_matrix_file(ns.file)
-    if len(rows) > _MAX_WALK_ORDER:
-        raise ValidationError(f"table order capped at {_MAX_WALK_ORDER}, got {len(rows)}")
     table = scale_columns(TriangularMatrix(rows), lambda bits: _refuse_slow_walk(len(rows), bits))
     # both evaluators walk the one table, and their agreed sum is read out once
     by_rows = pper_by_last_row(table)

@@ -555,7 +555,7 @@ def analyze(
         selected = _THETAS
     else:
         wanted = tuple(thetas)
-        selected = tuple(theta for theta in _THETAS if theta in wanted)
+        selected = tuple([theta for theta in _THETAS if theta in wanted])
         if not selected:
             raise ValueError("no branch selected")
 

@@ -174,7 +174,7 @@ def s_from_counts(q: int, counts: Sequence[int]) -> SSequence:
     for r, n_r in enumerate(counts, start=1):
         if not isinstance(n_r, int) or isinstance(n_r, bool) or n_r < 0:
             raise ValueError(f"N_{r} must be a nonnegative integer, got {n_r!r}")
-    s = SSequence(q, tuple(n_r - (q**r + 1) for r, n_r in enumerate(counts, start=1)))
+    s = SSequence(q, [n_r - (q**r + 1) for r, n_r in enumerate(counts, start=1)])
     bad = s.weil_violations()
     if bad:
         warnings.warn(

@@ -305,9 +305,11 @@ def scale_columns(
     numerator_bits = matrix.order * max(
         (abs(entry.numerator).bit_length() for row in rows for entry in row), default=0
     )
-    largest = [max(row[k].denominator for row in rows[k:]) for k in range(matrix.order)]
-    check(sum(d.bit_length() for d in largest) + numerator_bits)
-    scales = [math.lcm(*(row[k].denominator for row in rows[k:])) for k in range(matrix.order)]
+    # lists, not generators: math.lcm(*generator) builds its argument tuple
+    # by resizing, and the freed tuples collect in CPython's tuple free lists
+    columns = [[row[k].denominator for row in rows[k:]] for k in range(matrix.order)]
+    check(sum(max(column).bit_length() for column in columns) + numerator_bits)
+    scales = [math.lcm(*column) for column in columns]
     check(sum(c.bit_length() for c in scales) + numerator_bits)
     return ScaledTable(
         [

@@ -11,6 +11,7 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -993,15 +994,23 @@ class TestPperCommand:
         assert payload["pper"] == payload["by_last_row"] == payload["by_compositions"]
         assert Fraction(payload["pper"]).denominator > 1
 
-    def test_order_bound_refused_up_front(self, tmp_path):
+    def test_order_bound_refused_up_front(self, tmp_path, monkeypatch):
+        # the cap is checked before any entry is parsed, so it is the one
+        # message even when an entry of the last row is not a rational
         order = cli._MAX_WALK_ORDER + 1
-        path = self.write(tmp_path, {"order": order, "rows": [["1/3"] * i for i in range(1, order + 1)]})
-        started = time.perf_counter()
-        code, out, err = run_cli("pper", "--file", path)
-        assert time.perf_counter() - started < 1.0
-        assert code == cli.EXIT_VALIDATION
-        assert out == ""
-        assert f"table order capped at {cli._MAX_WALK_ORDER}, got {order}" in err
+        parse = mock.Mock(wraps=cli.parse_rational)
+        monkeypatch.setattr(cli, "parse_rational", parse)
+        for last_entry in ("1/3", "not a rational"):
+            rows = [["1/3"] * i for i in range(1, order + 1)]
+            rows[-1][-1] = last_entry
+            path = self.write(tmp_path, {"order": order, "rows": rows})
+            started = time.perf_counter()
+            code, out, err = run_cli("pper", "--file", path)
+            assert time.perf_counter() - started < 1.0
+            assert code == cli.EXIT_VALIDATION
+            assert out == ""
+            assert f"table order capped at {cli._MAX_WALK_ORDER}, got {order}" in err
+        parse.assert_not_called()
 
     def test_order_bound_allows_20(self, tmp_path):
         # all-ones table: the parapermanent counts the 2^19 compositions of 20

@@ -1,14 +1,22 @@
+import ast
+import functools
+import gc
 import itertools
 import math
+import pathlib
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import zetapoly
 from zetapoly.arith import QuadExt
 from zetapoly.compositions import count, enumerate_compositions
+from zetapoly.defect2 import Theta, analyze
+from zetapoly.lpoly import s_from_counts
 from zetapoly import parapermanent
 from zetapoly.parapermanent import (
     ScaledTable,
@@ -665,3 +673,67 @@ class TestOperationScaling:
     def test_both_agree_while_counting(self):
         matrix = _counting_matrix(9, 3)
         assert pper_by_last_row(matrix) == pper_by_compositions(matrix)
+
+
+def _is_resized_tuple(node):
+    # tuple(<generator or map>) or a *<generator> call argument: CPython
+    # builds either tuple at a guessed size and then resizes it
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Name) and node.func.id == "tuple" and node.args:
+        source = node.args[0]
+        if isinstance(source, ast.GeneratorExp):
+            return True
+        if isinstance(source, ast.Call) and isinstance(source.func, ast.Name):
+            return source.func.id == "map"
+    return any(
+        isinstance(arg, ast.Starred) and isinstance(arg.value, ast.GeneratorExp)
+        for arg in node.args
+    )
+
+
+class TestNoResizedTuples:
+    # CPython keeps freed tuples of each size below 20 on a free list, up to
+    # 2,000 a size, until a full collection.  A tuple built by resizing
+    # never comes from those lists but goes back to one when freed, so a
+    # call that builds one leaves it behind every time.
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            functools.partial(scale_columns, _mixed_matrix(17, 17)),
+            functools.partial(analyze, 18, thetas=[Theta.PI_4]),
+            functools.partial(s_from_counts, 3, [3**r + 1 - r for r in range(1, 8)]),
+        ],
+        ids=["scale_columns", "analyze", "s_from_counts"],
+    )
+    def test_repeated_calls_keep_no_traced_memory(self, call):
+        # a full collection empties the free lists: one comes before the
+        # calls refill them, and none between the readings, where it would
+        # hide the tuples left there.  Twenty calls after it leave the lists
+        # unsettled (analyze then grew 5.6 KB over 300 calls with no resized
+        # tuple, Python 3.11); 200 calls, and 20 more once tracing runs, do not
+        gc.collect()
+        for _ in range(200):
+            call()
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                call()
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(300):
+                call()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 4096
+
+    def test_package_builds_no_tuple_by_resizing(self):
+        package = pathlib.Path(zetapoly.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if _is_resized_tuple(node)
+        ]
+        assert found == []

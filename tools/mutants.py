@@ -41,6 +41,38 @@ PPER = "tests/test_parapermanent.py"
 RECORDS = "tests/test_records.py"
 
 
+# cli._load_matrix_file's order cap and the entry loop after it, as they
+# stand; pper-cap-after-parse swaps them
+_PPER_CAP = '''\
+    if order > _MAX_WALK_ORDER:
+        raise ValidationError(f"table order capped at {_MAX_WALK_ORDER}, got {order}")
+'''
+_PPER_ENTRY_LOOP = '''\
+    rows: list[list[Fraction]] = []
+    for i, row in enumerate(raw_rows, start=1):
+        if not isinstance(row, list) or len(row) != i:
+            raise ValidationError(
+                f"--file {path}: row {i} must be a list of {i} entries"
+            )
+        parsed = []
+        for j, entry in enumerate(row, start=1):
+            if isinstance(entry, bool) or not isinstance(entry, (int, str)):
+                raise ValidationError(
+                    f"--file {path}: entry ({i}, {j}) must be an integer or "
+                    f"a rational string, got {entry!r}"
+                )
+            try:
+                parsed.append(
+                    Fraction(entry) if isinstance(entry, int) else parse_rational(entry)
+                )
+            except ValueError:
+                raise ValidationError(
+                    f"--file {path}: entry ({i}, {j}) is not a rational: {entry!r}"
+                ) from None
+        rows.append(parsed)
+'''
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
@@ -463,13 +495,27 @@ MUTANTS = (
     Mutant(
         "row-lcm-for-column-lcm",
         "zetapoly/parapermanent.py",
-        "math.lcm(*(row[k].denominator for row in rows[k:]))",
-        "math.lcm(*(entry.denominator for entry in rows[k]))",
+        "[[row[k].denominator for row in rows[k:]] for k in",
+        "[[entry.denominator for entry in rows[k]] for k in",
         (
             f"{PPER}::TestRationalTables::test_scaled_table_is_integer",
             f"{PPER}::TestRationalTables::test_column_lcm_divides_the_table_lcm",
             f"{PPER}::TestRationalTables::test_evaluators_match_fraction_recurrence",
         ),
+    ),
+    Mutant(
+        "scale-columns-lcm-from-generator",
+        "zetapoly/parapermanent.py",
+        "math.lcm(*column)",
+        "math.lcm(*(d for d in column))",
+        (f"{PPER}::TestNoResizedTuples::test_repeated_calls_keep_no_traced_memory[scale_columns]",),
+    ),
+    Mutant(
+        "pper-cap-after-parse",
+        "zetapoly/cli.py",
+        _PPER_CAP + _PPER_ENTRY_LOOP,
+        _PPER_ENTRY_LOOP + _PPER_CAP,
+        (f"{CLI}::TestPperCommand::test_order_bound_refused_up_front",),
     ),
     Mutant(
         "range-check-excludes-g",
@@ -579,7 +625,7 @@ MUTANTS = (
         "walk-estimate-largest-denominator-only",
         "zetapoly/parapermanent.py",
         "check(sum(c.bit_length() for c in scales) + numerator_bits)",
-        "check(sum(d.bit_length() for d in largest) + numerator_bits)",
+        "check(sum(max(column).bit_length() for column in columns) + numerator_bits)",
         (
             f"{PPER}::TestRationalTables::test_readings_for_a_budget",
             f"{CLI}::TestPperCommand::test_work_budget_refuses_large_denominators",
