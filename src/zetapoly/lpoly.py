@@ -20,12 +20,12 @@ factorial product of row i carries that one 1/i, so the row's sum is
 divided once and prefix i is a_i itself, an int while the division is
 exact.  It does the recurrence's arithmetic in parapermanent.py's generic
 last-row loop, row i being the slice S_i..S_1, so a fault in either loop
-shows as a disagreement.  The composition
-route walks the same table with the same row denominators: the walk takes
-each key S_{i+1-j}/i times i!/(j-1)!, i.e. S_{i+1-j} (i-1)!/(j-1)!, so the
-product at the keys of a composition of N carries N! and each order's sum
-is divided by N! once, an int while that division is exact.  The three
-routes share only the S-values.  The _exact
+shows as a disagreement.  The composition route hands the walk integer
+keys, S_{i+1-j}/i times i!/(j-1)!, i.e. S_{i+1-j} (i-1)!/(j-1)!, so the
+product at the keys of a composition of N carries N!, and it divides each
+order's sum by N! itself, an int while that division is exact.  The three
+routes share only the S-values and the integer check (_as_integers), and
+tests/test_routes.py checks that no other function is shared.  The _exact
 functions return Fractions; the integer functions raise ConsistencyError
 at the first a_i that is not an integer.
 
@@ -248,14 +248,21 @@ def _parapermanent(s: SSequence) -> Iterator[Union[int, Fraction]]:
 
 
 def _compositions(s: SSequence) -> list[Union[int, Fraction]]:
-    # the same table and row denominators, walked: every term of order N
-    # carries N!, divided out of the order's sum once
+    # the same table walked over the integer keys S_{i+1-j} (i-1)!/(j-1)!:
+    # every term of order N carries N!, divided out of the order's sum
+    # once, an int while that division is exact
     if s.g > COMPOSITION_CAP:
         raise ValueError(
             f"composition enumeration capped at g <= {COMPOSITION_CAP}, got g={s.g}"
         )
     values = s.s
-    return pper_composition_sums(s.g, lambda i, j: values[i - j], lambda i: i)
+    sums = pper_composition_sums(s.g, lambda i, j: values[i - j] * math.perm(i - 1, i - j))
+    factorial = 1
+    for order in range(1, s.g + 1):
+        factorial *= order
+        quotient, remainder = divmod(sums[order], factorial)
+        sums[order] = Fraction(sums[order], factorial) if remainder else quotient
+    return sums
 
 
 def _composition_walk_bits(s: SSequence) -> int:

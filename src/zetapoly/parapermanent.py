@@ -14,13 +14,14 @@ parapermanents.  The recurrence is one loop, _last_row, that takes row
 i's factorial products fp(i, 1..i) as a sequence: pper_prefixes builds
 the rows from fp, pper_by_last_row hands it its factorial-product table,
 and a caller whose fp(i, j) depends only on i - j (lpoly's route, defect2's
-sign tallies) hands it slices of one sequence.  _last_row and
-pper_composition_sums take an optional denominator d(i) for each row's
-diagonal entry, which keeps lpoly's prefixes at the size of its
-coefficients.  pper_by_compositions needs one order only: its walk forms
-the same 2**n - 1 nodes, each from its parent's product, and folds the
-same last three levels, but adds only the 2**(n-1) terms of order n.  It
-shares pper_composition_sums' child records and nothing with the recurrence.
+sign tallies) hands it slices of one sequence.  _last_row takes an
+optional denominator d(i) for each row's diagonal entry, which keeps
+lpoly's prefixes at the size of its coefficients; the walk takes its keys
+as they are, and lpoly's composition route divides its own sums.
+pper_by_compositions needs one order only: its walk forms the same
+2**n - 1 nodes, each from its parent's product, and folds the same last
+three levels, but adds only the 2**(n-1) terms of order n.  It shares
+pper_composition_sums' child records and nothing with the recurrence.
 
 Entries may be any exact scalar supporting + and * (Fraction, QuadExt, or
 similar) that also adds to the int 0 and multiplies with the int 1: every
@@ -113,36 +114,35 @@ def _last_row(
     # the prefixes pper(0) = 1, pper(1), ... for rows 1, 2, ..., row i
     # holding the factorial products fp(i, 1..i): pper(i) = sum_s fp(i, s)
     # * pper(s-1), divided once by denominator(i), row i's diagonal divisor,
-    # when given (an int while the division is exact).  Each prefix is
-    # yielded as it is found, and row i is taken only when pper(i) is asked
-    # for, so lpoly's integer route can stop at its first Fraction.
+    # when given: an int sum over an int divisor stays an int while the
+    # division is exact and becomes a Fraction when it is not, and any
+    # other sum is divided with /.  Each prefix is yielded as it is found,
+    # and row i is taken only when pper(i) is asked for, so lpoly's
+    # integer route can stop at its first Fraction.
     prefixes = [1]
     yield 1
     for i, row in enumerate(rows, start=1):
         total = sum(map(mul, row, prefixes))
         if denominator is not None:
-            total = _divide(total, denominator(i))
+            divisor = denominator(i)
+            if isinstance(total, int) and isinstance(divisor, int):
+                quotient, remainder = divmod(total, divisor)
+                total = Fraction(total, divisor) if remainder else quotient
+            else:
+                total = total / divisor
         prefixes.append(total)
         yield total
 
 
-def _divide(value: Any, divisor: Any) -> Any:
-    if isinstance(value, int) and isinstance(divisor, int):
-        quotient, remainder = divmod(value, divisor)
-        return Fraction(value, divisor) if remainder else quotient
-    return value / divisor
-
-
-def pper_composition_sums(
-    n: int, fp: FactorialProduct, denominator: Optional[Callable[[int], Any]] = None
-) -> list[Any]:
+def pper_composition_sums(n: int, fp: FactorialProduct) -> list[Any]:
     """Parapermanents of orders 0..n straight from the definition.
 
     One walk over every composition of every order <= n: a node is a
     composition of its prefix sum N and carries the product of the factorial
     products at its keys; appending a part m multiplies it by fp(N+m, N+1).
     Each node is one term of order N, so the 2**n - 1 terms cost one
-    multiplication each, plus O(n^2) calls to fp.
+    multiplication each, plus O(n^2) calls to fp.  The walk neither scales
+    fp's values nor divides the sums; lpoly's composition route does both.
 
     Every order's sum starts from the int 0, and the root, whose product is
     the int 1, is popped like any other node.  Only nodes with four or more
@@ -153,11 +153,6 @@ def pper_composition_sums(
     its children of orders n-3, n-2, n-1 and n and the 7, 3 and 1 nodes
     under the first three, 15 in all, and adds each to a running total for
     its order.  Orders below 4 are too short to fold and are walked plainly.
-
-    denominator d(i) divides row i's diagonal entry: the key fp(i, j) / d(i)
-    is taken times prod_{k=j..i} d(k), i.e. as fp(i, j) * prod_{k=j..i-1}
-    d(k), so every term of order N carries prod_{k<=N} d(k) and each order's
-    sum is divided by it once, an int while that division is exact.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
@@ -165,20 +160,7 @@ def pper_composition_sums(
     keys = [
         [fp(i, prefix + 1) for i in range(prefix + 1, n + 1)] for prefix in range(n + 1)
     ]
-    if denominator is None:
-        return _walk(n, keys)
-    divisors = [denominator(i) for i in range(1, n + 1)]
-    for prefix, row in enumerate(keys):
-        scale = 1
-        for m, i in enumerate(range(prefix + 1, n + 1)):
-            row[m] *= scale
-            scale *= divisors[i - 1]
-    sums = _walk(n, keys)
-    scale = 1
-    for order in range(1, n + 1):
-        scale *= divisors[order - 1]
-        sums[order] = _divide(sums[order], scale)
-    return sums
+    return _walk(n, keys)
 
 
 def _walk(n: int, keys: list[list[Any]]) -> list[Any]:

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -72,6 +73,31 @@ class TestQuadExtRing:
         assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
         assert (a / 2) * 2 == a
 
+    def test_subtraction_with_scalars(self):
+        # an int or a Fraction on either side moves the rational part only
+        a = QuadExt(Fraction(3, 4), -2)
+        for difference, rat, irr in (
+            (a - 3, Fraction(-9, 4), -2),
+            (3 - a, Fraction(9, 4), 2),
+            (a - Fraction(1, 2), Fraction(1, 4), -2),
+        ):
+            assert type(difference) is QuadExt
+            assert (difference.rat, difference.irr) == (rat, irr)
+
+    def test_truth_value(self):
+        assert not QuadExt()
+        assert not QuadExt(0, 0)
+        assert QuadExt(1)
+        assert QuadExt(0, Fraction(-1, 2))
+        assert QuadExt(2, -1)
+
+    @pytest.mark.parametrize("operation", [operator.add, operator.sub, operator.mul])
+    def test_other_operands_refused(self, operation):
+        with pytest.raises(TypeError):
+            operation(QuadExt(1, 1), "2")
+        with pytest.raises(TypeError):
+            operation("2", QuadExt(1, 1))
+
     def test_sqrt2_squares_to_two(self):
         root = QuadExt(0, 1)
         assert root * root == QuadExt(2)
@@ -90,6 +116,9 @@ class TestQuadExtRing:
         assert QuadExt(3, 1) != 3
         assert QuadExt(Fraction(1, 2)) == Fraction(1, 2)
         assert len({QuadExt(3), QuadExt(3, 0), QuadExt(3, 1)}) == 2
+        # any other operand is left to its own type, which finds them unequal
+        assert QuadExt(3) != "3"
+        assert not QuadExt(3) == "3"
 
     def test_str(self):
         assert str(QuadExt(3)) == "3"

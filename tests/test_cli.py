@@ -820,6 +820,32 @@ class TestDefect2Command:
         assert code == cli.EXIT_OK
         assert "theorem_mode  proven" in table_out
 
+    def test_failed_tally_verdict_renders_false(self, monkeypatch):
+        # no real report for g <= 40 has a False verdict: P+ and P- swapped
+        # at n = 4 give P+ - P- the wrong sign there, so that row's tally
+        # verdict alone is False, and both text formats print it as false
+        real = cli.defect2._tallies
+
+        def swapped(weights):
+            tallies = real(weights)
+            tallies[4] = tallies[4][::-1]
+            return tallies
+
+        monkeypatch.setattr(cli.defect2, "_tallies", swapped)
+        expected = ["", "true", "true", "false", "true", "true", "true", "true"]
+        code, out, err = run_cli("defect2", "analyze", "--g", "8", "--format", "csv")
+        assert (code, err) == (cli.EXIT_OK, "")
+        header, *lines = out.splitlines()
+        column = header.split(",").index("check_tallies")
+        assert [line.split(",")[column] for line in lines] == expected
+        code, out, err = run_cli("defect2", "analyze", "--g", "8", "--format", "table")
+        assert (code, err) == (cli.EXIT_OK, "")
+        header, *lines = out.split("\n\n")[1].splitlines()
+        column = header.split().index("check_tallies")
+        assert [line.split()[column] for line in lines] == [
+            verdict or "-" for verdict in expected
+        ]
+
     def test_rows_stop_at_24_golden(self):
         # the library takes any max_n <= g; the command keeps its 24 rows
         expected = (

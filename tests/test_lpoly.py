@@ -283,6 +283,21 @@ class TestIntegerRoutes:
             else:
                 assert route(s) == [int(a) for a in expected]
 
+    @given(st.one_of(s_vectors, trace_data().map(s_from_traces)))
+    @example(SSequence(2, (1, 0)))
+    @example(SSequence(2, (-3, -3, -2, -3)))
+    @settings(deadline=None)
+    def test_composition_read_out_is_int_exactly_where_integral(self, s):
+        # the composition route divides each order's sum by N! on its own,
+        # so a_N is an int exactly where it is integral, also past a
+        # fractional a_i: over (-3, -3, -2, -3), a_3 = -2/3 and a_4 = -1
+        expected = fraction_recurrence(s)
+        values = lpoly._compositions(s)
+        assert values == expected
+        assert [type(value) is int for value in values] == [
+            value.denominator == 1 for value in expected
+        ]
+
     @given(trace_data(max_g=10).map(s_from_traces))
     @settings(deadline=None)
     def test_integer_routes_give_plain_ints(self, s):

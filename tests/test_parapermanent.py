@@ -485,32 +485,27 @@ integer_rows = st.integers(0, 8).flatmap(
 
 
 def _divided_prefixes(rows, row_divisors):
-    # the last-row loop and the walk with row i over d_i, and the same
-    # tables in Fractions with the diagonal entry of row i divided by d_i
+    # the last-row loop with row i over d_i, and the same tables in
+    # Fractions with the diagonal entry of row i divided by d_i
     table = _factorial_product_table(TriangularMatrix(rows))
-
-    def fp(i, j):
-        return table[i][j]
 
     def divisor(i):
         return row_divisors[i - 1]
 
     prefixes = list(_last_row((table[i][1:] for i in range(1, len(rows) + 1)), divisor))
-    walked = pper_composition_sums(len(rows), fp, divisor)
     divided = [
         tuple(row[:-1]) + (Fraction(row[-1]) / d,) for row, d in zip(rows, row_divisors)
     ]
     expected = [fraction_last_row(divided[:k]) for k in range(len(rows) + 1)]
-    return prefixes, walked, expected
+    return prefixes, expected
 
 
 class TestRowDenominator:
     @settings(deadline=None)
     @given(_with_divisors(rational_rows))
     def test_matches_fraction_table_with_row_divided(self, case):
-        prefixes, walked, expected = _divided_prefixes(*case)
+        prefixes, expected = _divided_prefixes(*case)
         assert prefixes == expected
-        assert walked == expected
 
     @settings(deadline=None)
     @given(_with_divisors(integer_rows))
@@ -519,19 +514,13 @@ class TestRowDenominator:
     def test_integer_table_is_int_until_first_inexact_division(self, case):
         # the all-ones table over d_i = i has every prefix 1; over 1, 3, 3
         # the division of row 2 is not exact
-        prefixes, walked, expected = _divided_prefixes(*case)
+        prefixes, expected = _divided_prefixes(*case)
         assert prefixes == expected
         first = next(
             (k for k, value in enumerate(expected) if value.denominator != 1), len(expected)
         )
         assert all(type(value) is int for value in prefixes[:first])
         assert all(type(value) is Fraction for value in prefixes[first:])
-        # the walk divides each order's sum on its own: an int exactly
-        # where that order's division is exact
-        assert walked == expected
-        assert [type(value) is int for value in walked] == [
-            value.denominator == 1 for value in expected
-        ]
 
     def test_iterator_is_lazy(self):
         # lpoly's integer route stops at its first Fraction prefix, so the

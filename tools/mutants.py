@@ -39,6 +39,7 @@ DEFECT2 = "tests/test_defect2.py"
 LPOLY = "tests/test_lpoly.py"
 PPER = "tests/test_parapermanent.py"
 RECORDS = "tests/test_records.py"
+ROUTES = "tests/test_routes.py"
 
 
 # cli._load_matrix_file's order cap and the entry loop after it, as they
@@ -123,22 +124,21 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "walk-readout-divisor-shifted",
-        "zetapoly/parapermanent.py",
-        "scale *= divisors[order - 1]",
-        "scale *= divisors[order - 2]",
+        "composition-readout-wrong-factorial",
+        "zetapoly/lpoly.py",
+        "factorial *= order\n",
+        "factorial *= order + 1\n",
         (
-            f"{PPER}::TestRowDenominator",
             f"{LPOLY}::TestCoefficients::test_three_methods_agree",
+            f"{LPOLY}::TestIntegerRoutes::test_composition_read_out_is_int_exactly_where_integral",
         ),
     ),
     Mutant(
-        "walk-key-scale-includes-row-divisor",
-        "zetapoly/parapermanent.py",
-        "row[m] *= scale\n            scale *= divisors[i - 1]",
-        "scale *= divisors[i - 1]\n            row[m] *= scale",
+        "composition-keys-perm-shifted",
+        "zetapoly/lpoly.py",
+        "values[i - j] * math.perm(i - 1, i - j)",
+        "values[i - j] * math.perm(i, i - j)",
         (
-            f"{PPER}::TestRowDenominator",
             f"{LPOLY}::TestCoefficients::test_three_methods_agree",
             f"{LPOLY}::TestIntegerRoutes::test_routes_match_fraction_recurrence",
         ),
@@ -236,20 +236,17 @@ MUTANTS = (
         (f"{DEFECT2}::TestVerdictColumns::test_disagreement_at_the_last_n_raises",),
     ),
     Mutant(
-        "composition-route-denominator-off-by-one",
-        "zetapoly/lpoly.py",
-        "pper_composition_sums(s.g, lambda i, j: values[i - j], lambda i: i)",
-        "pper_composition_sums(s.g, lambda i, j: values[i - j], lambda i: i + 1)",
-        (
-            f"{LPOLY}::TestCoefficients::test_three_methods_agree",
-            f"{LPOLY}::TestIntegerRoutes::test_routes_match_fraction_recurrence",
-        ),
+        "recurrence-route-borrows-pass",
+        "zetapoly/defect2.py",
+        "coeffs_by_recurrence(",
+        "coeffs_by_parapermanent(",
+        (f"{ROUTES}::test_cross_checking_routes_share_only_the_allowlist",),
     ),
     Mutant(
         "row-division-drops-remainder",
         "zetapoly/parapermanent.py",
-        "return Fraction(value, divisor) if remainder else quotient",
-        "return quotient",
+        "total = Fraction(total, divisor) if remainder else quotient",
+        "total = quotient",
         (
             f"{PPER}::TestRowDenominator",
             f"{LPOLY}::TestIntegerRoutes::test_integrality_error_pinned",
@@ -276,6 +273,13 @@ MUTANTS = (
             f"{DEFECT2}::TestPrefixWalk::test_wrong_weight_caught_by_recurrence",
             f"{DEFECT2}::TestAnalyze::test_report_genus_four",
         ),
+    ),
+    Mutant(
+        "quadext-rsub-sign-flipped",
+        "zetapoly/arith.py",
+        "return QuadExt(other - self._rat, -self._irr)",
+        "return QuadExt(self._rat - other, self._irr)",
+        (f"{ARITH}::TestQuadExtRing::test_subtraction_with_scalars",),
     ),
     Mutant(
         "quad-component-not-converted",
@@ -658,6 +662,13 @@ MUTANTS = (
             f"{CLI}::TestClassNumberCommand::test_wrong_recurrence_caught_by_direct_formula",
             f"{CLI}::TestClassNumberCommand::test_consistency_failure_exit_code",
         ),
+    ),
+    Mutant(
+        "json-bool-false-rendered-true",
+        "zetapoly/cli.py",
+        'return "false"',
+        'return "true"',
+        (f"{CLI}::TestDefect2Command::test_failed_tally_verdict_renders_false",),
     ),
     Mutant(
         "unprintable-bound-exclusive",
